@@ -42,7 +42,6 @@ def _read_config_file(path) -> dict[str, str]:
 
 _DEFAULTS = {
     "seed": "0",
-    "threads": "1",
     "ratios": "0.8,0.1,0.1",
     "graph_mode": "all_pairs",
     "dim": "64",
@@ -94,18 +93,6 @@ def _require(cfg, key) -> str:
     if not value:
         raise ConfigError(f"missing required option {key!r}")
     return value
-
-
-def _set_threads(cfg) -> None:
-    threads = _get_int(cfg, "threads")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(threads)
-    except ImportError:
-        # BLAS pools keep their defaults; the knob still records intent
-        pass
 
 
 def _load_space(cfg):
@@ -215,7 +202,6 @@ def _train_config(cfg) -> TrainConfig:
 
 
 def cmd_train(cfg) -> int:
-    _set_threads(cfg)
     space = _load_space(cfg)
     split = _resolve_splits(cfg)
     dim = _get_int(cfg, "dim")
@@ -276,7 +262,6 @@ def _load_model_and_graph(cfg):
 
 
 def cmd_evaluate(cfg) -> int:
-    _set_threads(cfg)
     params, norm = _load_model_and_graph(cfg)
     instances = load_libfm(_require(cfg, "data"))
     preds = predict_batch(instances, params, norm)
@@ -288,14 +273,12 @@ def cmd_evaluate(cfg) -> int:
 
 
 def cmd_predict(cfg) -> int:
-    _set_threads(cfg)
     params, norm = _load_model_and_graph(cfg)
-    instances = load_libfm(_require(cfg, "data"))
-    preds = predict_batch(instances, params, norm)
+    # the parsed instances are freed once scored, before the output text is built
+    preds = predict_batch(load_libfm(_require(cfg, "data")), params, norm)
     out = _require(cfg, "out")
     with open(out, "w", encoding="utf-8") as fh:
-        for value in preds:
-            fh.write(f"{float(value)!r}\n")
+        fh.write("".join(f"{value!r}\n" for value in preds.tolist()))
     print(f"wrote {len(preds)} predictions to {out}")
     return 0
 
@@ -303,7 +286,6 @@ def cmd_predict(cfg) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value options file")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--threads", type=int)
     sub.add_argument("--field-map", dest="field_map")
 
 

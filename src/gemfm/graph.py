@@ -248,7 +248,23 @@ class NormalizedAdjacency:
     def expand(self, nodes: np.ndarray) -> np.ndarray:
         """All column indices reachable from the given rows (includes nodes)."""
         sub = self.matrix[np.asarray(nodes, dtype=np.int64)]
-        return np.unique(sub.indices)
+        return node_set(sub.indices, self.num_nodes)[0]
+
+
+def node_set(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``ids`` (all in [0, size)) and a size-long table of
+    their positions, from a presence mask: no sort, unlike np.unique."""
+    present = np.zeros(size, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), np.cumsum(present) - 1
+
+
+def local_columns(block: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array]:
+    """The sorted columns ``block`` uses, and ``block`` with each column
+    renumbered to its position among them (entry order unchanged)."""
+    columns, local = node_set(block.indices, block.shape[1])
+    return columns, sparse.csr_array((block.data, local[block.indices], block.indptr),
+                                     shape=(block.shape[0], columns.size))
 
 
 def normalize(graph: FeatureGraph) -> NormalizedAdjacency:

@@ -17,7 +17,7 @@ from scipy import sparse
 
 from .data import PackedInstances, SparseInstance
 from .errors import CheckpointError, DataFormatError
-from .graph import NormalizedAdjacency
+from .graph import NormalizedAdjacency, local_columns, node_set
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -192,8 +192,9 @@ class EmbeddingView:
 
 
 def _as_node_array(nodes, num_features: int) -> np.ndarray:
-    arr = np.unique(np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-                               dtype=np.int64))
+    arr = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes, dtype=np.int64)
+    if arr.ndim != 1 or np.any(arr[1:] <= arr[:-1]):  # not yet sorted and distinct
+        arr = np.unique(arr)
     if arr.size and (arr[0] < 0 or arr[-1] >= num_features):
         bad = int(arr[0]) if arr[0] < 0 else int(arr[-1])
         raise DataFormatError(f"node index {bad} outside [0, {num_features})")
@@ -223,9 +224,10 @@ def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> Embeddin
     target = _as_node_array(nodes, params.num_features)
     L = params.num_layers
     frontiers: list[np.ndarray | None] = [None] * (L + 1)
+    blocks: list[sparse.csr_array | None] = [None] * (L + 1)
     frontiers[L] = target
     for l in range(L, 1, -1):
-        frontiers[l - 1] = norm.expand(frontiers[l])
+        frontiers[l - 1], blocks[l] = local_columns(norm.matrix[frontiers[l]])
     caches = []
     out = None
     for l in range(1, L + 1):
@@ -235,7 +237,7 @@ def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> Embeddin
             pre = adj @ params.weights[0]
             prop_in = None
         else:
-            adj = norm.matrix[frontier][:, frontiers[l - 1]]
+            adj = blocks[l]
             prop_in = adj @ out
             pre = prop_in @ params.weights[l - 1]
         out = activate(params.activation, pre)
@@ -292,10 +294,14 @@ def batch_design(packed: PackedInstances) -> tuple[np.ndarray, sparse.csr_array,
     """Batch design matrices over the batch's own node set.
 
     Returns (nodes, X, X2): nodes is the sorted unique active features, X the
-    (batch, len(nodes)) value matrix, X2 the same with squared values.
+    (batch, len(nodes)) value matrix, X2 the same with squared values. This
+    is the one place a batch's node set is computed.
     """
-    nodes = np.unique(packed.indices)
-    local = np.searchsorted(nodes, packed.indices)
+    indices = packed.indices
+    if indices.size and indices.min() < 0:
+        raise DataFormatError(f"negative feature index {int(indices.min())}")
+    nodes, local = node_set(indices, int(indices.max(initial=-1)) + 1)
+    local = local[indices]
     shape = (len(packed), nodes.size)
     x = sparse.csr_array((packed.values, local, packed.indptr), shape=shape)
     x2 = sparse.csr_array((packed.values ** 2, local, packed.indptr), shape=shape)

@@ -17,10 +17,11 @@ import numpy as np
 
 from .data import PackedInstances
 from .errors import TrainingDivergedError
-from .graph import FeatureGraph, NormalizedAdjacency, normalize, sample_neighbors
+from .graph import (FeatureGraph, NormalizedAdjacency, local_columns, normalize,
+                    sample_neighbors)
 from .metrics import mae, rmse
 from .model import (EmbeddingView, ModelParams, activation_gradient, batch_design,
-                    gcn_embed, lookup_embed, predict_batch, scores_from_design)
+                    gcn_embed, lookup_embed, predict_batch)
 from .seeding import derive_rng, derive_seed
 
 ADAM_BETA1 = 0.9
@@ -95,11 +96,11 @@ class OptimizerState:
 
 @dataclass(eq=False)
 class GradientSet:
-    """Gradients mirroring ModelParams.
+    """Gradients mirroring ModelParams, row-aligned where they are sparse.
 
-    d_w and d_weights[0] are dense arrays, but entries outside
-    touched_features / touched_rows are exactly zero; optimizers may update
-    only the touched slices.
+    d_w has one entry per touched_features id and d_weights[0] one row per
+    touched_rows id (both sorted); entries of other rows are exactly zero
+    and not stored. Optimizers update only the touched slices.
     """
 
     d_w0: float
@@ -144,37 +145,45 @@ def _full_l2(params: ModelParams, include_bias: bool) -> float:
 
 @dataclass(eq=False)
 class _Forward:
-    nodes: np.ndarray
-    x: object
-    x2: object
+    design: tuple   # (nodes, x, x2) from batch_design
     view: EmbeddingView
+    scale: np.ndarray | None
     rows_used: np.ndarray
     summed: np.ndarray
     scores: np.ndarray
 
 
-def _forward(batch: PackedInstances, params: ModelParams,
-             norm: NormalizedAdjacency | None,
+def _forward(design, params: ModelParams, norm: NormalizedAdjacency | None,
              mask: np.ndarray | None, ratio: float) -> _Forward:
-    nodes, x, x2 = batch_design(batch)
+    nodes, x, x2 = design
     if params.num_layers >= 1:
         view = gcn_embed(norm, params, nodes)
     else:
         view = lookup_embed(params, nodes)
     rows = view.rows
-    if mask is not None and ratio > 0.0:
-        rows = rows * _scaled_mask(mask, ratio)
+    scale = _scaled_mask(mask, ratio) if mask is not None and ratio > 0.0 else None
+    if scale is not None:
+        rows = rows * scale
     summed = x @ rows
     sq = x2 @ (rows * rows)
     interaction = 0.5 * (summed * summed - sq).sum(axis=1)
     scores = params.w0 + (x @ params.w[nodes]) + interaction
-    return _Forward(nodes, x, x2, view, rows, summed, scores)
+    return _Forward(design, view, scale, rows, summed, scores)
 
 
 def _as_packed(batch, num_features: int) -> PackedInstances:
     if isinstance(batch, PackedInstances):
         return batch
     return PackedInstances.from_instances(batch, num_features)
+
+
+def _checked_batch(batch, params: ModelParams, norm, what: str) -> PackedInstances:
+    packed = _as_packed(batch, params.num_features)
+    if len(packed) == 0:
+        raise ValueError(f"{what} of an empty batch is undefined")
+    if (norm is None) != (params.num_layers == 0):
+        raise ValueError("norm must be provided iff the model has convolution layers")
+    return packed
 
 
 def loss(batch, params: ModelParams, norm: NormalizedAdjacency | None = None,
@@ -186,12 +195,8 @@ def loss(batch, params: ModelParams, norm: NormalizedAdjacency | None = None,
     node set) makes the value deterministic, which is what gradient checks
     difference against.
     """
-    packed = _as_packed(batch, params.num_features)
-    if len(packed) == 0:
-        raise ValueError("loss of an empty batch is undefined")
-    if (norm is None) != (params.num_layers == 0):
-        raise ValueError("norm must be provided iff the model has convolution layers")
-    fwd = _forward(packed, params, norm, dropout_mask, dropout_ratio)
+    packed = _checked_batch(batch, params, norm, "loss")
+    fwd = _forward(batch_design(packed), params, norm, dropout_mask, dropout_ratio)
     err = fwd.scores - packed.labels
     value = float(err @ err)
     if l2_lambda:
@@ -209,80 +214,67 @@ def backward(batch, params: ModelParams, norm: NormalizedAdjacency | None = None
     ``loss`` exactly); otherwise decay touches only the rows the batch
     activated, which is what training uses.
     """
-    packed = _as_packed(batch, params.num_features)
-    if len(packed) == 0:
-        raise ValueError("backward of an empty batch is undefined")
-    if (norm is None) != (params.num_layers == 0):
-        raise ValueError("norm must be provided iff the model has convolution layers")
-    fwd = _forward(packed, params, norm, dropout_mask, dropout_ratio)
+    packed = _checked_batch(batch, params, norm, "backward")
+    fwd = _forward(batch_design(packed), params, norm, dropout_mask, dropout_ratio)
     return _grads_from_forward(packed, params, fwd, l2_lambda,
-                               dropout_mask, dropout_ratio,
                                l2_includes_bias, exact_l2)
 
 
-def _grads_from_forward(packed, params, fwd, l2_lambda, dropout_mask,
-                        dropout_ratio, l2_includes_bias, exact_l2) -> GradientSet:
-    m = params.num_features
+def _grads_from_forward(packed, params, fwd, l2_lambda, l2_includes_bias,
+                        exact_l2) -> GradientSet:
+    nodes, x, x2 = fwd.design
     g = 2.0 * (fwd.scores - packed.labels)
     d_w0 = float(np.sum(g))
-    d_w = np.zeros(m)
-    d_w[fwd.nodes] = fwd.x.T @ g
+    d_w = x.T @ g
     # interaction gradient wrt the (possibly dropped) embedding rows
-    d_rows = fwd.x.T @ (g[:, None] * fwd.summed) - fwd.rows_used * (fwd.x2.T @ g)[:, None]
-    if dropout_mask is not None and dropout_ratio > 0.0:
-        d_rows = d_rows * _scaled_mask(dropout_mask, dropout_ratio)
+    d_rows = x.T @ (g[:, None] * fwd.summed) - fwd.rows_used * (x2.T @ g)[:, None]
+    if fwd.scale is not None:
+        d_rows = d_rows * fwd.scale
 
-    d_weights = [np.zeros_like(W) for W in params.weights]
-    if params.num_layers == 0:
-        d_weights[0][fwd.nodes] = d_rows
-        touched_rows = fwd.nodes
-    else:
-        d_out = d_rows
-        touched_rows = fwd.nodes
-        for l in range(params.num_layers, 0, -1):
-            cache = fwd.view.layers[l - 1]
-            d_pre = d_out * activation_gradient(params.activation, cache.pre)
-            if l == 1:
-                d_weights[0] += cache.adj.T @ d_pre
-                touched_rows = np.unique(cache.adj.indices)
-            else:
-                d_weights[l - 1] += cache.prop_in.T @ d_pre
-                d_out = cache.adj.T @ (d_pre @ params.weights[l - 1].T)
+    d_table = d_out = d_rows
+    d_deep = [np.zeros_like(W) for W in params.weights[1:]]
+    touched_rows = nodes
+    for l in range(params.num_layers, 0, -1):
+        cache = fwd.view.layers[l - 1]
+        d_pre = (d_out if params.activation == "identity"
+                 else d_out * activation_gradient(params.activation, cache.pre))
+        if l == 1:
+            # table rows reached through the layer-1 adjacency, in local ids
+            touched_rows, adj = local_columns(cache.adj)
+            d_table = adj.T @ d_pre
+        else:
+            d_deep[l - 2] += cache.prop_in.T @ d_pre
+            d_out = cache.adj.T @ (d_pre @ params.weights[l - 1].T)
 
-    touched_features = fwd.nodes
+    touched_features = nodes
     if l2_lambda:
         lam2 = 2.0 * l2_lambda
         if exact_l2:
-            if l2_includes_bias:
-                d_w0 += lam2 * params.w0
-                d_w += lam2 * params.w
-            d_weights[0] += lam2 * params.weights[0]
-            touched_features = np.arange(m, dtype=np.int64)
-            touched_rows = np.arange(m, dtype=np.int64)
-        else:
-            if l2_includes_bias:
-                d_w0 += lam2 * params.w0
-                d_w[touched_features] += lam2 * params.w[touched_features]
-            d_weights[0][touched_rows] += lam2 * params.weights[0][touched_rows]
-        for W, dW in zip(params.weights[1:], d_weights[1:]):
+            dense_w, dense_table = np.zeros_like(params.w), np.zeros_like(params.weights[0])
+            dense_w[touched_features], dense_table[touched_rows] = d_w, d_table
+            d_w, d_table = dense_w, dense_table
+            touched_features = touched_rows = np.arange(params.num_features)
+        if l2_includes_bias:
+            d_w0 += lam2 * params.w0
+            d_w += lam2 * params.w[touched_features]
+        d_table += lam2 * params.weights[0][touched_rows]
+        for W, dW in zip(params.weights[1:], d_deep):
             dW += lam2 * W
-    return GradientSet(d_w0, d_w, d_weights, touched_features, touched_rows)
+    return GradientSet(d_w0, d_w, [d_table, *d_deep], touched_features, touched_rows)
 
 
 def _loss_and_grads(batch: PackedInstances, params, norm, config: TrainConfig,
                     mask_seed: int) -> tuple[float, GradientSet]:
-    mask = None
-    if config.dropout_ratio > 0.0:
-        nodes = np.unique(batch.indices)
-        mask = _draw_mask((nodes.size, params.dim), config.dropout_ratio, mask_seed)
-    fwd = _forward(batch, params, norm, mask, config.dropout_ratio)
+    design = batch_design(batch)
+    mask = (_draw_mask((design[0].size, params.dim), config.dropout_ratio, mask_seed)
+            if config.dropout_ratio > 0.0 else None)
+    fwd = _forward(design, params, norm, mask, config.dropout_ratio)
     err = fwd.scores - batch.labels
     value = float(err @ err)
     if config.l2_lambda:
         value += config.l2_lambda * _full_l2(params, config.l2_includes_bias)
-    grads = _grads_from_forward(batch, params, fwd, config.l2_lambda, mask,
-                                config.dropout_ratio, config.l2_includes_bias,
-                                config.exact_l2)
+    grads = _grads_from_forward(batch, params, fwd, config.l2_lambda,
+                                config.l2_includes_bias, config.exact_l2)
     return value, grads
 
 
@@ -327,18 +319,18 @@ def optimizer_step(params: ModelParams, state: OptimizerState,
 def _adagrad_rows(param, accum, grad, rows, lr):
     if rows.size == 0:
         return
-    g = grad[rows]
-    accum[rows] += g ** 2
-    param[rows] -= lr * g / np.sqrt(accum[rows] + EPSILON)
+    acc = accum[rows] + grad ** 2
+    accum[rows] = acc
+    param[rows] = param[rows] - lr * grad / np.sqrt(acc + EPSILON)
 
 
 def _adam_rows(param, mom, accum, grad, rows, lr, c1, c2):
     if rows.size == 0:
         return
-    g = grad[rows]
-    mom[rows] = ADAM_BETA1 * mom[rows] + (1 - ADAM_BETA1) * g
-    accum[rows] = ADAM_BETA2 * accum[rows] + (1 - ADAM_BETA2) * g ** 2
-    param[rows] -= lr * (mom[rows] / c1) / (np.sqrt(accum[rows] / c2) + EPSILON)
+    m = ADAM_BETA1 * mom[rows] + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * accum[rows] + (1 - ADAM_BETA2) * grad ** 2
+    mom[rows], accum[rows] = m, v
+    param[rows] = param[rows] - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
 
 
 @dataclass
@@ -407,7 +399,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     best epoch. Validation always scores on the full graph with dropout off.
     Neighbor sampling (when enabled) is redrawn once per epoch.
 
-    Raises TrainingDivergedError as soon as a batch loss goes non-finite.
+    Raises TrainingDivergedError as soon as a batch loss or a validation
+    metric goes non-finite.
     """
     if not len(train_set) or not len(val_set):
         raise ValueError("train and validation sets must be non-empty")
@@ -486,6 +479,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         val_mae = mae(val_scores, va.labels)
         report.epochs.append(EpochRecord(epoch, epoch_loss, val_rmse, val_mae,
                                          time.perf_counter() - started))
+        if not (math.isfinite(val_rmse) and math.isfinite(val_mae)):
+            raise TrainingDivergedError(f"non-finite validation metric in epoch {epoch}")
         metric = val_rmse if config.metric_for_stopping == "rmse" else val_mae
         if metric < best_metric:
             best_metric = metric

@@ -126,3 +126,21 @@ def gradient_agreement(analytic, numeric, rel=1e-4, floor=1e-6):
     n = np.asarray(numeric, dtype=np.float64).ravel()
     allow = np.maximum(rel * np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / allow)) if a.size else 0.0
+
+
+def scatter_rows(values, rows, num_rows):
+    """Dense (num_rows, ...) array with ``values[k]`` at row ``rows[k]`` and
+    zeros elsewhere: the dense form of a row-aligned gradient block."""
+    values = np.asarray(values, dtype=np.float64)
+    dense = np.zeros((num_rows,) + values.shape[1:])
+    dense[np.asarray(rows, dtype=np.int64)] = values
+    return dense
+
+
+def dense_gradients(grads, num_features):
+    """(d_w, d_weights) of a GradientSet with the row-aligned blocks
+    (d_w on touched_features, d_weights[0] on touched_rows) scattered into
+    dense arrays over all num_features rows."""
+    d_w = scatter_rows(grads.d_w, grads.touched_features, num_features)
+    d_table = scatter_rows(grads.d_weights[0], grads.touched_rows, num_features)
+    return d_w, [d_table, *grads.d_weights[1:]]

@@ -178,6 +178,7 @@ def test_predict_round_trips_exact_values(workspace, capsys):
     params = ModelParams.load(tmp_path / "model.bin")
     expected = predict_batch(instances, params)
     np.testing.assert_array_equal(written, expected)  # repr is lossless
+    assert out.read_text() == "".join(f"{float(v)!r}\n" for v in expected)
 
 
 def test_config_file_feeds_defaults_but_flags_win(workspace, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from gemfm import (FeatureGraph, FeatureSpace, GraphFormatError,
                    SparseInstance, build_graph, normalize, sample_neighbors)
+from gemfm.graph import local_columns, node_set
 from oracles import dense_normalized_adjacency
 
 
@@ -209,6 +210,25 @@ def test_normalize_expand_collects_neighbors():
     np.testing.assert_array_equal(norm.expand(np.array([0])), [0, 1])
     np.testing.assert_array_equal(norm.expand(np.array([1])), [0, 1, 2])
     np.testing.assert_array_equal(norm.expand(np.array([0, 3])), [0, 1, 3, 4])
+
+
+def test_node_set_matches_sorted_dedup():
+    rng = np.random.default_rng(12)
+    for size in (1, 7, 300):
+        ids = rng.integers(0, size, size=int(rng.integers(0, 500)))
+        nodes, local = node_set(ids, size)
+        np.testing.assert_array_equal(nodes, np.unique(ids))
+        np.testing.assert_array_equal(local[ids], np.searchsorted(nodes, ids))
+
+
+def test_local_columns_renumbers_without_reordering():
+    g = FeatureGraph(6, np.array([[0, 1], [1, 2], [3, 5], [4, 5]]))
+    block = normalize(g).matrix[np.array([0, 4])]
+    columns, local = local_columns(block)
+    np.testing.assert_array_equal(columns, [0, 1, 4, 5])
+    assert local.shape == (2, 4)
+    np.testing.assert_array_equal(local.toarray(), block.toarray()[:, columns])
+    np.testing.assert_array_equal(local.data, block.data)
 
 
 # --- neighbor sampling ---

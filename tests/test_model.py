@@ -166,6 +166,13 @@ def test_batch_design_is_batch_local():
     np.testing.assert_array_equal(x2.toarray(), [[4.0, 1.0], [0.0, 9.0]])
 
 
+def test_batch_design_rejects_negative_index():
+    packed = PackedInstances(np.zeros(1), np.array([0, 2]), np.array([-1, 3]),
+                             np.ones(2))
+    with pytest.raises(DataFormatError, match="negative"):
+        batch_design(packed)
+
+
 def test_predict_batch_matches_per_instance_scores():
     rng = np.random.default_rng(6)
     m, d = 20, 4

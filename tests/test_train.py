@@ -1,5 +1,6 @@
 """Loss, analytic gradients, optimizers, dropout, the training loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,12 +10,13 @@ from gemfm import (FeatureGraph, FeatureSpace, ModelParams, SparseInstance,
                    TrainConfig, TrainingDivergedError, backward, build_graph,
                    loss, normalize, predict_batch, train)
 from gemfm.data import PackedInstances
+from gemfm.datagen import ClickDataConfig, click_benchmark
 from gemfm.metrics import rmse
 from gemfm.model import gcn_embed, lookup_embed
 from gemfm.train import (EPSILON, EpochRecord, GradientSet, OptimizerState,
-                         RunReport, _draw_mask, _full_l2, apply_dropout,
-                         optimizer_step)
-from oracles import (dense_gcn_rows, dense_normalized_adjacency,
+                         RunReport, _draw_mask, _full_l2, _loss_and_grads,
+                         apply_dropout, optimizer_step)
+from oracles import (dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
                      finite_difference_gradients, gradient_agreement,
                      pairwise_score)
 
@@ -140,9 +142,10 @@ def test_backward_matches_finite_differences(layers, activation, lam, ratio,
                      dropout_ratio=ratio, l2_includes_bias=include_bias,
                      exact_l2=True)
     fd_w0, fd_w, fd_weights = finite_difference_gradients(loss_fn, params)
+    d_w, d_weights = dense_gradients(grads, m)
     assert gradient_agreement(grads.d_w0, fd_w0) <= 1.0
-    assert gradient_agreement(grads.d_w, fd_w) <= 1.0
-    for analytic, numeric in zip(grads.d_weights, fd_weights):
+    assert gradient_agreement(d_w, fd_w) <= 1.0
+    for analytic, numeric in zip(d_weights, fd_weights):
         assert gradient_agreement(analytic, numeric) <= 1.0
 
 
@@ -156,9 +159,13 @@ def test_gradients_vanish_off_touched_sets():
     grads = backward(batch, params)
     np.testing.assert_array_equal(grads.touched_features, [2, 7])
     np.testing.assert_array_equal(grads.touched_rows, [2, 7])
+    # row-aligned: only the touched rows are stored at all
+    assert grads.d_w.shape == (2,)
+    assert grads.d_weights[0].shape == (2, 3)
+    d_w, d_weights = dense_gradients(grads, m)
     untouched = np.setdiff1d(np.arange(m), [2, 7])
-    assert not grads.d_w[untouched].any()
-    assert not grads.d_weights[0][untouched].any()
+    assert not d_w[untouched].any()
+    assert not d_weights[0][untouched].any()
 
 
 def test_convolution_gradient_reaches_one_hop_rows():
@@ -174,18 +181,17 @@ def test_convolution_gradient_reaches_one_hop_rows():
         [SparseInstance(2.0, ((0, 1.5),))], m)
     grads = backward(batch, params, norm)
     np.testing.assert_array_equal(grads.touched_rows, [0, 1])
-    assert grads.d_weights[0][[0, 1]].any()
-    assert not grads.d_weights[0][[2, 3]].any()
+    _, d_weights = dense_gradients(grads, m)
+    assert d_weights[0][[0, 1]].any()
+    assert not d_weights[0][[2, 3]].any()
 
 
 # --- optimizers ---
 
-def _unit_grads(m, d, g=3.0):
-    d_w = np.zeros(m)
-    d_w[0] = g
-    d_table = np.zeros((m, d))
-    d_table[0] = g
-    return GradientSet(g, d_w, [d_table], np.array([0]), np.array([0]))
+def _unit_grads(d, g=3.0):
+    # gradient g on row 0 of w and of the table, row-aligned
+    return GradientSet(g, np.array([g]), [np.full((1, d), g)],
+                       np.array([0]), np.array([0]))
 
 
 def test_adagrad_first_step_hand_calc():
@@ -193,7 +199,7 @@ def test_adagrad_first_step_hand_calc():
     params = ModelParams(0.0, np.zeros(3), [np.zeros((3, 2))])
     state = OptimizerState.create(params, "adagrad")
     config = TrainConfig(optimizer="adagrad", learning_rate=0.1)
-    optimizer_step(params, state, _unit_grads(3, 2), config)
+    optimizer_step(params, state, _unit_grads(2), config)
     expected = -0.1 * 3.0 / math.sqrt(9.0 + EPSILON)
     assert params.w0 == pytest.approx(expected, rel=1e-12)
     assert params.w[0] == pytest.approx(expected, rel=1e-12)
@@ -207,7 +213,7 @@ def test_adam_first_step_moves_by_learning_rate():
     params = ModelParams(0.0, np.zeros(3), [np.zeros((3, 2))])
     state = OptimizerState.create(params, "adam")
     config = TrainConfig(optimizer="adam", learning_rate=0.05)
-    optimizer_step(params, state, _unit_grads(3, 2, g=2.0), config)
+    optimizer_step(params, state, _unit_grads(2, g=2.0), config)
     # bias correction makes the first step lr * g / (|g| + eps)
     assert params.w0 == pytest.approx(-0.05, rel=1e-7)
     assert params.w[0] == pytest.approx(-0.05, rel=1e-7)
@@ -220,12 +226,12 @@ def test_adam_step_count_is_global_across_disjoint_rows():
     state = OptimizerState.create(params, "adam")
     config = TrainConfig(optimizer="adam", learning_rate=0.1)
 
-    first = GradientSet(0.0, np.eye(m)[0], [np.zeros((m, d))],
+    first = GradientSet(0.0, np.array([1.0]), [np.zeros((0, d))],
                         np.array([0]), np.array([], dtype=np.int64))
     optimizer_step(params, state, first, config)
     w0_after_first = params.w[0]
 
-    second = GradientSet(0.0, np.eye(m)[1], [np.zeros((m, d))],
+    second = GradientSet(0.0, np.array([1.0]), [np.zeros((0, d))],
                          np.array([1]), np.array([], dtype=np.int64))
     optimizer_step(params, state, second, config)
 
@@ -249,7 +255,7 @@ def test_lazy_updates_leave_accumulators_untouched():
         state = OptimizerState.create(params, kind)
         before_w = params.w.copy()
         before_table = params.weights[0].copy()
-        grads = _unit_grads(m, 2)
+        grads = _unit_grads(2)
         config = TrainConfig(optimizer=kind, learning_rate=0.1)
         optimizer_step(params, state, grads, config)
         rest = np.arange(1, m)
@@ -422,6 +428,24 @@ def test_train_diverged_raises():
                   config, dim=4, init_params=huge)
 
 
+def test_non_finite_validation_metric_raises():
+    # feature 13 never occurs in training, so its NaN bias leaves every batch
+    # loss finite while every validation score with it is NaN; a NaN metric
+    # must not pass for "no improvement" and return the initial parameters
+    m = 14
+    train_set = [inst for inst in _regression_data(0, 120)
+                 if inst.entries[-1][0] != 13]
+    val = _regression_data(1, 40)
+    assert any(inst.entries[-1][0] == 13 for inst in val)
+    w = np.zeros(m)
+    w[13] = np.nan
+    init = ModelParams(0.0, w, [np.zeros((m, 4))])
+    config = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=3,
+                         patience=3, seed=0)
+    with pytest.raises(TrainingDivergedError, match="validation metric in epoch 1"):
+        train(train_set, val, _space(), config, dim=4, init_params=init)
+
+
 def test_train_input_validation():
     config = TrainConfig(max_epochs=2, patience=1)
     data = _regression_data(0, 20)
@@ -438,6 +462,88 @@ def test_train_input_validation():
     with_empty = data + [SparseInstance(1.0, ())]
     with pytest.raises(ValueError, match="at least one active"):
         train(with_empty, data, _space(), config, dim=4)
+
+
+# --- the training stream, pinned bit for bit ---
+
+@pytest.fixture(scope="module")
+def small_clicks():
+    bench = click_benchmark(ClickDataConfig(num_users=80, num_items=50,
+                                            num_countries=5, num_cities=12,
+                                            num_clusters=4, num_transactions=800,
+                                            seed=5))
+    graph = build_graph(bench.train_positives, bench.space,
+                        included_fields=["user", "item"])
+    return bench, graph
+
+
+def _param_digest(params):
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.float64(params.w0).tobytes())
+    for arr in (params.w, *params.weights):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# blake2b of the parameters after two epochs, recorded with numpy 2.4.6 and
+# scipy 1.17.1 on x86-64 before gradients became row-aligned. Any change to
+# the arithmetic of a training step (order of a reduction included) moves
+# them; another BLAS build may round dense products differently.
+PINNED_STREAMS = [
+    # (layers, optimizer, activation, dropout, l2, sampling ratio, digest)
+    (0, "adam", "identity", 0.3, 0.0, 1.0, "68e2e955cf6fb8683a9a1352163befc0"),
+    (1, "adam", "identity", 0.3, 1e-3, 1.0, "831a70797028c00742a2768ffb6a3532"),
+    (2, "adagrad", "relu", 0.0, 0.0, 0.5, "c7900ef464c2b29124dbc147953808d5"),
+]
+
+
+@pytest.mark.parametrize("layers,optimizer,activation,dropout,lam,ratio,digest",
+                         PINNED_STREAMS)
+def test_training_stream_is_pinned(small_clicks, layers, optimizer, activation,
+                                   dropout, lam, ratio, digest):
+    bench, graph = small_clicks
+    config = TrainConfig(optimizer=optimizer, learning_rate=0.01, l2_lambda=lam,
+                         dropout_ratio=dropout, batch_size=64, max_epochs=2,
+                         patience=3, sampling_ratio=ratio, seed=11)
+    params, report = train(bench.train, bench.validation, bench.space, config,
+                           dim=8, num_layers=layers, activation=activation,
+                           graph=graph if layers else None)
+    assert report.best_epoch == 2  # the digest covers the whole stream
+    assert _param_digest(params) == digest
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_training_step_dedups_at_most_once(monkeypatch, small_clicks, layers):
+    # time-free work counter: one step computes the batch's node set once and
+    # stores gradients only for the rows it touched
+    bench, graph = small_clicks
+    m, d = bench.space.num_features, 8
+    norm = normalize(graph) if layers else None
+    params = ModelParams.initialize(m, d, layers, seed=1)
+    config = TrainConfig(dropout_ratio=0.3, l2_lambda=1e-3, batch_size=64)
+    batch = PackedInstances.from_instances(bench.train[:64], m)
+    nodes = np.unique(batch.indices)
+    reached = nodes
+    for _ in range(layers):
+        reached = np.unique(norm.matrix[reached].indices)
+
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    _, grads = _loss_and_grads(batch, params, norm, config, mask_seed=0)
+    optimizer_step(params, OptimizerState.create(params, "adam"), grads, config)
+    monkeypatch.undo()
+
+    assert len(calls) <= 1
+    np.testing.assert_array_equal(grads.touched_features, nodes)
+    np.testing.assert_array_equal(grads.touched_rows, reached)
+    assert grads.d_w.shape == (len(grads.touched_features),)
+    assert grads.d_weights[0].shape == (len(grads.touched_rows), d)
 
 
 @pytest.mark.parametrize("kwargs", [
