@@ -5,8 +5,8 @@ Run: python demos/03_scoring_paths.py
 
 import numpy as np
 
-from gemfm import (FeatureGraph, ModelParams, SparseInstance, fm_score,
-                   gem_score, normalize, predict_batch)
+from gemfm import (FeatureGraph, ModelParams, SparseInstance, normalize,
+                   predict_batch)
 
 
 def naive_score(inst, table, w, w0):
@@ -25,7 +25,7 @@ def main():
 
     # the library evaluates sum_{i<j} x_i x_j <v_i, v_j> through
     # 0.5 (||sum x_i v_i||^2 - sum ||x_i v_i||^2), linear in active features
-    fast = fm_score(inst, params)
+    fast = predict_batch([inst], params)[0]
     slow = naive_score(inst, params.weights[0], params.w, params.w0)
     print(f"squared-sum identity: {fast:.12f}")
     print(f"naive pairwise sum:   {slow:.12f}")
@@ -38,8 +38,8 @@ def main():
     norm = normalize(graph)
     conv = ModelParams(params.w0, params.w.copy(), [params.weights[0].copy()],
                        "identity", 1)
-    print(f"\nplain score:     {fm_score(inst, params):.6f}")
-    print(f"convolved score: {gem_score(inst, norm, conv):.6f} "
+    print(f"\nplain score:     {fast:.6f}")
+    print(f"convolved score: {predict_batch([inst], conv, norm)[0]:.6f} "
           f"(neighbors mixed in, {graph.num_edges} edges)")
 
     # degradation guarantee: no edges + identity activation means the

@@ -9,12 +9,11 @@ from .errors import (CheckpointError, ConfigError, DataFormatError, GemfmError,
 from .graph import (FeatureGraph, NormalizedAdjacency, build_graph, normalize,
                     sample_neighbors)
 from .metrics import MetricReport, count_params, format_report, mae, metric_report, rmse
-from .model import (EmbeddingView, ModelParams, fm_interaction, fm_score,
-                    gcn_embed, gem_score, lookup_embed, predict_batch)
+from .model import (EmbeddingView, ModelParams, gcn_embed, lookup_embed,
+                    predict_batch)
 from .seeding import derive_rng, derive_seed
 from .train import (EpochRecord, GradientSet, OptimizerState, RunReport,
-                    TrainConfig, apply_dropout, backward, loss, optimizer_step,
-                    train)
+                    TrainConfig, loss_and_grads, optimizer_step, train)
 
 __version__ = "0.1.0"
 
@@ -24,10 +23,9 @@ __all__ = [
     "GemfmError", "GradientSet", "GraphFormatError", "MetricReport",
     "ModelParams", "NormalizedAdjacency", "OptimizerState", "PackedInstances",
     "RunReport", "SparseInstance", "TrainConfig", "TrainingDivergedError",
-    "apply_dropout", "backward", "build_graph", "count_params", "derive_rng",
-    "derive_seed", "fm_interaction", "fm_score", "format_field_map",
-    "format_libfm_line", "format_report", "gcn_embed", "gem_score",
-    "load_field_map", "load_libfm", "lookup_embed", "loss", "mae",
+    "build_graph", "count_params", "derive_rng", "derive_seed",
+    "format_field_map", "format_libfm_line", "format_report", "gcn_embed",
+    "load_field_map", "load_libfm", "lookup_embed", "loss_and_grads", "mae",
     "metric_report", "negative_sample", "normalize", "optimizer_step",
     "parse_libfm_line", "predict_batch", "rmse", "sample_neighbors",
     "save_libfm", "split_dataset", "train",

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .data import (DatasetSplit, load_field_map, load_libfm, split_dataset)
-from .errors import ConfigError, GemfmError
+from .errors import ConfigError, DataFormatError, GemfmError
 from .graph import FeatureGraph, build_graph, normalize
 from .metrics import count_params, format_report, metric_report
 from .model import ModelParams, predict_batch
@@ -27,7 +27,7 @@ def _read_config_file(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -97,8 +97,12 @@ def _require(cfg, key) -> str:
 
 def _load_space(cfg):
     path = _require(cfg, "field_map")
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_field_map(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return load_field_map(text)
 
 
 def _parse_fields(text: str) -> list[str]:

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import DataFormatError
 
+# digits an index may have: 10**18 - 1 still fits int64
+MAX_INDEX_DIGITS = 18
+
 
 @dataclass(frozen=True)
 class SparseInstance:
@@ -59,6 +62,9 @@ def parse_libfm_line(text: str, lineno: int | None = None) -> SparseInstance:
     body = text.split("#", 1)[0].strip()
     if not body:
         raise DataFormatError(f"empty instance line{where}")
+    # str.isdigit and int() also accept non-ASCII digits such as '²'
+    if not body.isascii():
+        raise DataFormatError(f"non-ASCII character in instance line{where}")
     tokens = body.split()
     try:
         label = float(tokens[0])
@@ -70,8 +76,11 @@ def parse_libfm_line(text: str, lineno: int | None = None) -> SparseInstance:
     for tok in tokens[1:]:
         idx_text, sep, val_text = tok.partition(":")
         # isdigit keeps signs, exponents, and underscores out of the index
-        if not sep or not idx_text.isdigit():
-            raise DataFormatError(f"malformed entry {tok!r}{where}")
+        if not sep or not idx_text.isdigit() or len(idx_text) > MAX_INDEX_DIGITS:
+            raise DataFormatError(
+                f"malformed entry {tok!r}: want index:value with an index of at "
+                f"most {MAX_INDEX_DIGITS} digits{where}"
+            )
         try:
             value = float(val_text)
         except ValueError:
@@ -96,14 +105,17 @@ def format_libfm_line(instance: SparseInstance) -> str:
 def load_libfm(path) -> list[SparseInstance]:
     """Read a libFM text file, skipping blank and comment-only lines."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.split("#", 1)[0].strip():
-                continue
-            try:
-                out.append(parse_libfm_line(line, lineno))
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.split("#", 1)[0].strip():
+                    continue
+                try:
+                    out.append(parse_libfm_line(line, lineno))
+                except DataFormatError as exc:
+                    raise DataFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return out
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .data import FeatureSpace
+from .data import MAX_INDEX_DIGITS, FeatureSpace
 from .errors import GraphFormatError
 
 
@@ -78,8 +78,11 @@ class FeatureGraph:
     @classmethod
     def load(cls, path) -> "FeatureGraph":
         """Read an edge list written by save; re-validates every invariant."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         header = None
         pairs = []
         for lineno, line in enumerate(lines, start=1):
@@ -88,7 +91,8 @@ class FeatureGraph:
                 continue
             if header is None:
                 parts = body.split()
-                if len(parts) != 2 or parts[0] != "nodes" or not parts[1].isdigit():
+                if (len(parts) != 2 or parts[0] != "nodes" or not parts[1].isdigit()
+                        or not parts[1].isascii() or len(parts[1]) > MAX_INDEX_DIGITS):
                     raise GraphFormatError(
                         f"{path}:{lineno}: expected 'nodes <count>' header, got {body!r}"
                     )
@@ -244,11 +248,6 @@ class NormalizedAdjacency:
 
     def coefficient(self, i: int, j: int) -> float:
         return float(self.matrix[i, j])
-
-    def expand(self, nodes: np.ndarray) -> np.ndarray:
-        """All column indices reachable from the given rows (includes nodes)."""
-        sub = self.matrix[np.asarray(nodes, dtype=np.int64)]
-        return node_set(sub.indices, self.num_nodes)[0]
 
 
 def node_set(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import PackedInstances, SparseInstance
+from .data import PackedInstances
 from .errors import CheckpointError, DataFormatError
 from .graph import NormalizedAdjacency, local_columns, node_set
 
@@ -133,8 +133,8 @@ class ModelParams:
         offset += act_len
         if act not in ACTIVATIONS:
             raise CheckpointError(f"{path}: unknown activation {act!r}")
-        counts = [1, m, m * d] + [d * d] * max(0, layers - 1)
-        expected = offset + 8 * sum(counts)
+        # arithmetic, not a list per layer: a corrupt layer count can be huge
+        expected = offset + 8 * (1 + m + m * d + d * d * max(0, layers - 1))
         if len(blob) != expected:
             raise CheckpointError(
                 f"{path}: expected {expected} bytes, found {len(blob)}"
@@ -176,19 +176,6 @@ class EmbeddingView:
     nodes: np.ndarray
     rows: np.ndarray
     layers: tuple[GcnLayerCache, ...] = ()
-
-    def positions(self, node_ids) -> np.ndarray:
-        ids = np.asarray(node_ids, dtype=np.int64)
-        pos = np.searchsorted(self.nodes, ids)
-        if np.any(pos >= self.nodes.size) or np.any(self.nodes[np.minimum(pos, self.nodes.size - 1)] != ids):
-            raise KeyError("node not materialized in this view")
-        return pos
-
-    def row(self, node: int) -> np.ndarray:
-        return self.rows[self.positions([node])[0]]
-
-    def take(self, node_ids) -> np.ndarray:
-        return self.rows[self.positions(node_ids)]
 
 
 def _as_node_array(nodes, num_features: int) -> np.ndarray:
@@ -245,49 +232,17 @@ def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> Embeddin
     return EmbeddingView(target, out, tuple(caches))
 
 
-def fm_interaction(instance: SparseInstance, embed) -> float:
-    """Pairwise interaction sum_{i<j} x_i x_j <e_i, e_j> via the squared-sum
-    identity, O(active * dim); ``embed`` maps a feature index to its vector.
+def embed(params: ModelParams, norm: NormalizedAdjacency | None, nodes) -> EmbeddingView:
+    """The model's embedding rows for the given nodes: table rows when it has
+    no convolution layers, graph-convolved rows over ``norm`` otherwise.
 
-    The identity is evaluated so that a single active feature yields exactly
-    0.0, not a rounding residue.
+    ``norm`` must be given exactly when the model has convolution layers.
     """
-    if not instance.entries:
-        return 0.0
-    rows = np.asarray([embed(i) for i, _ in instance.entries], dtype=np.float64)
-    x = np.asarray(instance.values, dtype=np.float64)
-    weighted = rows * x[:, None]
-    summed = weighted.sum(axis=0)
-    return 0.5 * float(np.sum(summed * summed - np.sum(weighted * weighted, axis=0)))
-
-
-def _linear_term(instance: SparseInstance, params: ModelParams) -> float:
-    total = params.w0
-    for i, v in instance.entries:
-        total += params.w[i] * v
-    return float(total)
-
-
-def _check_instance(instance: SparseInstance, num_features: int) -> None:
-    if instance.entries and instance.entries[-1][0] >= num_features:
-        raise DataFormatError(
-            f"feature index {instance.entries[-1][0]} outside [0, {num_features})"
-        )
-
-
-def fm_score(instance: SparseInstance, params: ModelParams) -> float:
-    """Score with embeddings read straight from the table."""
-    _check_instance(instance, params.num_features)
-    table = params.weights[0]
-    return _linear_term(instance, params) + fm_interaction(instance, lambda i: table[i])
-
-
-def gem_score(instance: SparseInstance, norm: NormalizedAdjacency,
-              params: ModelParams) -> float:
-    """Score with graph-convolved embeddings (num_layers >= 1)."""
-    _check_instance(instance, params.num_features)
-    view = gcn_embed(norm, params, [i for i, _ in instance.entries] or [])
-    return _linear_term(instance, params) + fm_interaction(instance, view.row)
+    if (norm is None) != (params.num_layers == 0):
+        raise ValueError("norm must be provided iff the model has convolution layers")
+    if norm is None:
+        return lookup_embed(params, nodes)
+    return gcn_embed(norm, params, nodes)
 
 
 def batch_design(packed: PackedInstances) -> tuple[np.ndarray, sparse.csr_array, sparse.csr_array]:
@@ -310,13 +265,26 @@ def batch_design(packed: PackedInstances) -> tuple[np.ndarray, sparse.csr_array,
 
 def scores_from_design(params: ModelParams, nodes: np.ndarray,
                        x: sparse.csr_array, x2: sparse.csr_array,
-                       rows: np.ndarray) -> np.ndarray:
-    """Batch scores given embedding rows aligned with ``nodes``."""
+                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batch scores given embedding rows aligned with ``nodes``, and the
+    weighted row sums ``x @ rows`` the interaction gradient reuses."""
     summed = x @ rows
     sq = x2 @ (rows * rows)
     interaction = 0.5 * (summed * summed - sq).sum(axis=1)
     linear = x @ params.w[nodes]
-    return params.w0 + linear + interaction
+    return params.w0 + linear + interaction, summed
+
+
+def as_packed(instances, num_features: int) -> PackedInstances:
+    """A list of instances packed, or a PackedInstances checked, against a
+    feature space of ``num_features``."""
+    if not isinstance(instances, PackedInstances):
+        return PackedInstances.from_instances(instances, num_features)
+    if instances.indices.size and int(instances.indices.max()) >= num_features:
+        raise DataFormatError(
+            f"feature index {int(instances.indices.max())} outside [0, {num_features})"
+        )
+    return instances
 
 
 def predict_batch(instances, params: ModelParams,
@@ -327,25 +295,12 @@ def predict_batch(instances, params: ModelParams,
     ``norm`` must be given exactly when the model has convolution layers.
     Accepts a list of instances or a PackedInstances.
     """
-    if (norm is None) != (params.num_layers == 0):
-        raise ValueError("norm must be provided iff the model has convolution layers")
-    if isinstance(instances, PackedInstances):
-        packed = instances
-        if packed.indices.size and int(packed.indices.max()) >= params.num_features:
-            raise DataFormatError(
-                f"feature index {int(packed.indices.max())} outside "
-                f"[0, {params.num_features})"
-            )
-    else:
-        packed = PackedInstances.from_instances(instances, params.num_features)
+    packed = as_packed(instances, params.num_features)
     n = len(packed)
     out = np.empty(n, dtype=np.float64)
     for lo in range(0, n, chunk_size):
         chunk = packed.take(np.arange(lo, min(lo + chunk_size, n)))
         nodes, x, x2 = batch_design(chunk)
-        if params.num_layers >= 1:
-            view = gcn_embed(norm, params, nodes)
-        else:
-            view = lookup_embed(params, nodes)
-        out[lo:lo + len(chunk)] = scores_from_design(params, nodes, x, x2, view.rows)
+        rows = embed(params, norm, nodes).rows
+        out[lo:lo + len(chunk)] = scores_from_design(params, nodes, x, x2, rows)[0]
     return out

@@ -15,13 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PackedInstances
 from .errors import TrainingDivergedError
 from .graph import (FeatureGraph, NormalizedAdjacency, local_columns, normalize,
                     sample_neighbors)
 from .metrics import mae, rmse
-from .model import (EmbeddingView, ModelParams, activation_gradient, batch_design,
-                    gcn_embed, lookup_embed, predict_batch)
+from .model import (ModelParams, activation_gradient, as_packed, batch_design, embed,
+                    predict_batch, scores_from_design)
+# benchmarks/bench_trace.py patches every namespace a traced name may be
+# looked up in, this one included, so these stay importable from here
+from .model import gcn_embed, lookup_embed  # noqa: F401
 from .seeding import derive_rng, derive_seed
 
 ADAM_BETA1 = 0.9
@@ -43,8 +45,6 @@ class TrainConfig:
     sampling_ratio: float = 1.0
     seed: int = 0
     metric_for_stopping: str = "rmse"
-    l2_includes_bias: bool = True
-    exact_l2: bool = False
 
     def __post_init__(self):
         if self.optimizer not in ("adagrad", "adam"):
@@ -110,32 +110,6 @@ class GradientSet:
     touched_rows: np.ndarray
 
 
-def _scaled_mask(mask: np.ndarray, ratio: float) -> np.ndarray:
-    return mask * (1.0 / (1.0 - ratio))
-
-
-def _draw_mask(shape, ratio: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return (rng.random(shape) >= ratio).astype(np.float64)
-
-
-def apply_dropout(view: EmbeddingView, ratio: float, seed: int) -> tuple[EmbeddingView, np.ndarray]:
-    """Inverted dropout on embedding rows.
-
-    Zeroes each coordinate independently with probability ratio and scales
-    survivors by 1/(1-ratio), so the expectation of every coordinate equals
-    its input. Returns the dropped view and the 0/1 keep mask (all ones for
-    ratio 0). Validation and prediction never call this.
-    """
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError(f"dropout ratio must lie in [0, 1), got {ratio}")
-    if ratio == 0.0:
-        return view, np.ones_like(view.rows)
-    mask = _draw_mask(view.rows.shape, ratio, seed)
-    rows = view.rows * _scaled_mask(mask, ratio)
-    return EmbeddingView(view.nodes, rows, view.layers), mask
-
-
 def _full_l2(params: ModelParams, include_bias: bool) -> float:
     total = sum(float(np.sum(W * W)) for W in params.weights)
     if include_bias:
@@ -143,99 +117,53 @@ def _full_l2(params: ModelParams, include_bias: bool) -> float:
     return total
 
 
-@dataclass(eq=False)
-class _Forward:
-    design: tuple   # (nodes, x, x2) from batch_design
-    view: EmbeddingView
-    scale: np.ndarray | None
-    rows_used: np.ndarray
-    summed: np.ndarray
-    scores: np.ndarray
+def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None = None,
+                   *, l2_lambda: float = 0.0, dropout_ratio: float = 0.0,
+                   dropout_seed: int = 0, l2_includes_bias: bool = True,
+                   exact_l2: bool = False) -> tuple[float, GradientSet]:
+    """Summed squared error over the batch plus l2_lambda * ||Theta||^2, and
+    its analytic gradients.
 
-
-def _forward(design, params: ModelParams, norm: NormalizedAdjacency | None,
-             mask: np.ndarray | None, ratio: float) -> _Forward:
-    nodes, x, x2 = design
-    if params.num_layers >= 1:
-        view = gcn_embed(norm, params, nodes)
-    else:
-        view = lookup_embed(params, nodes)
-    rows = view.rows
-    scale = _scaled_mask(mask, ratio) if mask is not None and ratio > 0.0 else None
-    if scale is not None:
-        rows = rows * scale
-    summed = x @ rows
-    sq = x2 @ (rows * rows)
-    interaction = 0.5 * (summed * summed - sq).sum(axis=1)
-    scores = params.w0 + (x @ params.w[nodes]) + interaction
-    return _Forward(design, view, scale, rows, summed, scores)
-
-
-def _as_packed(batch, num_features: int) -> PackedInstances:
-    if isinstance(batch, PackedInstances):
-        return batch
-    return PackedInstances.from_instances(batch, num_features)
-
-
-def _checked_batch(batch, params: ModelParams, norm, what: str) -> PackedInstances:
-    packed = _as_packed(batch, params.num_features)
-    if len(packed) == 0:
-        raise ValueError(f"{what} of an empty batch is undefined")
-    if (norm is None) != (params.num_layers == 0):
-        raise ValueError("norm must be provided iff the model has convolution layers")
-    return packed
-
-
-def loss(batch, params: ModelParams, norm: NormalizedAdjacency | None = None,
-         l2_lambda: float = 0.0, *, dropout_mask: np.ndarray | None = None,
-         dropout_ratio: float = 0.0, l2_includes_bias: bool = True) -> float:
-    """Summed squared error over the batch plus l2_lambda * ||Theta||^2.
-
-    A fixed dropout_mask (from apply_dropout or _draw_mask over the batch's
-    node set) makes the value deterministic, which is what gradient checks
-    difference against.
+    Inverted dropout zeroes each coordinate of the batch's embedding rows
+    with probability ``dropout_ratio`` and scales survivors by
+    1/(1 - ratio); the keep mask is drawn from ``dropout_seed`` over the
+    batch's sorted node set, so a fixed seed gives a deterministic value.
+    With exact_l2 the weight decay gradient covers every parameter (matching
+    the reported loss exactly); otherwise it covers only the rows the batch
+    activated, which is what training uses.
     """
-    packed = _checked_batch(batch, params, norm, "loss")
-    fwd = _forward(batch_design(packed), params, norm, dropout_mask, dropout_ratio)
-    err = fwd.scores - packed.labels
+    if not 0.0 <= dropout_ratio < 1.0:
+        raise ValueError(f"dropout ratio must lie in [0, 1), got {dropout_ratio}")
+    packed = as_packed(batch, params.num_features)
+    if len(packed) == 0:
+        raise ValueError("loss of an empty batch is undefined")
+    nodes, x, x2 = batch_design(packed)
+    view = embed(params, norm, nodes)
+    rows, scale = view.rows, None
+    if dropout_ratio > 0.0:
+        rng = np.random.default_rng(dropout_seed)
+        keep = (rng.random((nodes.size, params.dim)) >= dropout_ratio).astype(np.float64)
+        scale = keep * (1.0 / (1.0 - dropout_ratio))
+        rows = rows * scale
+    scores, summed = scores_from_design(params, nodes, x, x2, rows)
+    err = scores - packed.labels
     value = float(err @ err)
     if l2_lambda:
         value += l2_lambda * _full_l2(params, l2_includes_bias)
-    return value
 
-
-def backward(batch, params: ModelParams, norm: NormalizedAdjacency | None = None,
-             l2_lambda: float = 0.0, *, dropout_mask: np.ndarray | None = None,
-             dropout_ratio: float = 0.0, l2_includes_bias: bool = True,
-             exact_l2: bool = False) -> GradientSet:
-    """Analytic gradients of ``loss`` for the same arguments.
-
-    With exact_l2 the weight decay is applied to every parameter (matching
-    ``loss`` exactly); otherwise decay touches only the rows the batch
-    activated, which is what training uses.
-    """
-    packed = _checked_batch(batch, params, norm, "backward")
-    fwd = _forward(batch_design(packed), params, norm, dropout_mask, dropout_ratio)
-    return _grads_from_forward(packed, params, fwd, l2_lambda,
-                               l2_includes_bias, exact_l2)
-
-
-def _grads_from_forward(packed, params, fwd, l2_lambda, l2_includes_bias,
-                        exact_l2) -> GradientSet:
-    nodes, x, x2 = fwd.design
-    g = 2.0 * (fwd.scores - packed.labels)
+    g = 2.0 * err
     d_w0 = float(np.sum(g))
     d_w = x.T @ g
     # interaction gradient wrt the (possibly dropped) embedding rows
-    d_rows = x.T @ (g[:, None] * fwd.summed) - fwd.rows_used * (x2.T @ g)[:, None]
-    if fwd.scale is not None:
-        d_rows = d_rows * fwd.scale
+    d_rows = x.T @ (g[:, None] * summed) - rows * (x2.T @ g)[:, None]
+    if scale is not None:
+        d_rows = d_rows * scale
 
     d_table = d_out = d_rows
     d_deep = [np.zeros_like(W) for W in params.weights[1:]]
     touched_rows = nodes
     for l in range(params.num_layers, 0, -1):
-        cache = fwd.view.layers[l - 1]
+        cache = view.layers[l - 1]
         d_pre = (d_out if params.activation == "identity"
                  else d_out * activation_gradient(params.activation, cache.pre))
         if l == 1:
@@ -260,22 +188,7 @@ def _grads_from_forward(packed, params, fwd, l2_lambda, l2_includes_bias,
         d_table += lam2 * params.weights[0][touched_rows]
         for W, dW in zip(params.weights[1:], d_deep):
             dW += lam2 * W
-    return GradientSet(d_w0, d_w, [d_table, *d_deep], touched_features, touched_rows)
-
-
-def _loss_and_grads(batch: PackedInstances, params, norm, config: TrainConfig,
-                    mask_seed: int) -> tuple[float, GradientSet]:
-    design = batch_design(batch)
-    mask = (_draw_mask((design[0].size, params.dim), config.dropout_ratio, mask_seed)
-            if config.dropout_ratio > 0.0 else None)
-    fwd = _forward(design, params, norm, mask, config.dropout_ratio)
-    err = fwd.scores - batch.labels
-    value = float(err @ err)
-    if config.l2_lambda:
-        value += config.l2_lambda * _full_l2(params, config.l2_includes_bias)
-    grads = _grads_from_forward(batch, params, fwd, config.l2_lambda,
-                                config.l2_includes_bias, config.exact_l2)
-    return value, grads
+    return value, GradientSet(d_w0, d_w, [d_table, *d_deep], touched_features, touched_rows)
 
 
 def optimizer_step(params: ModelParams, state: OptimizerState,
@@ -409,8 +322,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     if num_layers == 0 and graph is not None:
         raise ValueError("graph given but the model has no convolution layers")
     m = space.num_features
-    tr = _as_packed(train_set, m)
-    va = _as_packed(val_set, m)
+    tr = as_packed(train_set, m)
+    va = as_packed(val_set, m)
     if np.any(np.diff(tr.indptr) == 0):
         raise ValueError("training instances must have at least one active feature")
 
@@ -467,7 +380,10 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         for batch_index, lo in enumerate(range(0, n, config.batch_size)):
             batch = tr.take(order[lo:lo + config.batch_size])
             mask_seed = derive_seed(config.seed, "dropout", epoch, batch_index)
-            value, grads = _loss_and_grads(batch, params, epoch_norm, config, mask_seed)
+            value, grads = loss_and_grads(batch, params, epoch_norm,
+                                          l2_lambda=config.l2_lambda,
+                                          dropout_ratio=config.dropout_ratio,
+                                          dropout_seed=mask_seed)
             if not math.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch}, batch {batch_index}"

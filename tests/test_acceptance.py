@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from gemfm import (FeatureGraph, FeatureSpace, ModelParams, SparseInstance,
-                   TrainConfig, backward, build_graph, count_params,
-                   fm_score, gem_score, loss, mae, normalize, parse_libfm_line,
-                   format_libfm_line, predict_batch, rmse, sample_neighbors,
-                   train)
+                   TrainConfig, build_graph, count_params, loss_and_grads, mae,
+                   normalize, parse_libfm_line, format_libfm_line,
+                   predict_batch, rmse, sample_neighbors, train)
 from gemfm.data import PackedInstances
 from gemfm.datagen import ClickDataConfig, click_benchmark, frappe_published_space
 from gemfm.model import gcn_embed
-from gemfm.train import _draw_mask
 from oracles import (dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
                      finite_difference_gradients, gradient_agreement,
                      pairwise_score)
@@ -68,11 +66,11 @@ def test_criterion_1_scoring_matches_pairwise_oracle():
         for _ in range(20):
             inst = _random_instance(rng, m, max_active=20)
             want_flat = pairwise_score(inst, table, params.w, params.w0)
-            got_flat = fm_score(inst, flat)
+            got_flat = predict_batch([inst], flat)[0]
             # 1e-6 relative, with a 1e-9 guard for near-cancelled oracles
             assert got_flat == pytest.approx(want_flat, rel=1e-6, abs=1e-9)
             want_conv = pairwise_score(inst, conv_rows, params.w, params.w0)
-            got_conv = gem_score(inst, norm, params)
+            got_conv = predict_batch([inst], params, norm)[0]
             assert got_conv == pytest.approx(want_conv, rel=1e-6, abs=1e-9)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -118,18 +116,14 @@ def test_criterion_2_gradients_match_finite_differences():
         else:
             pytest.fail("could not draw parameters clear of the relu kink")
 
-        mask = None
-        if ratio > 0.0:
-            nodes = np.unique(batch.indices)
-            mask = _draw_mask((nodes.size, d), ratio, seed=777 + idx)
+        # a fixed dropout seed fixes the mask, so the loss is deterministic
+        kwargs = dict(l2_lambda=lam, dropout_ratio=ratio, dropout_seed=777 + idx,
+                      l2_includes_bias=include_bias)
 
         def loss_fn(p):
-            return loss(batch, p, norm, lam, dropout_mask=mask,
-                        dropout_ratio=ratio, l2_includes_bias=include_bias)
+            return loss_and_grads(batch, p, norm, **kwargs)[0]
 
-        grads = backward(batch, params, norm, lam, dropout_mask=mask,
-                         dropout_ratio=ratio, l2_includes_bias=include_bias,
-                         exact_l2=True)
+        grads = loss_and_grads(batch, params, norm, exact_l2=True, **kwargs)[1]
         fd_w0, fd_w, fd_weights = finite_difference_gradients(loss_fn, params,
                                                               h=1e-5)
         d_w, d_weights = dense_gradients(grads, m)
@@ -161,22 +155,20 @@ def test_criterion_3_convolution_degrades_to_plain_fm_bitwise():
 
     # scores, elementwise and batched
     for inst in instances:
-        assert gem_score(inst, norm, conv) == fm_score(inst, flat)
+        assert predict_batch([inst], conv, norm)[0] == predict_batch([inst], flat)[0]
     np.testing.assert_array_equal(predict_batch(batch, conv, norm),
                                   predict_batch(batch, flat))
 
-    # losses, with weight decay and a shared dropout mask
-    nodes = np.unique(batch.indices)
-    dropout_mask = _draw_mask((nodes.size, d), 0.2, seed=5)
+    # losses, with weight decay and a shared dropout seed (so a shared mask)
     for kwargs in ({}, {"l2_lambda": 0.01},
-                   {"dropout_mask": dropout_mask, "dropout_ratio": 0.2}):
-        assert loss(batch, conv, norm, **kwargs) == loss(batch, flat, **kwargs)
+                   {"dropout_ratio": 0.2, "dropout_seed": 5}):
+        assert (loss_and_grads(batch, conv, norm, **kwargs)[0]
+                == loss_and_grads(batch, flat, **kwargs)[0])
 
     # epoch-1 gradients
-    got = backward(batch, conv, norm, l2_lambda=0.01,
-                   dropout_mask=dropout_mask, dropout_ratio=0.2)
-    want = backward(batch, flat, l2_lambda=0.01,
-                    dropout_mask=dropout_mask, dropout_ratio=0.2)
+    kwargs = {"l2_lambda": 0.01, "dropout_ratio": 0.2, "dropout_seed": 5}
+    got = loss_and_grads(batch, conv, norm, **kwargs)[1]
+    want = loss_and_grads(batch, flat, **kwargs)[1]
     assert got.d_w0 == want.d_w0
     np.testing.assert_array_equal(got.touched_features, want.touched_features)
     np.testing.assert_array_equal(got.touched_rows, want.touched_rows)

@@ -1,0 +1,72 @@
+"""The benchmark's tracer and clock patch gemfm names by string: each must
+still resolve, and be looked up where the benchmark expects, or a traced
+run breaks or its in-call clock calibration silently stops."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gemfm import (FeatureSpace, SparseInstance, TrainConfig, build_graph,
+                   load_libfm, normalize, predict_batch, save_libfm)
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCHMARKS))
+    try:
+        yield importlib.import_module("bench_trace"), importlib.import_module("bench_clock")
+    finally:
+        sys.path.remove(str(BENCHMARKS))
+
+
+class _CountingKernel:
+    """Stands in for a reference kernel; Ticks keeps one reading per tick."""
+
+    def tick(self) -> float:
+        return 0.0
+
+
+def _data(seed, n):
+    rng = np.random.default_rng(seed)
+    return [SparseInstance(float(rng.normal()),
+                           ((int(rng.integers(0, 5)), 1.0), (5 + int(rng.integers(0, 6)), 1.0)))
+            for _ in range(n)]
+
+
+def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path):
+    bench_trace, bench_clock = bench
+    space = FeatureSpace.from_cardinalities(["u", "i"], [5, 6])
+    train_set, val_set = _data(0, 100), _data(1, 30)
+    graph = build_graph(train_set, space, low_cardinality_threshold=0)
+    config = TrainConfig(batch_size=32, max_epochs=1, patience=1, dropout_ratio=0.2)
+    steps = 4   # ceil(100 / 32)
+
+    # called through its module, as the benchmark does, so the tracer sees it
+    gm_train = importlib.import_module("gemfm.train")
+    tracer = bench_trace.Tracer()
+    with tracer, bench_clock.Ticks(_CountingKernel(), "gemfm.train", "optimizer_step") as ticks:
+        params, _ = gm_train.train(train_set, val_set, space, config, dim=3, num_layers=1,
+                                   graph=graph)
+    counts = tracer.counts()
+    assert counts["train.unique_calls_per_step"] == [0] * steps
+    assert len(counts["train.touched_rows"]) == steps
+    batch_designs = [s for s in tracer.spans if s.name == "model.batch_design"]
+    assert len(counts["model.batch_nodes"]) == len(batch_designs) == steps + 1  # + validation
+    assert counts["model.frontier_l1_nodes"]
+    assert len(ticks.ticks) == steps
+
+    norm = normalize(graph)
+    with bench_clock.Ticks(_CountingKernel(), "gemfm.model", "scores_from_design") as ticks:
+        predict_batch(val_set, params, norm, chunk_size=8)
+    assert len(ticks.ticks) == 4   # one per chunk: ceil(30 / 8)
+
+    path = tmp_path / "val.libfm"
+    save_libfm(val_set, path)
+    with bench_clock.Ticks(_CountingKernel(), "gemfm.data", "parse_libfm_line") as ticks:
+        load_libfm(path)
+    assert len(ticks.ticks) == len(val_set)

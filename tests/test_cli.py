@@ -230,6 +230,23 @@ def test_missing_files_exit_nonzero(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", ["data", "field_map", "graph", "config"])
+def test_non_utf8_input_files_fail_cleanly(workspace, capsys, corrupt):
+    tmp_path, data, fmap, _ = workspace
+    graph = tmp_path / "graph.txt"
+    FeatureGraph(9, np.array([[0, 4]])).save(graph)
+    config = tmp_path / "run.conf"
+    config.write_text("dim = 2\nmax-epochs = 1\n")
+    files = {"data": data, "field_map": fmap, "graph": graph, "config": config}
+    bad = files[corrupt]
+    bad.write_bytes(bad.read_bytes() + b"# caf\xe9\n")
+    rc = main(["train", "--data", str(data), "--field-map", str(fmap),
+               "--graph", str(graph), "--config", str(config), "--layers", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and bad.name in err
+
+
 def test_no_subcommand_prints_help_to_stderr():
     proc = subprocess.run([sys.executable, "-m", "gemfm.cli"],
                           capture_output=True, text=True)

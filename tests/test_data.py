@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfm import (DataFormatError, FeatureSpace, SparseInstance,
+from gemfm import (DataFormatError, FeatureSpace, GemfmError, SparseInstance,
                    format_field_map, format_libfm_line, load_field_map,
                    load_libfm, negative_sample, parse_libfm_line, save_libfm,
                    split_dataset)
@@ -48,6 +48,9 @@ def test_parse_strips_comments():
     ("1.0 5", "malformed entry '5'"),
     ("1.0 -3:1", "malformed entry"),
     ("1.0 1_0:1", "malformed entry"),
+    ("1 \u00b2:1", "non-ASCII"),                # superscript two passes isdigit
+    ("1 \u0663:1", "non-ASCII"),                # Arabic-Indic three passes int()
+    ("1 99999999999999999999:1", "at most 18 digits"),
     ("1.0 2:x", "non-numeric value"),
     ("1.0 2:nan", "non-finite value"),
 ])
@@ -112,6 +115,40 @@ def test_load_error_names_file_and_line(tmp_path):
         load_libfm(path)
 
 
+def test_load_rejects_an_index_past_int64(tmp_path):
+    # it used to parse, then overflow when packed
+    path = tmp_path / "big.libfm"
+    path.write_text("1.0 0:1\n1.0 18446744073709551616:1\n")
+    with pytest.raises(DataFormatError, match=r"big\.libfm.*line 2"):
+        load_libfm(path)
+
+
+def test_load_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.libfm"
+    path.write_bytes(b"1.0 0:1 # caf\xe9\n")
+    with pytest.raises(DataFormatError, match=r"latin1\.libfm.*UTF-8"):
+        load_libfm(path)
+
+
+# arbitrary text, and lines shaped like the format from the characters its
+# grammar cares about (plus digits that str methods accept but it does not)
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "7", "-1", "2.5", "1e3", "nan", "\u00b2", "\u0663", "1_0",
+                     "9223372036854775808"]),
+    st.text(alphabet="0123456789.-e#\u00b2\u0663", min_size=1, max_size=22))
+_TOKEN = st.one_of(_NUMBER, st.tuples(_NUMBER, _NUMBER).map(":".join))
+_LINE = st.lists(_TOKEN, min_size=1, max_size=5)
+
+
+@given(st.one_of(st.text(), _LINE.map(" ".join)))
+@settings(max_examples=500)
+def test_parse_libfm_line_fuzz(text):
+    try:
+        parse_libfm_line(text)
+    except GemfmError:
+        pass
+
+
 # --- field maps ---
 
 def test_field_map_round_trip():
@@ -138,6 +175,15 @@ def test_field_map_parses_comments_and_blanks():
 def test_field_map_rejects(text, fragment):
     with pytest.raises(DataFormatError, match=fragment):
         load_field_map(text)
+
+
+@given(st.one_of(st.text(), st.lists(_LINE.map("\t".join), max_size=4).map("\n".join)))
+@settings(max_examples=500)
+def test_load_field_map_fuzz(text):
+    try:
+        load_field_map(text)
+    except GemfmError:
+        pass
 
 
 def test_field_lookup():

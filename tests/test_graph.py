@@ -148,11 +148,20 @@ def test_graph_load_canonicalizes(tmp_path):
     ("nodes 4\n1 2 3\n", "expected 'i j'"),
     ("nodes 4\na b\n", "non-integer"),
     ("nodes 4\n1 3\n3 1\n", "duplicate"),
+    ("nodes \u00b2\n", "header"),               # superscript two passes isdigit
+    ("nodes 99999999999999999999\n", "header"),
 ])
 def test_graph_load_rejects(tmp_path, text, fragment):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(GraphFormatError, match=fragment):
+        FeatureGraph.load(path)
+
+
+def test_graph_load_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"nodes 4 # caf\xe9\n0 1\n")
+    with pytest.raises(GraphFormatError, match=r"latin1\.txt.*UTF-8"):
         FeatureGraph.load(path)
 
 
@@ -207,9 +216,8 @@ def test_normalize_row_sums_on_regular_graphs():
 def test_normalize_expand_collects_neighbors():
     g = FeatureGraph(5, np.array([[0, 1], [1, 2], [3, 4]]))
     norm = normalize(g)
-    np.testing.assert_array_equal(norm.expand(np.array([0])), [0, 1])
-    np.testing.assert_array_equal(norm.expand(np.array([1])), [0, 1, 2])
-    np.testing.assert_array_equal(norm.expand(np.array([0, 3])), [0, 1, 3, 4])
+    for nodes, reached in (([0], [0, 1]), ([1], [0, 1, 2]), ([0, 3], [0, 1, 3, 4])):
+        np.testing.assert_array_equal(local_columns(norm.matrix[nodes])[0], reached)
 
 
 def test_node_set_matches_sorted_dedup():

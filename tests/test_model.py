@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gemfm import (CheckpointError, DataFormatError, FeatureGraph,
-                   ModelParams, SparseInstance, fm_score, gcn_embed,
-                   gem_score, lookup_embed, normalize, predict_batch)
-from gemfm.model import (CHECKPOINT_MAGIC, EmbeddingView, batch_design,
-                         fm_interaction, scores_from_design)
+from gemfm import (CheckpointError, DataFormatError, FeatureGraph, GemfmError,
+                   ModelParams, SparseInstance, gcn_embed, lookup_embed,
+                   normalize, predict_batch)
+from gemfm.model import CHECKPOINT_MAGIC, batch_design
 from gemfm.data import PackedInstances
 from oracles import dense_gcn_rows, dense_normalized_adjacency, pairwise_score
 
@@ -16,6 +17,10 @@ def _random_graph(rng, m, density=0.25):
     mask = np.triu(rng.random((m, m)) < density, k=1)
     edges = np.argwhere(mask)
     return FeatureGraph(m, edges if len(edges) else np.zeros((0, 2), np.int64))
+
+
+def _score(instance, params, norm=None):
+    return float(predict_batch([instance], params, norm)[0])
 
 
 def _random_instance(rng, m, max_active=6, values=(-2.0, 2.0)):
@@ -29,31 +34,25 @@ def _random_instance(rng, m, max_active=6, values=(-2.0, 2.0)):
 
 # --- table scoring ---
 
-def test_fm_score_matches_pairwise_oracle():
+def test_lookup_scores_match_pairwise_oracle():
     rng = np.random.default_rng(0)
     params = ModelParams(float(rng.normal()), rng.normal(size=12),
                          [rng.normal(size=(12, 4))])
     for _ in range(50):
         inst = _random_instance(rng, 12)
         expected = pairwise_score(inst, params.weights[0], params.w, params.w0)
-        assert fm_score(inst, params) == pytest.approx(expected, rel=1e-12)
-
-
-def test_single_active_feature_interaction_is_exact_zero():
-    rows = np.full((3, 4), 7.7)
-    inst = SparseInstance(1.0, ((1, 1.9),))
-    assert fm_interaction(inst, lambda i: rows[i]) == 0.0
+        assert _score(inst, params) == pytest.approx(expected, rel=1e-12)
 
 
 def test_empty_instance_scores_bias_only():
     params = ModelParams(0.5, np.ones(3), [np.ones((3, 2))])
-    assert fm_score(SparseInstance(1.0, ()), params) == 0.5
+    assert _score(SparseInstance(1.0, ()), params) == 0.5
 
 
-def test_fm_score_rejects_out_of_range():
+def test_predict_batch_rejects_out_of_range():
     params = ModelParams(0.0, np.zeros(3), [np.zeros((3, 2))])
     with pytest.raises(DataFormatError, match="index 3"):
-        fm_score(SparseInstance(1.0, ((3, 1.0),)), params)
+        predict_batch([SparseInstance(1.0, ((3, 1.0),))], params)
 
 
 # --- convolution embeddings ---
@@ -78,7 +77,7 @@ def test_gcn_embed_matches_dense_oracle(num_layers, activation):
     np.testing.assert_allclose(sub.rows, expected[subset], rtol=1e-12, atol=1e-13)
 
 
-def test_gem_score_matches_dense_oracle():
+def test_convolved_scores_match_dense_oracle():
     rng = np.random.default_rng(4)
     m, d = 14, 3
     graph = _random_graph(rng, m)
@@ -92,7 +91,7 @@ def test_gem_score_matches_dense_oracle():
         for _ in range(25):
             inst = _random_instance(rng, m)
             expected = pairwise_score(inst, dense_rows, params.w, params.w0)
-            assert gem_score(inst, norm, params) == pytest.approx(expected, rel=1e-10)
+            assert _score(inst, params, norm) == pytest.approx(expected, rel=1e-10)
 
 
 def test_gcn_embed_touches_only_the_reachable_neighborhood():
@@ -135,17 +134,7 @@ def test_degradation_edgeless_identity_equals_lookup_bitwise():
                                   lookup_embed(flat, nodes).rows)
     for _ in range(20):
         inst = _random_instance(rng, m)
-        assert gem_score(inst, norm, conv) == fm_score(inst, flat)
-
-
-def test_embedding_view_lookup():
-    view = EmbeddingView(np.array([2, 5, 9]), np.arange(9.0).reshape(3, 3))
-    np.testing.assert_array_equal(view.row(5), [3.0, 4.0, 5.0])
-    np.testing.assert_array_equal(view.take([9, 2]), view.rows[[2, 0]])
-    with pytest.raises(KeyError):
-        view.row(4)
-    with pytest.raises(KeyError):
-        view.take([2, 11])
+        assert _score(inst, conv, norm) == _score(inst, flat)
 
 
 def test_lookup_embed_validates_nodes():
@@ -183,12 +172,12 @@ def test_predict_batch_matches_per_instance_scores():
     flat = ModelParams.initialize(m, d, 0, seed=2, scale=0.3)
     flat.w0, flat.w = 0.2, rng.normal(size=m)
     got = predict_batch(instances, flat)
-    expected = np.array([fm_score(inst, flat) for inst in instances])
+    expected = np.array([_score(inst, flat) for inst in instances])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     conv = ModelParams.initialize(m, d, 2, "relu", seed=3, scale=0.3)
     got = predict_batch(instances, conv, norm)
-    expected = np.array([gem_score(inst, norm, conv) for inst in instances])
+    expected = np.array([_score(inst, conv, norm) for inst in instances])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -292,6 +281,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError, match="bytes"):
         ModelParams.load(padded)
 
+    # a layer count of 1 + 2**56 must fail on size, not allocate per layer
+    many_layers = bytearray(blob)
+    many_layers[len(CHECKPOINT_MAGIC) + 16 + 7] ^= 0x01
+    huge = tmp_path / "layers.bin"
+    huge.write_bytes(bytes(many_layers))
+    with pytest.raises(CheckpointError, match="bytes"):
+        ModelParams.load(huge)
+
 
 def test_checkpoint_rejects_foreign_activation(tmp_path):
     params = ModelParams.initialize(3, 2, num_layers=1, seed=0)
@@ -305,3 +302,30 @@ def test_checkpoint_rejects_foreign_activation(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="activation"):
         ModelParams.load(bad)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    path = directory / "good.bin"
+    ModelParams.initialize(5, 3, num_layers=2, activation="relu", seed=0).save(path)
+    return directory, path.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_checkpoint_load_fuzz(checkpoint, data):
+    # truncations and byte flips of a valid checkpoint, header bytes included
+    # (a flipped layer count once made load build a list per claimed layer)
+    directory, blob = checkpoint
+    corrupt = bytearray(blob[:data.draw(st.integers(0, len(blob)), label="length")])
+    for _ in range(data.draw(st.integers(0, 4), label="flips")):
+        if corrupt:
+            pos = data.draw(st.integers(0, len(corrupt) - 1), label="position")
+            corrupt[pos] ^= data.draw(st.integers(1, 255), label="mask")
+    path = directory / "corrupt.bin"
+    path.write_bytes(bytes(corrupt))
+    try:
+        ModelParams.load(path)
+    except GemfmError:
+        pass

@@ -6,16 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from gemfm import (FeatureGraph, FeatureSpace, ModelParams, SparseInstance,
-                   TrainConfig, TrainingDivergedError, backward, build_graph,
-                   loss, normalize, predict_batch, train)
+from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, ModelParams,
+                   SparseInstance, TrainConfig, TrainingDivergedError, build_graph,
+                   loss_and_grads, normalize, predict_batch, train)
 from gemfm.data import PackedInstances
 from gemfm.datagen import ClickDataConfig, click_benchmark
 from gemfm.metrics import rmse
-from gemfm.model import gcn_embed, lookup_embed
+from gemfm.model import gcn_embed
 from gemfm.train import (EPSILON, EpochRecord, GradientSet, OptimizerState,
-                         RunReport, _draw_mask, _full_l2, _loss_and_grads,
-                         apply_dropout, optimizer_step)
+                         RunReport, _full_l2, optimizer_step)
 from oracles import (dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
                      finite_difference_gradients, gradient_agreement,
                      pairwise_score)
@@ -39,6 +38,14 @@ def _random_graph(rng, m, density=0.3):
     return FeatureGraph(m, edges if len(edges) else np.zeros((0, 2), np.int64))
 
 
+def _loss(*args, **kwargs):
+    return loss_and_grads(*args, **kwargs)[0]
+
+
+def _grads(*args, **kwargs):
+    return loss_and_grads(*args, **kwargs)[1]
+
+
 # --- loss ---
 
 def test_loss_matches_brute_force_flat():
@@ -54,13 +61,13 @@ def test_loss_matches_brute_force_flat():
         (pairwise_score(inst, params.weights[0], params.w, params.w0) - inst.label) ** 2
         for inst in instances
     )
-    assert loss(batch, params) == pytest.approx(expected, rel=1e-12)
+    assert _loss(batch, params) == pytest.approx(expected, rel=1e-12)
     lam = 0.07
     with_l2 = expected + lam * _full_l2(params, include_bias=True)
-    assert loss(batch, params, l2_lambda=lam) == pytest.approx(with_l2, rel=1e-12)
+    assert _loss(batch, params, l2_lambda=lam) == pytest.approx(with_l2, rel=1e-12)
     no_bias = expected + lam * _full_l2(params, include_bias=False)
-    assert loss(batch, params, l2_lambda=lam,
-                l2_includes_bias=False) == pytest.approx(no_bias, rel=1e-12)
+    assert _loss(batch, params, l2_lambda=lam,
+                 l2_includes_bias=False) == pytest.approx(no_bias, rel=1e-12)
 
 
 def test_loss_matches_brute_force_convolved():
@@ -80,7 +87,7 @@ def test_loss_matches_brute_force_convolved():
                             batch.values[batch.indptr[i]:batch.indptr[i + 1]].tolist()))
         inst = SparseInstance(float(batch.labels[i]), entries)
         total += (pairwise_score(inst, rows, params.w, params.w0) - inst.label) ** 2
-    assert loss(batch, params, norm) == pytest.approx(total, rel=1e-10)
+    assert _loss(batch, params, norm) == pytest.approx(total, rel=1e-10)
 
 
 def test_loss_input_contract():
@@ -90,13 +97,14 @@ def test_loss_input_contract():
     batch = PackedInstances.from_instances([SparseInstance(1.0, ((0, 1.0),))], 4)
     empty = PackedInstances.from_instances([], 4)
     with pytest.raises(ValueError, match="empty"):
-        loss(empty, params)
+        loss_and_grads(empty, params)
     with pytest.raises(ValueError, match="iff"):
-        loss(batch, params, norm)
+        loss_and_grads(batch, params, norm)
     with pytest.raises(ValueError, match="iff"):
-        loss(batch, conv)
-    with pytest.raises(ValueError, match="empty"):
-        backward(empty, params)
+        loss_and_grads(batch, conv)
+    with pytest.raises(DataFormatError, match="outside"):
+        loss_and_grads(PackedInstances.from_instances([SparseInstance(1.0, ((5, 1.0),))]),
+                       params)
 
 
 # --- analytic gradients vs central differences ---
@@ -129,18 +137,14 @@ def test_backward_matches_finite_differences(layers, activation, lam, ratio,
         view = gcn_embed(norm, params, np.unique(batch.indices))
         assert min(float(np.abs(c.pre).min()) for c in view.layers) > 1e-4
 
-    mask = None
-    if ratio > 0.0:
-        nodes = np.unique(batch.indices)
-        mask = _draw_mask((nodes.size, d), ratio, seed=99)
+    # a fixed dropout seed fixes the mask, so the loss is deterministic
+    kwargs = dict(l2_lambda=lam, dropout_ratio=ratio, dropout_seed=99,
+                  l2_includes_bias=include_bias)
 
     def loss_fn(p):
-        return loss(batch, p, norm, lam, dropout_mask=mask,
-                    dropout_ratio=ratio, l2_includes_bias=include_bias)
+        return _loss(batch, p, norm, **kwargs)
 
-    grads = backward(batch, params, norm, lam, dropout_mask=mask,
-                     dropout_ratio=ratio, l2_includes_bias=include_bias,
-                     exact_l2=True)
+    grads = _grads(batch, params, norm, exact_l2=True, **kwargs)
     fd_w0, fd_w, fd_weights = finite_difference_gradients(loss_fn, params)
     d_w, d_weights = dense_gradients(grads, m)
     assert gradient_agreement(grads.d_w0, fd_w0) <= 1.0
@@ -156,7 +160,7 @@ def test_gradients_vanish_off_touched_sets():
     batch = PackedInstances.from_instances(
         [SparseInstance(1.0, ((2, 1.0), (7, -1.0))),
          SparseInstance(0.0, ((2, 0.5),))], m)
-    grads = backward(batch, params)
+    grads = _grads(batch, params)
     np.testing.assert_array_equal(grads.touched_features, [2, 7])
     np.testing.assert_array_equal(grads.touched_rows, [2, 7])
     # row-aligned: only the touched rows are stored at all
@@ -179,7 +183,7 @@ def test_convolution_gradient_reaches_one_hop_rows():
                          "identity", 1)
     batch = PackedInstances.from_instances(
         [SparseInstance(2.0, ((0, 1.5),))], m)
-    grads = backward(batch, params, norm)
+    grads = _grads(batch, params, norm)
     np.testing.assert_array_equal(grads.touched_rows, [0, 1])
     _, d_weights = dense_gradients(grads, m)
     assert d_weights[0][[0, 1]].any()
@@ -276,7 +280,7 @@ def test_weight_decay_shrinks_norm_on_perfect_predictions():
     batch = PackedInstances.from_instances(
         [SparseInstance(float(s), inst.entries)
          for s, inst in zip(scores, instances)], m)
-    grads = backward(batch, params, l2_lambda=0.5, exact_l2=True)
+    grads = _grads(batch, params, l2_lambda=0.5, exact_l2=True)
     state = OptimizerState.create(params, "adagrad")
     before = _full_l2(params, include_bias=True)
     optimizer_step(params, state, grads,
@@ -286,46 +290,56 @@ def test_weight_decay_shrinks_norm_on_perfect_predictions():
 
 # --- dropout ---
 
+def _dropout_case(seed=10, m=6, d=4):
+    rng = np.random.default_rng(seed)
+    params = ModelParams(0.3, rng.normal(size=m), [rng.normal(size=(m, d))])
+    return _random_batch(rng, m, 5), params
+
+
 def test_dropout_ratio_zero_is_identity():
-    view = lookup_embed(ModelParams.initialize(4, 3, seed=1), [0, 2])
-    dropped, mask = apply_dropout(view, 0.0, seed=5)
-    assert dropped is view
-    np.testing.assert_array_equal(mask, np.ones((2, 3)))
+    batch, params = _dropout_case()
+    value, grads = loss_and_grads(batch, params)
+    for seed in (0, 5):
+        again, same = loss_and_grads(batch, params, dropout_ratio=0.0, dropout_seed=seed)
+        assert again == value
+        np.testing.assert_array_equal(same.d_weights[0], grads.d_weights[0])
 
 
 def test_dropout_mask_and_scaling_are_exact():
-    rng = np.random.default_rng(10)
-    params = ModelParams(0.0, np.zeros(6), [rng.normal(size=(6, 4))])
-    view = lookup_embed(params, np.arange(6))
-    ratio = 0.4
-    dropped, mask = apply_dropout(view, ratio, seed=3)
-    assert set(np.unique(mask)) <= {0.0, 1.0}
-    np.testing.assert_array_equal(dropped.rows,
-                                  view.rows * (mask * (1.0 / (1.0 - ratio))))
-    again, mask2 = apply_dropout(view, ratio, seed=3)
-    np.testing.assert_array_equal(mask, mask2)
-    _, mask3 = apply_dropout(view, ratio, seed=4)
-    assert not np.array_equal(mask, mask3)
+    # the keep mask is drawn over the batch's sorted node set; dropping those
+    # table rows by hand must reproduce the dropped loss bit for bit
+    batch, params = _dropout_case()
+    ratio, seed = 0.4, 3
+    nodes = np.unique(batch.indices)
+    mask = (np.random.default_rng(seed).random((nodes.size, params.dim)) >= ratio)
+    dropped = params.copy()
+    dropped.weights[0][nodes] = params.weights[0][nodes] * (mask * (1.0 / (1.0 - ratio)))
+    value = _loss(batch, params, dropout_ratio=ratio, dropout_seed=seed)
+    assert value == _loss(batch, dropped)
+    assert value == _loss(batch, params, dropout_ratio=ratio, dropout_seed=seed)
+    assert value != _loss(batch, params, dropout_ratio=ratio, dropout_seed=seed + 1)
 
 
 def test_dropout_keeps_expectation():
-    # inverted scaling: E[dropped coordinate] equals the raw coordinate
-    view = lookup_embed(ModelParams(0.0, np.zeros(1), [np.ones((1, 1))]), [0])
+    # inverted scaling: with two active unit features, unit rows (d = 1) and
+    # zero biases the score is r_0 * r_1, two independent dropped coordinates
+    # of mean 1, and d_w0 = 2 * (score - 0)
+    params = ModelParams(0.0, np.zeros(2), [np.ones((2, 1))])
+    batch = PackedInstances.from_instances([SparseInstance(0.0, ((0, 1.0), (1, 1.0)))])
     ratio = 0.3
     n = 10_000
     total = 0.0
     for seed in range(n):
-        dropped, _ = apply_dropout(view, ratio, seed=seed)
-        total += float(dropped.rows[0, 0])
-    se = math.sqrt(ratio / (1.0 - ratio)) / math.sqrt(n)
+        total += 0.5 * _grads(batch, params, dropout_ratio=ratio, dropout_seed=seed).d_w0
+    se = math.sqrt(1.0 / (1.0 - ratio) ** 2 - 1.0) / math.sqrt(n)
     assert abs(total / n - 1.0) < 3.0 * se
 
 
 def test_dropout_rejects_bad_ratio():
-    view = lookup_embed(ModelParams.initialize(2, 2), [0])
+    batch, params = _dropout_case()
     for ratio in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError, match="ratio"):
-            apply_dropout(view, ratio, seed=0)
+            loss_and_grads(batch, params, dropout_ratio=ratio)
 
 
 # --- the training loop ---
@@ -535,7 +549,8 @@ def test_training_step_dedups_at_most_once(monkeypatch, small_clicks, layers):
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counted)
-    _, grads = _loss_and_grads(batch, params, norm, config, mask_seed=0)
+    _, grads = loss_and_grads(batch, params, norm, l2_lambda=config.l2_lambda,
+                              dropout_ratio=config.dropout_ratio, dropout_seed=0)
     optimizer_step(params, OptimizerState.create(params, "adam"), grads, config)
     monkeypatch.undo()
 
