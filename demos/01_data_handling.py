@@ -40,14 +40,26 @@ def main():
     print(f"\nsplit 250 transactions 8:1:1 -> "
           f"{len(split.train)}/{len(split.validation)}/{len(split.test)}")
 
+    # in memory, many instances are one PackedInstances: CSR arrays whose
+    # row r is indices/values[indptr[r]:indptr[r + 1]] with labels[r]
+    train = split.train
+    print(f"  train is packed: indptr {train.indptr[:4]}..., "
+          f"indices {train.indices[:6]}..., labels {train.labels[:3]}...")
+
     # each positive spawns k label-0 copies with the item swapped for one the
     # same context never clicked
     negatives = negative_sample(split.train, space, item_field=1, k=2, seed=7)
     print(f"negative sampling: {len(split.train)} positives -> "
           f"{len(negatives)} negatives")
-    pos, neg = split.train[0], negatives[0]
-    print(f"  positive items stay put:  {pos.entries[1]}")
-    print(f"  negative swaps the item:  {neg.entries[1]} (label {neg.label})")
+    print(f"  positive items stay put:  {row(split.train, 0)[1]}")
+    print(f"  negative swaps the item:  {row(negatives, 0)[1]} "
+          f"(label {negatives.labels[0]})")
+
+
+def row(packed, r):
+    """Row r of a PackedInstances as (index, value) pairs."""
+    lo, hi = packed.indptr[r], packed.indptr[r + 1]
+    return list(zip(packed.indices[lo:hi].tolist(), packed.values[lo:hi].tolist()))
 
 
 if __name__ == "__main__":

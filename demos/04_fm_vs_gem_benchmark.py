@@ -14,7 +14,6 @@ import time
 
 from gemfm import (TrainConfig, build_graph, count_params, normalize,
                    predict_batch, rmse, train)
-from gemfm.data import PackedInstances
 from gemfm.datagen import ClickDataConfig, click_benchmark
 
 
@@ -32,7 +31,7 @@ def main():
     norm = normalize(graph)
     print(f"co-occurrence graph over user+item: {graph.num_edges} edges")
 
-    test = PackedInstances.from_instances(bench.test, bench.space.num_features)
+    test = bench.test
     results = {}
     for name, layers in (("FM", 0), ("GEM", 1)):
         config = TrainConfig(optimizer="adam", learning_rate=0.002,

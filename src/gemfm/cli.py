@@ -176,15 +176,12 @@ def _resolve_splits(cfg) -> DatasetSplit:
                             load_libfm(presplit[2]))
     if not single:
         raise ConfigError("no input data: give --data or --train/--val/--test")
-    parts = [p.strip() for p in cfg["ratios"].split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"ratios must be three comma-separated numbers, got {cfg['ratios']!r}")
+    seed = derive_seed(_get_int(cfg, "seed"), "split")
     try:
-        ratios = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"non-numeric ratio in {cfg['ratios']!r}") from None
-    instances = load_libfm(single)
-    return split_dataset(instances, ratios, seed=derive_seed(_get_int(cfg, "seed"), "split"))
+        ratios = tuple(float(p) for p in cfg["ratios"].split(","))
+        return split_dataset(load_libfm(single), ratios, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"cannot split {single} by ratios {cfg['ratios']!r}: {exc}") from None
 
 
 def _train_config(cfg) -> TrainConfig:
@@ -244,8 +241,7 @@ def cmd_train(cfg) -> int:
         if not part:
             continue
         preds = predict_batch(part, params, norm)
-        labels = [inst.label for inst in part]
-        rep = metric_report(preds, labels, count_params(params))
+        rep = metric_report(preds, part.labels, count_params(params))
         print(f"{name} {format_report(rep)}")
     print(f"best_epoch {report.best_epoch}")
     return 0
@@ -269,8 +265,7 @@ def cmd_evaluate(cfg) -> int:
     params, norm = _load_model_and_graph(cfg)
     instances = load_libfm(_require(cfg, "data"))
     preds = predict_batch(instances, params, norm)
-    labels = [inst.label for inst in instances]
-    rep = metric_report(preds, labels, count_params(params),
+    rep = metric_report(preds, instances.labels, count_params(params),
                         clip_to_unit=cfg.get("clip") == "1")
     print(format_report(rep))
     return 0
@@ -278,7 +273,7 @@ def cmd_evaluate(cfg) -> int:
 
 def cmd_predict(cfg) -> int:
     params, norm = _load_model_and_graph(cfg)
-    # the parsed instances are freed once scored, before the output text is built
+    # the packed rows are freed once scored, before the output text is built
     preds = predict_batch(load_libfm(_require(cfg, "data")), params, norm)
     out = _require(cfg, "out")
     with open(out, "w", encoding="utf-8") as fh:

@@ -4,6 +4,11 @@ Instances live on disk in libFM text form (``label idx:value idx:value ...``,
 ``#`` starts a comment). A separate tab-separated field map assigns contiguous
 feature-index ranges to named fields (user, item, context variables), which is
 what graph construction and negative sampling key on.
+
+In memory, any number of instances is one PackedInstances (CSR arrays):
+reading, generating, splitting, negative sampling, graph building and the
+model all produce and take it. A SparseInstance is one parsed or formatted
+line; lists of them are accepted wherever instances are, and packed once.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ class SparseInstance:
         for idx, value in self.entries:
             if idx <= prev:
                 raise DataFormatError(
+                    f"duplicate feature index {idx}" if idx == prev else
                     f"feature indices must be strictly increasing and non-negative, "
                     f"got {idx} after {prev}"
                 )
@@ -42,21 +48,21 @@ class SparseInstance:
         if not math.isfinite(self.label):
             raise DataFormatError("non-finite label")
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.entries)
+def parse_index(text: str) -> int | None:
+    """The integer ``text`` spells in at most MAX_INDEX_DIGITS ASCII digits, or
+    None (int() also takes signs, underscores, spaces and digits such as '٣')."""
+    if text.isascii() and text.isdigit() and len(text) <= MAX_INDEX_DIGITS:
+        return int(text)
+    return None
 
 
 def parse_libfm_line(text: str, lineno: int | None = None) -> SparseInstance:
     """Parse one ``label idx:value ...`` line.
 
     Entries are sorted by index; duplicate indices, malformed tokens, and
-    non-finite numbers raise DataFormatError naming the offending token
-    (and the line number when given).
+    non-finite numbers raise DataFormatError naming the offending token or
+    index (and the line number when given).
     """
     where = f" (line {lineno})" if lineno is not None else ""
     body = text.split("#", 1)[0].strip()
@@ -70,59 +76,74 @@ def parse_libfm_line(text: str, lineno: int | None = None) -> SparseInstance:
         label = float(tokens[0])
     except ValueError:
         raise DataFormatError(f"bad label {tokens[0]!r}{where}") from None
-    if not math.isfinite(label):
-        raise DataFormatError(f"non-finite label {tokens[0]!r}{where}")
     entries = []
     for tok in tokens[1:]:
         idx_text, sep, val_text = tok.partition(":")
-        # isdigit keeps signs, exponents, and underscores out of the index
-        if not sep or not idx_text.isdigit() or len(idx_text) > MAX_INDEX_DIGITS:
+        index = parse_index(idx_text)
+        if not sep or index is None:
             raise DataFormatError(
                 f"malformed entry {tok!r}: want index:value with an index of at "
                 f"most {MAX_INDEX_DIGITS} digits{where}"
             )
         try:
-            value = float(val_text)
+            entries.append((index, float(val_text)))
         except ValueError:
             raise DataFormatError(f"non-numeric value in {tok!r}{where}") from None
-        if not math.isfinite(value):
-            raise DataFormatError(f"non-finite value in {tok!r}{where}")
-        entries.append((int(idx_text), value))
     entries.sort()
-    for (a, _), (b, _) in zip(entries, entries[1:]):
-        if a == b:
-            raise DataFormatError(f"duplicate feature index {a}{where}")
-    return SparseInstance(label, tuple(entries))
+    try:   # the instance rejects duplicate indices and non-finite numbers
+        return SparseInstance(label, tuple(entries))
+    except DataFormatError as exc:
+        raise DataFormatError(f"{exc}{where}") from None
 
 
 def format_libfm_line(instance: SparseInstance) -> str:
     """Serialize an instance so that parse_libfm_line round-trips it exactly."""
-    parts = [repr(float(instance.label))]
-    parts += [f"{i}:{float(v)!r}" for i, v in instance.entries]
+    return _format_line(instance.label, instance.entries)
+
+
+def _format_line(label, entries) -> str:
+    parts = [repr(float(label))]
+    parts += [f"{i}:{float(v)!r}" for i, v in entries]
     return " ".join(parts)
 
 
-def load_libfm(path) -> list[SparseInstance]:
-    """Read a libFM text file, skipping blank and comment-only lines."""
-    out = []
+# rows parsed, or formatted, per packed chunk: bounds the Python objects alive
+_CHUNK_ROWS = 8192
+
+
+def load_libfm(path) -> PackedInstances:
+    """Read a libFM text file, skipping blank and comment-only lines. Parsed
+    lines are packed a chunk at a time, so few SparseInstance objects live."""
+    chunks, rows = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.split("#", 1)[0].strip():
                     continue
                 try:
-                    out.append(parse_libfm_line(line, lineno))
+                    rows.append(parse_libfm_line(line, lineno))
                 except DataFormatError as exc:
                     raise DataFormatError(f"{path}: {exc}") from None
+                if len(rows) == _CHUNK_ROWS:
+                    chunks.append(_pack_rows(rows))
+                    rows = []
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return out
+    chunks.append(_pack_rows(rows))
+    return _concat(chunks)
 
 
 def save_libfm(instances, path) -> None:
+    """Write instances (packed or a list) one line each, as format_libfm_line
+    gives them, converting a chunk of rows to Python numbers at a time."""
+    packed = PackedInstances.from_instances(instances)
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(format_libfm_line(inst) + "\n")
+        for lo in range(0, len(packed), _CHUNK_ROWS):
+            part = packed.take(np.arange(lo, min(lo + _CHUNK_ROWS, len(packed))))
+            bounds = part.indptr.tolist()
+            entries = list(zip(part.indices.tolist(), part.values.tolist()))
+            fh.writelines(_format_line(label, entries[a:b]) + "\n" for label, a, b
+                          in zip(part.labels.tolist(), bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -215,12 +236,11 @@ def load_field_map(text: str) -> FeatureSpace:
                 f"field map line {lineno}: expected name<TAB>start<TAB>end, got {body!r}"
             )
         name = parts[0].strip()
-        try:
-            start, end = int(parts[1]), int(parts[2])
-        except ValueError:
+        start, end = parse_index(parts[1].strip()), parse_index(parts[2].strip())
+        if start is None or end is None:
             raise DataFormatError(
                 f"field map line {lineno}: non-integer bound in {body!r}"
-            ) from None
+            )
         if not name:
             raise DataFormatError(f"field map line {lineno}: empty field name")
         names.append(name)
@@ -240,9 +260,9 @@ def format_field_map(space: FeatureSpace) -> str:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: list[SparseInstance]
-    validation: list[SparseInstance]
-    test: list[SparseInstance]
+    train: PackedInstances
+    validation: PackedInstances
+    test: PackedInstances
 
 
 def _largest_remainder_sizes(n: int, ratios) -> list[int]:
@@ -260,29 +280,27 @@ def _largest_remainder_sizes(n: int, ratios) -> list[int]:
 def split_dataset(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
     """Shuffle once, then cut into train/validation/test by the given ratios.
 
-    Ratios must be three positives summing to 1 (within 1e-9). Sizes are
-    rounded by largest remainder, train first, so the parts always cover
+    Ratios must be three finite positives summing to 1 (within 1e-9). Sizes
+    are rounded by largest remainder, train first, so the parts always cover
     every instance exactly once.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"need three positive ratios, got {ratios!r}")
+    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError(f"need three positive finite ratios, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
-    if not instances:
+    packed = PackedInstances.from_instances(instances)
+    n = len(packed)
+    if not n:
         raise ValueError("cannot split an empty dataset")
-    n = len(instances)
     sizes = _largest_remainder_sizes(n, ratios)
     perm = np.random.default_rng(seed).permutation(n)
     cut1, cut2 = sizes[0], sizes[0] + sizes[1]
-    return DatasetSplit(
-        train=[instances[i] for i in perm[:cut1]],
-        validation=[instances[i] for i in perm[cut1:cut2]],
-        test=[instances[i] for i in perm[cut2:]],
-    )
+    return DatasetSplit(packed.take(perm[:cut1]), packed.take(perm[cut1:cut2]),
+                        packed.take(perm[cut2:]))
 
 
 def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
-                    seed: int = 0) -> list[SparseInstance]:
+                    seed: int = 0) -> PackedInstances:
     """Draw k label-0 instances per positive by swapping in unseen items.
 
     Each negative copies the positive's context entries verbatim and replaces
@@ -295,24 +313,29 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     start, end = space.field_range(item_field)
-    contexts = []
+    packed = PackedInstances.from_instances(positives)
+    in_item = (packed.indices >= start) & (packed.indices < end)
+    per_row = np.diff(np.r_[0, np.cumsum(in_item)][packed.indptr])
+    bad = np.flatnonzero(per_row != 1)
+    if bad.size:
+        raise ValueError(f"positive {bad[0]} has {per_row[bad[0]]} active features in the "
+                         f"item field; exactly one is required")
+    item_at = np.flatnonzero(in_item)   # one entry per row, in row order
+    # a context is the row's other entries; + 0.0 turns -0.0 into 0.0, which
+    # compare equal, so equal contexts give equal bytes
+    keys = (packed.indices[~in_item].astype(np.int64).tobytes(),
+            (packed.values[~in_item].astype(np.float64) + 0.0).tobytes())
+    bounds = (8 * (packed.indptr - np.arange(len(packed) + 1))).tolist()
+    contexts = [(keys[0][a:b], keys[1][a:b]) for a, b in zip(bounds, bounds[1:])]
     clicked: dict[tuple, set[int]] = {}
-    for pos, inst in enumerate(positives):
-        item_entries = [(i, v) for i, v in inst.entries if start <= i < end]
-        if len(item_entries) != 1:
-            raise ValueError(
-                f"positive {pos} has {len(item_entries)} active features in the "
-                f"item field; exactly one is required"
-            )
-        context = tuple(e for e in inst.entries if not (start <= e[0] < end))
-        contexts.append((context, item_entries[0]))
-        clicked.setdefault(context, set()).add(item_entries[0][0])
+    for context, item in zip(contexts, packed.indices[item_at].tolist()):
+        clicked.setdefault(context, set()).add(item)
 
     rng = np.random.default_rng(seed)
     vocab = end - start
-    negatives = []
+    rows, items = [], []
     short = 0
-    for context, (_, item_value) in contexts:
+    for row, context in enumerate(contexts):
         taken = clicked[context]
         eligible = vocab - len(taken)
         take = min(k, eligible)
@@ -335,21 +358,25 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
             pool = np.setdiff1d(np.arange(start, end, dtype=np.int64),
                                 np.fromiter(taken, dtype=np.int64))
             draws = [int(d) for d in rng.choice(pool, size=take, replace=False)]
-        for drawn in draws:
-            entries = sorted(context + ((drawn, item_value),))
-            negatives.append(SparseInstance(0.0, tuple(entries)))
+        rows += [row] * len(draws)
+        items += draws
     if short:
-        warnings.warn(
-            f"negative_sample: {short} positives had fewer than {k} eligible items",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return negatives
+        warnings.warn(f"negative_sample: {short} positives had fewer than {k} eligible items",
+                      RuntimeWarning, stacklevel=2)
+    # the item field is one contiguous range with one entry per row, so
+    # swapping that entry's index leaves every row sorted
+    rows_taken = np.array(rows, dtype=np.int64)
+    out = packed.take(rows_taken)
+    offsets = (item_at - packed.indptr[:-1])[rows_taken]
+    out.indices[out.indptr[:-1] + offsets] = items
+    return PackedInstances(np.zeros(len(out)), out.indptr, out.indices, out.values)
 
 
 @dataclass(frozen=True, eq=False)
 class PackedInstances:
-    """Columnar (CSR-style) form of an instance list for vectorized scoring."""
+    """Instances in CSR form: row r has label ``labels[r]`` and the entries
+    ``indices[indptr[r]:indptr[r + 1]]`` (strictly increasing) with their
+    ``values``. The one in-memory form of any number of instances."""
 
     labels: np.ndarray
     indptr: np.ndarray
@@ -359,26 +386,21 @@ class PackedInstances:
     def __len__(self) -> int:
         return len(self.labels)
 
+    def __add__(self, other) -> "PackedInstances":
+        """The rows of ``self`` followed by the rows of ``other`` (packed or a list)."""
+        return _concat([self, PackedInstances.from_instances(other)])
+
     @classmethod
     def from_instances(cls, instances, num_features: int | None = None) -> "PackedInstances":
-        n = len(instances)
-        lengths = np.fromiter((len(p.entries) for p in instances), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.array(
-            [i for p in instances for i, _ in p.entries], dtype=np.int64
-        )
-        values = np.array(
-            [v for p in instances for _, v in p.entries], dtype=np.float64
-        )
-        labels = np.array([p.label for p in instances], dtype=np.float64)
-        if num_features is not None and indices.size:
-            top = int(indices.max())
+        """Pack a sequence of SparseInstance; a PackedInstances is returned
+        as it is. With ``num_features``, an index at or past it raises
+        DataFormatError."""
+        packed = instances if isinstance(instances, PackedInstances) else _pack_rows(instances)
+        if num_features is not None and packed.indices.size:
+            top = int(packed.indices.max())
             if top >= num_features:
-                raise DataFormatError(
-                    f"feature index {top} outside feature space of size {num_features}"
-                )
-        return cls(labels, indptr, indices, values)
+                raise DataFormatError(f"feature index {top} outside [0, {num_features})")
+        return packed
 
     def take(self, selection) -> "PackedInstances":
         """Sub-pack holding the given instance rows, in the given order."""
@@ -396,3 +418,20 @@ class PackedInstances:
         return PackedInstances(
             self.labels[sel], out_indptr, self.indices[source], self.values[source]
         )
+
+
+def _pack_rows(instances) -> PackedInstances:
+    lengths = np.fromiter((len(p.entries) for p in instances), dtype=np.int64,
+                          count=len(instances))
+    indptr = np.r_[0, np.cumsum(lengths)]
+    indices = np.array([i for p in instances for i, _ in p.entries], dtype=np.int64)
+    values = np.array([v for p in instances for _, v in p.entries], dtype=np.float64)
+    labels = np.array([p.label for p in instances], dtype=np.float64)
+    return PackedInstances(labels, indptr, indices, values)
+
+
+def _concat(parts: list[PackedInstances]) -> PackedInstances:
+    lengths = np.concatenate([np.diff(p.indptr) for p in parts])
+    return PackedInstances(np.concatenate([p.labels for p in parts]), np.r_[0, np.cumsum(lengths)],
+                           np.concatenate([p.indices for p in parts]),
+                           np.concatenate([p.values for p in parts]))

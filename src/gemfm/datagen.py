@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetSplit, FeatureSpace, SparseInstance, negative_sample, split_dataset
+from .data import FeatureSpace, PackedInstances, negative_sample, split_dataset
 from .seeding import derive_rng, derive_seed
 
 CONTEXT_FIELDS = (
@@ -63,7 +63,7 @@ def _zipf_probs(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_positives(config: ClickDataConfig) -> list[SparseInstance]:
+def generate_positives(config: ClickDataConfig) -> PackedInstances:
     """Label-1 transactions: long-tailed users clicking items of their
     preferred cluster, with home-city geography and derived context."""
     rng = derive_rng(config.seed, "positives")
@@ -105,10 +105,10 @@ def generate_positives(config: ClickDataConfig) -> list[SparseInstance]:
     starts = np.array([space.field_range(f)[0] for f in range(space.num_fields)],
                       dtype=np.int64)
     index_rows = np.stack(columns, axis=1) + starts[None, :]
-    return [
-        SparseInstance(1.0, tuple((int(i), 1.0) for i in row))
-        for row in index_rows
-    ]
+    # one entry per field, in field order, so every row is sorted
+    width = space.num_fields
+    return PackedInstances(np.ones(n), np.arange(n + 1, dtype=np.int64) * width,
+                           index_rows.ravel(), np.ones(n * width))
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,10 @@ class ClickBenchmark:
     train positives the co-occurrence graph should be built from."""
 
     space: FeatureSpace
-    train: list[SparseInstance]
-    validation: list[SparseInstance]
-    test: list[SparseInstance]
-    train_positives: list[SparseInstance]
+    train: PackedInstances
+    validation: PackedInstances
+    test: PackedInstances
+    train_positives: PackedInstances
 
 
 def click_benchmark(config: ClickDataConfig) -> ClickBenchmark:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .data import MAX_INDEX_DIGITS, FeatureSpace
+from .data import FeatureSpace, PackedInstances, parse_index
 from .errors import GraphFormatError
 
 
@@ -89,51 +89,34 @@ class FeatureGraph:
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
+            parts = body.split()
             if header is None:
-                parts = body.split()
-                if (len(parts) != 2 or parts[0] != "nodes" or not parts[1].isdigit()
-                        or not parts[1].isascii() or len(parts[1]) > MAX_INDEX_DIGITS):
+                if len(parts) != 2 or parts[0] != "nodes" or parse_index(parts[1]) is None:
                     raise GraphFormatError(
                         f"{path}:{lineno}: expected 'nodes <count>' header, got {body!r}"
                     )
-                header = int(parts[1])
+                header = parse_index(parts[1])
                 continue
-            parts = body.split()
             if len(parts) != 2:
                 raise GraphFormatError(f"{path}:{lineno}: expected 'i j', got {body!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
+            a, b = parse_index(parts[0]), parse_index(parts[1])
+            if a is None or b is None:
                 raise GraphFormatError(
                     f"{path}:{lineno}: non-integer endpoint in {body!r}"
-                ) from None
+                )
             if a == b:
                 raise GraphFormatError(f"{path}:{lineno}: self-edge {a}")
-            if not (0 <= a < header and 0 <= b < header):
+            if max(a, b) >= header:
                 raise GraphFormatError(
                     f"{path}:{lineno}: endpoint outside [0, {header})"
                 )
             pairs.append((min(a, b), max(a, b)))
         if header is None:
             raise GraphFormatError(f"{path}: missing 'nodes <count>' header")
-        if pairs:
-            arr = np.array(pairs, dtype=np.int64)
-            edges = np.unique(arr, axis=0)
-            if len(edges) != len(arr):
-                raise GraphFormatError(f"{path}: duplicate edges in file")
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
+        edges = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+        if len(edges) != len(pairs):
+            raise GraphFormatError(f"{path}: duplicate edges in file")
         return cls(header, edges, None)
-
-
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _triu_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _TRIU_CACHE.get(k)
-    if cached is None:
-        cached = _TRIU_CACHE[k] = np.triu_indices(k, k=1)
-    return cached
 
 
 def build_graph(instances, space: FeatureSpace, mode: str = "all_pairs",
@@ -183,42 +166,34 @@ def build_graph(instances, space: FeatureSpace, mode: str = "all_pairs",
                 stacklevel=2,
             )
 
+    packed = PackedInstances.from_instances(instances)
+    idx = packed.indices
+    outside = np.flatnonzero((idx < 0) | (idx >= m))
+    if outside.size:
+        pos = int(np.searchsorted(packed.indptr, outside[0], side="right")) - 1
+        raise GraphFormatError(
+            f"instance {pos}: feature index {int(idx[outside[0]])} outside [0, {m})"
+        )
     include_mask = np.zeros(space.num_fields, dtype=bool)
     include_mask[included] = True
-    num_fields = space.num_fields
-
-    src_parts, dst_parts = [], []
-    for pos, inst in enumerate(instances):
-        idx = np.array(inst.indices, dtype=np.int64)
-        if idx.size and idx[-1] >= m:
-            raise GraphFormatError(
-                f"instance {pos}: feature index {int(idx[-1])} outside [0, {m})"
-            )
-        fields = space.field_of_array(idx)
-        keep = include_mask[fields]
-        selected = idx[keep]
-        if selected.size < 2:
-            continue
-        a, b = _triu_pairs(selected.size)
-        u, v = selected[a], selected[b]
+    fields = space.field_of_array(idx)
+    keep = include_mask[fields]
+    selected, fields = idx[keep], fields[keep]
+    # a row's selected entries are contiguous: rows with k of them form a
+    # (rows, k) block whose i < j column pairs are the row's edges
+    before = np.r_[0, np.cumsum(keep)][packed.indptr]   # selected before each row
+    counts = np.diff(before)
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for k in np.unique(counts[counts >= 2]).tolist():
+        at = before[:-1][counts == k][:, None] + np.arange(k)
+        a, b = np.triu_indices(k, 1)
+        pairs = np.stack([selected[at[:, a]].ravel(), selected[at[:, b]].ravel()], axis=1)
         if pair_codes is not None:
-            fsel = fields[keep]
-            fu, fv = fsel[a], fsel[b]
-            code = np.minimum(fu, fv) * num_fields + np.maximum(fu, fv)
-            allowed = np.isin(code, pair_codes)
-            u, v = u[allowed], v[allowed]
-        if u.size:
-            src_parts.append(u)
-            dst_parts.append(v)
-
-    if src_parts:
-        stacked = np.stack(
-            [np.concatenate(src_parts), np.concatenate(dst_parts)], axis=1
-        )
-        edges = np.unique(stacked, axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return FeatureGraph(m, edges, frozenset(included))
+            fu, fv = fields[at[:, a]].ravel(), fields[at[:, b]].ravel()
+            code = np.minimum(fu, fv) * space.num_fields + np.maximum(fu, fv)
+            pairs = pairs[np.isin(code, pair_codes)]
+        edges.append(pairs)
+    return FeatureGraph(m, np.unique(np.concatenate(edges), axis=0), frozenset(included))
 
 
 def _resolve_field(space: FeatureSpace, f) -> int:

@@ -275,27 +275,15 @@ def scores_from_design(params: ModelParams, nodes: np.ndarray,
     return params.w0 + linear + interaction, summed
 
 
-def as_packed(instances, num_features: int) -> PackedInstances:
-    """A list of instances packed, or a PackedInstances checked, against a
-    feature space of ``num_features``."""
-    if not isinstance(instances, PackedInstances):
-        return PackedInstances.from_instances(instances, num_features)
-    if instances.indices.size and int(instances.indices.max()) >= num_features:
-        raise DataFormatError(
-            f"feature index {int(instances.indices.max())} outside [0, {num_features})"
-        )
-    return instances
-
-
 def predict_batch(instances, params: ModelParams,
                   norm: NormalizedAdjacency | None = None, *,
                   chunk_size: int = 8192) -> np.ndarray:
     """Deterministic batch scoring (dropout never applies here).
 
     ``norm`` must be given exactly when the model has convolution layers.
-    Accepts a list of instances or a PackedInstances.
+    Accepts a PackedInstances or a list of instances.
     """
-    packed = as_packed(instances, params.num_features)
+    packed = PackedInstances.from_instances(instances, params.num_features)
     n = len(packed)
     out = np.empty(n, dtype=np.float64)
     for lo in range(0, n, chunk_size):

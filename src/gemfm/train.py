@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import PackedInstances
 from .errors import TrainingDivergedError
 from .graph import (FeatureGraph, NormalizedAdjacency, local_columns, normalize,
                     sample_neighbors)
 from .metrics import mae, rmse
-from .model import (ModelParams, activation_gradient, as_packed, batch_design, embed,
-                    predict_batch, scores_from_design)
+from .model import (ModelParams, activation_gradient, batch_design, embed, predict_batch,
+                    scores_from_design)
 # benchmarks/bench_trace.py patches every namespace a traced name may be
 # looked up in, this one included, so these stay importable from here
 from .model import gcn_embed, lookup_embed  # noqa: F401
@@ -49,10 +50,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adagrad", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
+            raise ValueError("l2_lambda must be finite and non-negative")
         if not 0.0 <= self.dropout_ratio < 1.0:
             raise ValueError("dropout_ratio must lie in [0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
@@ -134,7 +135,7 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
     """
     if not 0.0 <= dropout_ratio < 1.0:
         raise ValueError(f"dropout ratio must lie in [0, 1), got {dropout_ratio}")
-    packed = as_packed(batch, params.num_features)
+    packed = PackedInstances.from_instances(batch, params.num_features)
     if len(packed) == 0:
         raise ValueError("loss of an empty batch is undefined")
     nodes, x, x2 = batch_design(packed)
@@ -322,8 +323,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     if num_layers == 0 and graph is not None:
         raise ValueError("graph given but the model has no convolution layers")
     m = space.num_features
-    tr = as_packed(train_set, m)
-    va = as_packed(val_set, m)
+    tr = PackedInstances.from_instances(train_set, m)
+    va = PackedInstances.from_instances(val_set, m)
     if np.any(np.diff(tr.indptr) == 0):
         raise ValueError("training instances must have at least one active feature")
 

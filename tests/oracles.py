@@ -7,6 +7,8 @@ shortcut.
 
 import numpy as np
 
+from gemfm import SparseInstance
+
 
 def pairwise_interaction(values, rows):
     """sum_{i<j} x_i x_j <v_i, v_j> by explicit double loop."""
@@ -144,3 +146,55 @@ def dense_gradients(grads, num_features):
     d_w = scatter_rows(grads.d_w, grads.touched_features, num_features)
     d_table = scatter_rows(grads.d_weights[0], grads.touched_rows, num_features)
     return d_w, [d_table, *grads.d_weights[1:]]
+
+
+def unpack(packed):
+    """The rows of a PackedInstances as SparseInstance objects, in order."""
+    bounds = packed.indptr.tolist()
+    indices, values = packed.indices.tolist(), packed.values.tolist()
+    return [SparseInstance(label, tuple(zip(indices[a:b], values[a:b])))
+            for label, a, b in zip(packed.labels.tolist(), bounds, bounds[1:])]
+
+
+def packed_equal(a, b):
+    """Whether two PackedInstances hold the same rows, bit for bit."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.labels, b.labels), (a.indptr, b.indptr),
+                            (a.indices, b.indices), (a.values, b.values)))
+
+
+def negative_sample_reference(positives, space, item_field, k, seed=0):
+    """Per-instance negative sampling over a list of SparseInstance: keys each
+    context by its tuple of (index, value) entries, draws with the same RNG
+    calls in the same order, and builds each negative as a sorted tuple.
+    Returns (negatives, number of positives that came up short)."""
+    start, end = space.field_range(item_field)
+    contexts, clicked = [], {}
+    for inst in positives:
+        (item,) = [i for i, _ in inst.entries if start <= i < end]
+        context = tuple(e for e in inst.entries if not start <= e[0] < end)
+        item_value = next(v for i, v in inst.entries if i == item)
+        contexts.append((context, item_value))
+        clicked.setdefault(context, set()).add(item)
+    rng = np.random.default_rng(seed)
+    negatives, short = [], 0
+    for context, item_value in contexts:
+        taken = clicked[context]
+        eligible = (end - start) - len(taken)
+        take = min(k, eligible)
+        short += take < k
+        if take == 0:
+            continue
+        if eligible >= 8 * k:
+            draws = []
+            while len(draws) < take:
+                candidate = int(rng.integers(start, end))
+                if candidate not in taken and candidate not in draws:
+                    draws.append(candidate)
+        else:
+            pool = np.setdiff1d(np.arange(start, end, dtype=np.int64),
+                                np.array(sorted(taken), dtype=np.int64))
+            draws = [int(d) for d in rng.choice(pool, size=take, replace=False)]
+        for drawn in draws:
+            negatives.append(SparseInstance(0.0, tuple(sorted(context + ((drawn, item_value),)))))
+    return negatives, short

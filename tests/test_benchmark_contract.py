@@ -9,8 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gemfm import (FeatureSpace, SparseInstance, TrainConfig, build_graph,
+from gemfm import (FeatureSpace, PackedInstances, SparseInstance, TrainConfig, build_graph,
                    load_libfm, normalize, predict_batch, save_libfm)
+from gemfm.datagen import ClickDataConfig, click_benchmark
+from oracles import packed_equal
+
+TINY = ClickDataConfig(num_users=20, num_items=16, num_countries=3, num_cities=6,
+                       num_clusters=2, num_transactions=200, seed=1)
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -70,3 +75,30 @@ def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path):
     with bench_clock.Ticks(_CountingKernel(), "gemfm.data", "parse_libfm_line") as ticks:
         load_libfm(path)
     assert len(ticks.ticks) == len(val_set)
+
+
+def test_setup_calls_work_on_a_tiny_config(bench, tmp_path):
+    # what the workloads' set-up does with click_benchmark's parts
+    bench_workloads = importlib.import_module("bench_workloads")
+    data = click_benchmark(TINY)
+    m = data.space.num_features
+    rows = data.train + data.validation + data.test
+    assert len(rows) == len(data.train) + len(data.validation) + len(data.test)
+    assert packed_equal(rows.take(np.arange(len(data.train))), data.train)
+    assert PackedInstances.from_instances(rows, m) is rows
+    path = tmp_path / "rows.libfm"
+    save_libfm(rows, path)
+    assert packed_equal(load_libfm(path), rows)
+    graph = build_graph(data.train_positives, data.space,
+                        included_fields=bench_workloads.GRAPH_FIELDS)
+    assert graph.num_edges
+
+    # and a training workload's own set-up and export, at this size
+    workload = bench_workloads.TrainingWorkload(
+        {k: v for k, v in vars(TINY).items() if k != "seed"}, 1, "adam", 0.002, 0.4, 1.0,
+        epochs=1)
+    fx = workload.setup(TINY.seed, tmp_path, lambda: None)
+    assert packed_equal(fx.train, data.train) and packed_equal(fx.scored, data.test)
+    np.testing.assert_array_equal(fx.graph.edges, graph.edges)
+    workload.export(fx)
+    assert packed_equal(load_libfm(fx.paths.data), data.test)

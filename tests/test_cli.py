@@ -5,11 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gemfm import (FeatureGraph, FeatureSpace, ModelParams, SparseInstance,
+from gemfm import (FeatureGraph, FeatureSpace, GemfmError, ModelParams, SparseInstance,
                    build_graph, count_params, format_report, load_libfm,
                    metric_report, normalize, predict_batch, save_libfm)
-from gemfm.cli import main
+from gemfm.cli import _get_int, _merge, _train_config, build_parser, main
 from gemfm.train import RunReport
 
 
@@ -215,6 +217,55 @@ def test_bad_config_lines_fail_cleanly(workspace, capsys):
                "--field-map", str(fmap)])
     assert rc == 1
     assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,fragment", [
+    (["--ratios", "0.8,0.1,0.2"], "sum to 1"),
+    (["--ratios", "nan,0.5,0.5"], "finite"),      # used to fail in math.floor
+    (["--ratios", "0.5,0.5"], "three"),
+    (["--ratios", "0.8,x,0.1"], "'x'"),
+    (["--learning-rate", "nan"], "learning_rate"),
+    (["--learning-rate", "inf"], "learning_rate"),
+    (["--l2-lambda", "nan"], "l2_lambda"),
+])
+def test_bad_ratios_and_rates_fail_cleanly(workspace, capsys, flags, fragment):
+    tmp_path, data, fmap, _ = workspace
+    rc = main(_train_args(data, fmap, tmp_path, *flags))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err and err.count("\n") == 1
+    assert not (tmp_path / "model.bin").exists()
+
+
+_CONFIG_KEYS = ["optimizer", "learning-rate", "learning_rate", "l2_lambda", "dropout",
+                "batch-size", "max_epochs", "patience", "sampling_ratio", "metric",
+                "seed", "dim", "layers", ""]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["adam", "adagrad", "rmse", "mae", "0", "1", "-1", "0.5", "1e999",
+                     "nan", "inf", "-inf", "1_0", "\u0663", "\u00b2", "9" * 5000, ""]),
+    st.text(alphabet="0123456789.-+e_n#=\u0663 ", max_size=8))
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES).map(" = ".join),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "run.conf"
+
+
+@given(st.lists(_CONFIG_LINE, max_size=6).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_config_file_to_train_config_fuzz(config_file, text):
+    # read and converted as cmd_train does: it may only work or raise a GemfmError
+    config_file.write_text(text, encoding="utf-8")
+    try:
+        cfg = _merge(build_parser().parse_args(["train", "--config", str(config_file)]))
+        _get_int(cfg, "dim")
+        _get_int(cfg, "layers")
+        _train_config(cfg)
+    except GemfmError:
+        pass
 
 
 def test_missing_files_exit_nonzero(workspace, capsys):

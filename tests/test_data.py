@@ -12,6 +12,7 @@ from gemfm import (DataFormatError, FeatureSpace, GemfmError, SparseInstance,
                    load_libfm, negative_sample, parse_libfm_line, save_libfm,
                    split_dataset)
 from gemfm.data import PackedInstances, _largest_remainder_sizes
+from oracles import negative_sample_reference, packed_equal, unpack
 
 
 # --- libFM lines ---
@@ -24,7 +25,7 @@ def test_parse_basic_line():
 
 def test_parse_sorts_entries():
     inst = parse_libfm_line("-1 9:1 3:1 7:1")
-    assert inst.indices == (3, 7, 9)
+    assert [i for i, _ in inst.entries] == [3, 7, 9]
 
 
 def test_parse_label_only_line():
@@ -99,7 +100,29 @@ def test_file_round_trip(tmp_path):
         ))
     path = tmp_path / "data.libfm"
     save_libfm(instances, path)
-    assert load_libfm(path) == instances
+    loaded = load_libfm(path)
+    assert isinstance(loaded, PackedInstances)
+    assert unpack(loaded) == instances
+    assert path.read_text() == "".join(format_libfm_line(i) + "\n" for i in instances)
+    # packed rows write the very same text
+    again = tmp_path / "again.libfm"
+    save_libfm(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_packs_chunk_by_chunk(tmp_path, monkeypatch):
+    # chunks of 3 rows: boundaries fall inside, on and after the skipped lines
+    monkeypatch.setattr("gemfm.data._CHUNK_ROWS", 3)
+    lines = ["1 0:1 4:2", "0 1:0.5", "# comment", "2", "", "3 2:1 3:1 9:-1",
+             "4 7:1", "5 8:2", "6 0:3"]
+    path = tmp_path / "data.libfm"
+    path.write_text("\n".join(lines) + "\n")
+    expected = PackedInstances.from_instances(
+        [parse_libfm_line(line) for line in lines if line.split("#")[0].strip()])
+    assert packed_equal(load_libfm(path), expected)
+    empty = tmp_path / "empty.libfm"
+    empty.write_text("# nothing\n")
+    assert packed_equal(load_libfm(empty), PackedInstances.from_instances([]))
 
 
 def test_load_skips_blank_and_comment_lines(tmp_path):
@@ -169,12 +192,20 @@ def test_field_map_parses_comments_and_blanks():
     ("user\t0\t3\nitem\t2\t8\n", "expected 3"),
     ("user\t0\t0\n", "empty"),
     ("user\t0\tx\n", "non-integer"),
+    ("user\t\u0660\t3\n", "non-integer"),        # Arabic-Indic zero passes int()
+    ("user\t0\t+3\n", "non-integer"),
+    ("user\t0\t1_0\n", "non-integer"),
+    ("user\t0\t99999999999999999999\n", "non-integer"),
     ("user 0 3\n", "expected name"),
     ("", "no fields"),
 ])
 def test_field_map_rejects(text, fragment):
     with pytest.raises(DataFormatError, match=fragment):
         load_field_map(text)
+
+
+def test_field_map_bounds_may_carry_spaces():
+    assert load_field_map("user\t 0 \t3\n").field_bounds == ((0, 3),)
 
 
 @given(st.one_of(st.text(), st.lists(_LINE.map("\t".join), max_size=4).map("\n".join)))
@@ -219,9 +250,11 @@ def test_split_covers_exactly_once():
     instances = _tiny_instances(103)
     split = split_dataset(instances, (0.8, 0.1, 0.1), seed=5)
     assert (len(split.train), len(split.validation), len(split.test)) == (83, 10, 10)
-    seen = sorted(i.entries[0][0] for part in
-                  (split.train, split.validation, split.test) for i in part)
-    assert seen == list(range(103))
+    parts = (split.train, split.validation, split.test)
+    seen = np.sort(np.concatenate([part.indices for part in parts]))
+    np.testing.assert_array_equal(seen, np.arange(103))
+    for part in parts:   # each row keeps its own label
+        np.testing.assert_array_equal(part.labels, part.indices)
 
 
 def test_split_is_deterministic_and_seed_sensitive():
@@ -229,8 +262,11 @@ def test_split_is_deterministic_and_seed_sensitive():
     a = split_dataset(instances, seed=1)
     b = split_dataset(instances, seed=1)
     c = split_dataset(instances, seed=2)
-    assert a.train == b.train and a.test == b.test
-    assert a.train != c.train
+    assert packed_equal(a.train, b.train) and packed_equal(a.test, b.test)
+    assert not packed_equal(a.train, c.train)
+    # a packed input splits into the same rows as its list
+    d = split_dataset(PackedInstances.from_instances(instances), seed=1)
+    assert packed_equal(a.train, d.train) and packed_equal(a.validation, d.validation)
 
 
 def test_split_rejects_bad_input():
@@ -240,6 +276,9 @@ def test_split_rejects_bad_input():
         split_dataset(_tiny_instances(3), (0.8, 0.1, 0.2))
     with pytest.raises(ValueError, match="positive"):
         split_dataset(_tiny_instances(3), (1.0, 0.0, 0.0))
+    # NaN passed both checks, then failed inside math.floor
+    with pytest.raises(ValueError, match="finite"):
+        split_dataset(_tiny_instances(3), (float("nan"), 0.5, 0.5))
 
 
 # --- negative sampling ---
@@ -252,7 +291,7 @@ def test_negative_sampling_exhausts_small_vocab():
     # 2 users, 3 items; one positive for user 0 on item A leaves items B, C
     space = FeatureSpace.from_cardinalities(["user", "item"], [2, 3])
     positives = [_click(0, 2)]
-    negatives = negative_sample(positives, space, item_field=1, k=2, seed=0)
+    negatives = unpack(negative_sample(positives, space, item_field=1, k=2, seed=0))
     assert sorted(n.entries[1][0] for n in negatives) == [3, 4]
     assert all(n.label == 0.0 for n in negatives)
     assert all(n.entries[0] == (0, 1.0) for n in negatives)
@@ -261,7 +300,7 @@ def test_negative_sampling_exhausts_small_vocab():
 def test_negative_sampling_excludes_clicked_under_same_context():
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 4])
     positives = [_click(0, 1), _click(0, 2), _click(0, 3)]
-    negatives = negative_sample(positives, space, item_field=1, k=1, seed=3)
+    negatives = unpack(negative_sample(positives, space, item_field=1, k=1, seed=3))
     assert [n.entries[1][0] for n in negatives] == [4, 4, 4]
 
 
@@ -269,14 +308,14 @@ def test_negative_sampling_warns_on_shortfall():
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 2])
     positives = [_click(0, 1)]
     with pytest.warns(RuntimeWarning, match="fewer than 3"):
-        negatives = negative_sample(positives, space, item_field=1, k=3, seed=0)
+        negatives = unpack(negative_sample(positives, space, item_field=1, k=3, seed=0))
     assert [n.entries[1][0] for n in negatives] == [2]
 
 
 def test_negative_sampling_copies_item_value():
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 3])
     positives = [SparseInstance(1.0, ((0, 1.0), (1, 0.5)))]
-    negatives = negative_sample(positives, space, item_field=1, k=2, seed=0)
+    negatives = unpack(negative_sample(positives, space, item_field=1, k=2, seed=0))
     assert all(n.entries[1][1] == 0.5 for n in negatives)
 
 
@@ -287,7 +326,7 @@ def test_negative_sampling_is_deterministic():
                  for _ in range(40)]
     a = negative_sample(positives, space, item_field=1, k=2, seed=9)
     b = negative_sample(positives, space, item_field=1, k=2, seed=9)
-    assert a == b
+    assert packed_equal(a, b)
     assert len(a) == 80
 
 
@@ -296,12 +335,66 @@ def test_negative_sampling_is_roughly_uniform():
     positives = [_click(0, 1)]
     counts = np.zeros(11)
     for seed in range(4000):
-        for neg in negative_sample(positives, space, item_field=1, k=1, seed=seed):
-            counts[neg.entries[1][0] - 1] += 1
+        for item in negative_sample(positives, space, item_field=1, k=1, seed=seed).indices[1::2]:
+            counts[item - 1] += 1
     assert counts[0] == 0  # the clicked item never reappears
     spread = counts[1:]
     assert spread.min() > 0.8 * spread.mean()
     assert spread.max() < 1.2 * spread.mean()
+
+
+def test_negative_sampling_keys_contexts_by_entries_and_values():
+    # fields user [0, 2), item [2, 6), ctx [6, 8); the item sits mid-row
+    space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [2, 4, 2])
+    positives = [
+        SparseInstance(1.0, ((0, 1.0), (2, 1.0), (6, 1.0))),
+        SparseInstance(1.0, ((0, 1.0), (3, 1.0), (6, 2.0))),   # another value
+        SparseInstance(1.0, ((1, 1.0), (4, 0.5))),              # a shorter row
+    ]
+    negatives = unpack(negative_sample(positives, space, item_field=1, k=3, seed=0))
+    by_context = {}
+    for neg in negatives:   # unpack re-checks that every row is sorted
+        assert neg.label == 0.0
+        context = tuple(e for e in neg.entries if not 2 <= e[0] < 6)
+        by_context.setdefault(context, []).append(neg.entries[1])
+    assert sorted(by_context[((0, 1.0), (6, 1.0))]) == [(3, 1.0), (4, 1.0), (5, 1.0)]
+    assert sorted(by_context[((0, 1.0), (6, 2.0))]) == [(2, 1.0), (4, 1.0), (5, 1.0)]
+    assert sorted(by_context[((1, 1.0),)]) == [(2, 0.5), (3, 0.5), (5, 0.5)]
+    # packed positives give the same negatives as their list
+    packed = negative_sample(PackedInstances.from_instances(positives), space,
+                             item_field=1, k=3, seed=0)
+    assert unpack(packed) == negatives
+
+
+def test_negative_sampling_treats_signed_zeros_as_one_context():
+    # (6, 0.0) == (6, -0.0), so both positives share a context and its clicks
+    space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [1, 3, 1])
+    positives = [SparseInstance(1.0, ((0, 1.0), (1, 1.0), (4, 0.0))),
+                 SparseInstance(1.0, ((0, 1.0), (2, 1.0), (4, -0.0)))]
+    negatives = unpack(negative_sample(positives, space, item_field=1, k=1, seed=0))
+    assert [n.entries[1][0] for n in negatives] == [3, 3]
+
+
+@pytest.mark.parametrize("items,k", [(40, 2), (6, 2), (3, 4)])   # rejection, pool, short
+def test_negative_sampling_matches_per_instance_reference(items, k):
+    rng = np.random.default_rng(items + k)
+    space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [5, items, 3])
+    positives = []
+    for _ in range(120):
+        entries = [(int(rng.integers(0, 5)), 1.0),
+                   (5 + int(rng.integers(0, items)), float(rng.choice([1.0, 0.5])))]
+        if rng.random() < 0.6:   # optional context entry, signed zeros included
+            entries.append((5 + items + int(rng.integers(0, 3)),
+                            float(rng.choice([1.0, 2.0, 0.0, -0.0]))))
+        positives.append(SparseInstance(1.0, tuple(entries)))
+    expected, short = negative_sample_reference(positives, space, 1, k, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = negative_sample(positives, space, item_field=1, k=k, seed=3)
+    assert unpack(got) == expected
+    assert [str(w.message) for w in caught] == (
+        [f"negative_sample: {short} positives had fewer than {k} eligible items"]
+        if short else [])
 
 
 def test_negative_sampling_rejects_bad_positives():
@@ -312,8 +405,11 @@ def test_negative_sampling_rejects_bad_positives():
     with pytest.raises(ValueError, match="exactly one"):
         negative_sample([two_items], space, item_field=1, k=1)
     no_item = SparseInstance(1.0, ((0, 1.0),))
-    with pytest.raises(ValueError, match="exactly one"):
-        negative_sample([no_item], space, item_field=1, k=1)
+    with pytest.raises(ValueError, match="positive 1 has 0 active features"):
+        negative_sample([_click(0, 2), no_item], space, item_field=1, k=1)
+    with pytest.raises(ValueError, match="positive 0 has 2 active features"):
+        negative_sample(PackedInstances.from_instances([two_items]), space,
+                        item_field=1, k=1)
 
 
 # --- packing ---
@@ -340,3 +436,21 @@ def test_packed_instances_validates_range():
     with pytest.raises(DataFormatError, match="feature index 7"):
         PackedInstances.from_instances(
             [SparseInstance(1.0, ((7, 1.0),))], num_features=5)
+
+
+def test_packed_instances_concatenate_and_pass_through():
+    instances = [
+        SparseInstance(1.0, ((0, 1.0), (4, 2.0))),
+        SparseInstance(0.0, ()),
+        SparseInstance(2.0, ((2, 3.0),)),
+    ]
+    head = PackedInstances.from_instances(instances[:1])
+    tail = PackedInstances.from_instances(instances[1:])
+    both = head + tail
+    assert packed_equal(both, PackedInstances.from_instances(instances))
+    assert packed_equal(PackedInstances.from_instances([]) + both, both)
+    # a PackedInstances is taken as it is, after the range check
+    assert PackedInstances.from_instances(both) is both
+    assert PackedInstances.from_instances(both, num_features=5) is both
+    with pytest.raises(DataFormatError, match="feature index 4 outside"):
+        PackedInstances.from_instances(both, num_features=4)

@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gemfm import (FeatureGraph, FeatureSpace, GraphFormatError,
+from gemfm import (FeatureGraph, FeatureSpace, GemfmError, GraphFormatError,
                    SparseInstance, build_graph, normalize, sample_neighbors)
+from gemfm.data import PackedInstances
 from gemfm.graph import local_columns, node_set
 from oracles import dense_normalized_adjacency
 
@@ -20,7 +23,7 @@ def _brute_force_pairs(instances, space, fields):
     allowed = set(fields)
     pairs = set()
     for inst in instances:
-        for a, b in itertools.combinations(inst.indices, 2):
+        for (a, _), (b, _) in itertools.combinations(inst.entries, 2):
             if space.field_of(a) in allowed and space.field_of(b) in allowed:
                 pairs.add((min(a, b), max(a, b)))
     return sorted(pairs)
@@ -68,6 +71,30 @@ def test_build_graph_matches_brute_force():
     expected = _brute_force_pairs(instances, space, {0, 1, 2})
     np.testing.assert_array_equal(g.edges, expected)
     assert g.num_nodes == space.num_features
+
+
+def test_build_graph_groups_rows_of_any_length():
+    # rows with 0 to 6 selected entries, packed or not; both modes
+    rng = np.random.default_rng(4)
+    space = FeatureSpace.from_cardinalities(["u", "i", "c"], [9, 12, 6])
+    instances = [_inst(*rng.choice(27, size=int(rng.integers(0, 7)), replace=False).tolist())
+                 for _ in range(150)]
+    packed = PackedInstances.from_instances(instances)
+    for fields in (None, ["u", "c"]):
+        expected = _brute_force_pairs(instances, space, {0, 2} if fields else {0, 1, 2})
+        for data in (instances, packed):
+            g = build_graph(data, space, included_fields=fields, low_cardinality_threshold=0)
+            np.testing.assert_array_equal(g.edges, np.array(expected).reshape(-1, 2))
+    g = build_graph(packed, space, mode="pair_list", field_pairs=[("u", "c"), ("i", "i")],
+                    low_cardinality_threshold=0)
+    pairs = {(0, 2), (1, 1)}
+    expected = [(a, b) for a, b in _brute_force_pairs(instances, space, {0, 1, 2})
+                if tuple(sorted((space.field_of(a), space.field_of(b)))) in pairs]
+    np.testing.assert_array_equal(g.edges, expected)
+    # a pair list no row matches gives no edges
+    g = build_graph([_inst(0, 9)], space, mode="pair_list", field_pairs=[("u", "c")],
+                    low_cardinality_threshold=0)
+    assert g.edges.shape == (0, 2)
 
 
 def test_build_graph_field_subset():
@@ -150,12 +177,44 @@ def test_graph_load_canonicalizes(tmp_path):
     ("nodes 4\n1 3\n3 1\n", "duplicate"),
     ("nodes \u00b2\n", "header"),               # superscript two passes isdigit
     ("nodes 99999999999999999999\n", "header"),
+    ("nodes 4\n\u0660 \u0661\n", "non-integer"),   # Arabic-Indic digits pass int()
+    ("nodes 4\n+1 2\n", "non-integer"),
+    ("nodes 4\n1 0_2\n", "non-integer"),
+    ("nodes 4\n1 99999999999999999999\n", "non-integer"),
 ])
 def test_graph_load_rejects(tmp_path, text, fragment):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(GraphFormatError, match=fragment):
         FeatureGraph.load(path)
+
+
+# arbitrary bytes, arbitrary text, and lines shaped like the format from the
+# tokens its grammar cares about
+_GRAPH_TOKEN = st.one_of(
+    st.sampled_from(["nodes", "0", "1", "3", "-1", "+2", "1_0", "\u00b2", "\u0663", "#",
+                     "99999999999999999999", "999999999999999999"]),
+    st.text(alphabet="0123456789+-_#\u0663", min_size=1, max_size=6))
+_GRAPH_TEXT = st.tuples(
+    st.one_of(st.sampled_from(["nodes 4", "nodes 30", "nodes 999999999999999999"]),
+              st.lists(_GRAPH_TOKEN, max_size=3).map(" ".join)),
+    st.lists(st.lists(_GRAPH_TOKEN, max_size=3).map(" ".join), max_size=6),
+).map(lambda parts: "\n".join([parts[0], *parts[1]]))
+
+
+@pytest.fixture(scope="module")
+def graph_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph.txt"
+
+
+@given(st.one_of(st.binary(), st.text().map(str.encode), _GRAPH_TEXT.map(str.encode)))
+@settings(max_examples=500, deadline=None)
+def test_graph_load_fuzz(graph_file, blob):
+    graph_file.write_bytes(blob)
+    try:
+        FeatureGraph.load(graph_file)
+    except GemfmError:
+        pass
 
 
 def test_graph_load_rejects_non_utf8_bytes(tmp_path):

@@ -535,7 +535,7 @@ def test_training_step_dedups_at_most_once(monkeypatch, small_clicks, layers):
     norm = normalize(graph) if layers else None
     params = ModelParams.initialize(m, d, layers, seed=1)
     config = TrainConfig(dropout_ratio=0.3, l2_lambda=1e-3, batch_size=64)
-    batch = PackedInstances.from_instances(bench.train[:64], m)
+    batch = bench.train.take(np.arange(64))
     nodes = np.unique(batch.indices)
     reached = nodes
     for _ in range(layers):
@@ -564,7 +564,11 @@ def test_training_step_dedups_at_most_once(monkeypatch, small_clicks, layers):
 @pytest.mark.parametrize("kwargs", [
     {"optimizer": "sgd"},
     {"learning_rate": 0.0},
+    {"learning_rate": float("nan")},   # it used to run a whole epoch first
+    {"learning_rate": float("inf")},
     {"l2_lambda": -1.0},
+    {"l2_lambda": float("nan")},
+    {"l2_lambda": float("inf")},
     {"dropout_ratio": 1.0},
     {"dropout_ratio": -0.2},
     {"batch_size": 0},
