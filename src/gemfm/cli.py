@@ -13,7 +13,8 @@ import warnings
 
 import numpy as np
 
-from .data import (DatasetSplit, load_field_map, load_libfm, split_dataset)
+from .data import (DatasetSplit, PackedInstances, load_field_map, load_libfm,
+                   split_dataset)
 from .errors import ConfigError, DataFormatError, GemfmError
 from .graph import FeatureGraph, build_graph, normalize
 from .metrics import count_params, format_report, metric_report
@@ -205,6 +206,12 @@ def _train_config(cfg) -> TrainConfig:
 def cmd_train(cfg) -> int:
     space = _load_space(cfg)
     split = _resolve_splits(cfg)
+    if not len(split.train) or not len(split.validation):
+        raise ConfigError(
+            f"training needs rows in both the train and the validation part, got "
+            f"{len(split.train)} train, {len(split.validation)} validation and "
+            f"{len(split.test)} test rows"
+        )
     dim = _get_int(cfg, "dim")
     layers = _get_int(cfg, "layers")
     if dim < 1 or layers < 0:
@@ -261,9 +268,17 @@ def _load_model_and_graph(cfg):
     return params, norm
 
 
+def _scored_rows(path) -> PackedInstances:
+    """The rows evaluate and predict score: a file with none is an error."""
+    rows = load_libfm(path)
+    if not len(rows):
+        raise DataFormatError(f"{path}: no instances")
+    return rows
+
+
 def cmd_evaluate(cfg) -> int:
     params, norm = _load_model_and_graph(cfg)
-    instances = load_libfm(_require(cfg, "data"))
+    instances = _scored_rows(_require(cfg, "data"))
     preds = predict_batch(instances, params, norm)
     rep = metric_report(preds, instances.labels, count_params(params),
                         clip_to_unit=cfg.get("clip") == "1")
@@ -274,7 +289,7 @@ def cmd_evaluate(cfg) -> int:
 def cmd_predict(cfg) -> int:
     params, norm = _load_model_and_graph(cfg)
     # the packed rows are freed once scored, before the output text is built
-    preds = predict_batch(load_libfm(_require(cfg, "data")), params, norm)
+    preds = predict_batch(_scored_rows(_require(cfg, "data")), params, norm)
     out = _require(cfg, "out")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{value!r}\n" for value in preds.tolist()))

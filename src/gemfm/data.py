@@ -9,6 +9,11 @@ In memory, any number of instances is one PackedInstances (CSR arrays):
 reading, generating, splitting, negative sampling, graph building and the
 model all produce and take it. A SparseInstance is one parsed or formatted
 line; lists of them are accepted wherever instances are, and packed once.
+
+Files are read in chunks of whole lines, each parsed with array operations
+straight into CSR arrays. parse_libfm_line is the one-line parser and the
+one diagnosis of errors: a chunk that fails a bulk check is read again line
+by line through it, so each error names its file and line as it always has.
 """
 
 from __future__ import annotations
@@ -107,30 +112,138 @@ def _format_line(label, entries) -> str:
     return " ".join(parts)
 
 
-# rows parsed, or formatted, per packed chunk: bounds the Python objects alive
+# rows formatted per chunk by save_libfm: bounds the Python objects alive
 _CHUNK_ROWS = 8192
+# characters load_libfm reads per chunk, completed to a whole line
+_CHUNK_CHARS = 1 << 18
+# the ASCII bytes str.split() splits on: space, \t \n \v \f \r and \x1c-\x1f
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[32, 9, 10, 11, 12, 13, 28, 29, 30, 31]] = True
+# a longer label or value sends its chunk to the line-by-line parser
+_MAX_NUMBER_CHARS = 32
 
 
 def load_libfm(path) -> PackedInstances:
-    """Read a libFM text file, skipping blank and comment-only lines. Parsed
-    lines are packed a chunk at a time, so few SparseInstance objects live."""
-    chunks, rows = [], []
+    """Read a libFM text file, skipping blank and comment-only lines.
+
+    A chunk of whole lines at a time is parsed with array operations straight
+    into CSR arrays. A chunk that fails any check (or holds a ``#`` or a
+    non-ASCII character) is re-read line by line through parse_libfm_line,
+    which raises the error naming the file and line, or parses it if valid.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.split("#", 1)[0].strip():
-                    continue
-                try:
-                    rows.append(parse_libfm_line(line, lineno))
-                except DataFormatError as exc:
-                    raise DataFormatError(f"{path}: {exc}") from None
-                if len(rows) == _CHUNK_ROWS:
-                    chunks.append(_pack_rows(rows))
-                    rows = []
+            parts, lineno = [], 1
+            while chunk := fh.read(_CHUNK_CHARS):
+                if not chunk.endswith("\n"):
+                    chunk += fh.readline()
+                packed = _parse_chunk(chunk)
+                if packed is None:
+                    packed = _parse_lines(chunk.split("\n"), lineno, path)
+                parts.append(packed)
+                lineno += chunk.count("\n")
+        return _concat(parts) if parts else _pack_rows([])
+    except UnicodeDecodeError:
+        pass
+    # read again line by line: a faulty line in a block decoded before the
+    # undecodable bytes is reported first, as the decoder meets them
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_lines(fh, 1, path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    chunks.append(_pack_rows(rows))
-    return _concat(chunks)
+
+
+def _parse_lines(lines, lineno: int, path) -> PackedInstances:
+    """The rows of ``lines`` (numbered from ``lineno``) through parse_libfm_line."""
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
+        if line.split("#", 1)[0].strip():
+            try:
+                rows.append(parse_libfm_line(line, lineno))
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path}: {exc}") from None
+    return _pack_rows(rows)
+
+
+def ascii_tokens(buf: np.ndarray):
+    """Start and end of every token of the ASCII bytes ``buf``, split as
+    str.split() splits each of its lines, and whether each token is the first
+    of its line (``buf`` starts at the start of a line)."""
+    edges = np.diff(np.r_[True, _SPACE[buf], True].view(np.int8))
+    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
+    first = np.zeros(starts.size + 1, dtype=bool)
+    first[np.searchsorted(starts, np.flatnonzero(buf == 10))] = True
+    first[0] = True
+    return starts, ends, first[:-1]
+
+
+def parse_indices(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """parse_index over the spans [starts, ends) of ``buf`` at once: the int64
+    each spells in 1 to MAX_INDEX_DIGITS ASCII digits, or None if any does not."""
+    lengths = ends - starts
+    width = int(lengths.max(initial=0))
+    if width > MAX_INDEX_DIGITS or lengths.min(initial=1) < 1:
+        return None
+    value = np.zeros(starts.size, dtype=np.int64)
+    for back in range(width, 0, -1):    # the digit ``back`` places before the end
+        pos = ends - back
+        digit = buf[np.maximum(pos, 0)] - np.uint8(48)    # wraps below '0' to > 9
+        inside = pos >= starts
+        if np.any(inside & (digit > 9)):
+            return None
+        value = np.where(inside, value * 10 + digit, value)
+    return value
+
+
+def _parse_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """float() of each span of ``buf``, called once per distinct spelling so
+    the bits are Python's; None if a span is too long or float() rejects it."""
+    width = int((ends - starts).max(initial=1))
+    if width > _MAX_NUMBER_CHARS:
+        return None
+    pos = starts[:, None] + np.arange(width)
+    text = np.where(pos < ends[:, None], buf[np.minimum(pos, buf.size - 1)], 0)
+    keys = text.view(f"S{width}").ravel()
+    spellings = np.unique(keys)
+    try:
+        table = np.array([float(s) for s in spellings.tolist()], dtype=np.float64)
+    except ValueError:
+        return None
+    return table[np.searchsorted(spellings, keys)]
+
+
+def _parse_chunk(text: str) -> PackedInstances | None:
+    """The rows of whole libFM lines parsed with array operations, or None
+    when a check fails: parse_libfm_line then names the fault."""
+    if not text.isascii() or "#" in text or "\0" in text:
+        return None    # NUL would vanish from a fixed-width bytes key
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    starts, ends, label = ascii_tokens(buf)
+    entry = ~label
+    entry_starts, entry_ends = starts[entry], ends[entry]
+    # entry k holds the k-th ':' with an index before it and a value after
+    # it; with as many ':' as entries, no label and no entry holds another
+    colons = np.flatnonzero(buf == 58)
+    if colons.size != entry_starts.size or np.any(
+            (colons <= entry_starts) | (colons >= entry_ends - 1)):
+        return None
+    indices = parse_indices(buf, entry_starts, colons)
+    numbers = _parse_floats(buf, np.r_[starts[label], colons + 1],
+                            np.r_[ends[label], entry_ends])
+    if indices is None or numbers is None or not np.isfinite(numbers).all():
+        return None
+    num_rows = int(label.sum())
+    entry_rows = (np.cumsum(label) - 1)[entry]
+    values = numbers[num_rows:]
+    same_row = entry_rows[1:] == entry_rows[:-1]
+    if np.any(same_row & (indices[1:] <= indices[:-1])):
+        order = np.lexsort((indices, entry_rows))
+        indices, values = indices[order], values[order]
+        if np.any(same_row & (indices[1:] == indices[:-1])):
+            return None
+    indptr = np.r_[0, np.cumsum(np.bincount(entry_rows, minlength=num_rows))]
+    return PackedInstances(numbers[:num_rows], indptr, indices, values)
 
 
 def save_libfm(instances, path) -> None:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .data import FeatureSpace, PackedInstances, parse_index
+from .data import FeatureSpace, PackedInstances, ascii_tokens, parse_index, parse_indices
 from .errors import GraphFormatError
 
 
@@ -77,46 +77,77 @@ class FeatureGraph:
 
     @classmethod
     def load(cls, path) -> "FeatureGraph":
-        """Read an edge list written by save; re-validates every invariant."""
+        """Read an edge list written by save; re-validates every invariant.
+
+        The text is tokenized in bulk; a file that fails a check there is
+        read again line by line, which names the faulty line."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+                text = fh.read()
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        header = None
-        pairs = []
-        for lineno, line in enumerate(lines, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if header is None:
-                if len(parts) != 2 or parts[0] != "nodes" or parse_index(parts[1]) is None:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: expected 'nodes <count>' header, got {body!r}"
-                    )
-                header = parse_index(parts[1])
-                continue
-            if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'i j', got {body!r}")
-            a, b = parse_index(parts[0]), parse_index(parts[1])
-            if a is None or b is None:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: non-integer endpoint in {body!r}"
-                )
-            if a == b:
-                raise GraphFormatError(f"{path}:{lineno}: self-edge {a}")
-            if max(a, b) >= header:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: endpoint outside [0, {header})"
-                )
-            pairs.append((min(a, b), max(a, b)))
-        if header is None:
-            raise GraphFormatError(f"{path}: missing 'nodes <count>' header")
-        edges = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
-        if len(edges) != len(pairs):
+        header, pairs = _edge_arrays(text) or _edge_lines(text.split("\n"), path)
+        edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        if np.any((edges[1:] == edges[:-1]).all(axis=1)):
             raise GraphFormatError(f"{path}: duplicate edges in file")
         return cls(header, edges, None)
+
+
+def _edge_arrays(text: str):
+    """The node count and (i < j) endpoint pairs of an edge list, read with
+    array operations, or None when any check fails."""
+    if not text.isascii() or "#" in text:
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    starts, ends, first = ascii_tokens(buf)
+    # two tokens a line: 'nodes m', then 'i j'
+    if (not starts.size or starts.size % 2 or not first[::2].all() or first[1::2].any()
+            or text[starts[0]:ends[0]] != "nodes"):
+        return None
+    numbers = parse_indices(buf, starts[1:], ends[1:])
+    if numbers is None:
+        return None
+    header, a, b = int(numbers[0]), numbers[1::2], numbers[2::2]
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    if np.any(low == high) or np.any(high >= header):
+        return None
+    return header, np.stack([low, high], axis=1)
+
+
+def _edge_lines(lines, path):
+    """_edge_arrays line by line: raises GraphFormatError naming the first
+    faulty line."""
+    header = None
+    pairs = []
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if header is None:
+            if len(parts) != 2 or parts[0] != "nodes" or parse_index(parts[1]) is None:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected 'nodes <count>' header, got {body!r}"
+                )
+            header = parse_index(parts[1])
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'i j', got {body!r}")
+        a, b = parse_index(parts[0]), parse_index(parts[1])
+        if a is None or b is None:
+            raise GraphFormatError(
+                f"{path}:{lineno}: non-integer endpoint in {body!r}"
+            )
+        if a == b:
+            raise GraphFormatError(f"{path}:{lineno}: self-edge {a}")
+        if max(a, b) >= header:
+            raise GraphFormatError(
+                f"{path}:{lineno}: endpoint outside [0, {header})"
+            )
+        pairs.append((min(a, b), max(a, b)))
+    if header is None:
+        raise GraphFormatError(f"{path}: missing 'nodes <count>' header")
+    return header, np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def build_graph(instances, space: FeatureSpace, mode: str = "all_pairs",

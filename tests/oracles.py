@@ -7,7 +7,7 @@ shortcut.
 
 import numpy as np
 
-from gemfm import SparseInstance
+from gemfm import DataFormatError, PackedInstances, SparseInstance, parse_libfm_line
 
 
 def pairwise_interaction(values, rows):
@@ -154,6 +154,24 @@ def unpack(packed):
     indices, values = packed.indices.tolist(), packed.values.tolist()
     return [SparseInstance(label, tuple(zip(indices[a:b], values[a:b])))
             for label, a, b in zip(packed.labels.tolist(), bounds, bounds[1:])]
+
+
+def load_libfm_reference(path):
+    """The line-by-line libFM reader: parse_libfm_line on every line that is
+    not blank or a comment, then one PackedInstances.from_instances."""
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.split("#", 1)[0].strip():
+                    continue
+                try:
+                    rows.append(parse_libfm_line(line, lineno))
+                except DataFormatError as exc:
+                    raise DataFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return PackedInstances.from_instances(rows)
 
 
 def packed_equal(a, b):

@@ -72,8 +72,16 @@ def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path):
 
     path = tmp_path / "val.libfm"
     save_libfm(val_set, path)
+    # load_libfm calls parse_libfm_line only to re-read a chunk that fails a
+    # bulk check: a valid file gets no tick inside the call, and a chunk
+    # holding a comment one tick per non-blank line
     with bench_clock.Ticks(_CountingKernel(), "gemfm.data", "parse_libfm_line") as ticks:
         load_libfm(path)
+    assert ticks.ticks == []
+    commented = tmp_path / "commented.libfm"
+    commented.write_text("# validation rows\n" + path.read_text())
+    with bench_clock.Ticks(_CountingKernel(), "gemfm.data", "parse_libfm_line") as ticks:
+        load_libfm(commented)
     assert len(ticks.ticks) == len(val_set)
 
 

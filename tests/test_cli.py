@@ -237,6 +237,45 @@ def test_bad_ratios_and_rates_fail_cleanly(workspace, capsys, flags, fragment):
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize("presplit", [False, True])
+def test_too_few_rows_to_train_fail_cleanly(workspace, capsys, presplit):
+    # 3 rows at 0.8,0.1,0.1 leave the validation part empty, and so does an
+    # empty --val file; train() would raise a bare ValueError
+    tmp_path, data, fmap, instances = workspace
+    if presplit:
+        (tmp_path / "empty.libfm").write_text("# no rows\n")
+        source = ["--train", str(data), "--val", str(tmp_path / "empty.libfm"),
+                  "--test", str(data)]
+        sizes = "80 train, 0 validation and 80 test rows"
+    else:
+        save_libfm(instances[:3], tmp_path / "three.libfm")
+        source = ["--data", str(tmp_path / "three.libfm")]
+        sizes = "3 train, 0 validation and 0 test rows"
+    rc = main(["train", *source, "--field-map", str(fmap), "--dim", "2", "--layers", "0",
+               "--model", str(tmp_path / "model.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and sizes in err and err.count("\n") == 1
+    assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_scoring_an_empty_file_fails_cleanly(workspace, capsys, command, text):
+    tmp_path, data, fmap, _ = workspace
+    main(_train_args(data, fmap, tmp_path))
+    capsys.readouterr()
+    empty = tmp_path / "empty.libfm"
+    empty.write_text(text)
+    out = tmp_path / "preds.txt"
+    extra = ["--out", str(out)] if command == "predict" else []
+    rc = main([command, "--data", str(empty), "--model", str(tmp_path / "model.bin"), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {empty}: no instances\n"
+    assert not out.exists()
+
+
 _CONFIG_KEYS = ["optimizer", "learning-rate", "learning_rate", "l2_lambda", "dropout",
                 "batch-size", "max_epochs", "patience", "sampling_ratio", "metric",
                 "seed", "dim", "layers", ""]

@@ -1,6 +1,7 @@
 """Parsing, field maps, splitting, negative sampling, packing."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gemfm import (DataFormatError, FeatureSpace, GemfmError, SparseInstance,
                    load_libfm, negative_sample, parse_libfm_line, save_libfm,
                    split_dataset)
 from gemfm.data import PackedInstances, _largest_remainder_sizes
-from oracles import negative_sample_reference, packed_equal, unpack
+from oracles import load_libfm_reference, negative_sample_reference, packed_equal, unpack
 
 
 # --- libFM lines ---
@@ -111,8 +112,9 @@ def test_file_round_trip(tmp_path):
 
 
 def test_load_packs_chunk_by_chunk(tmp_path, monkeypatch):
-    # chunks of 3 rows: boundaries fall inside, on and after the skipped lines
-    monkeypatch.setattr("gemfm.data._CHUNK_ROWS", 3)
+    # chunks of 8 characters completed to a line: boundaries fall inside, on
+    # and after the skipped lines
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 8)
     lines = ["1 0:1 4:2", "0 1:0.5", "# comment", "2", "", "3 2:1 3:1 9:-1",
              "4 7:1", "5 8:2", "6 0:3"]
     path = tmp_path / "data.libfm"
@@ -151,6 +153,141 @@ def test_load_rejects_non_utf8_bytes(tmp_path):
     path.write_bytes(b"1.0 0:1 # caf\xe9\n")
     with pytest.raises(DataFormatError, match=r"latin1\.libfm.*UTF-8"):
         load_libfm(path)
+
+
+def test_bulk_reader_re_reads_only_a_faulty_chunk(tmp_path, monkeypatch):
+    # time-free work counter: a valid file is parsed without a per-line call,
+    # and a bad line costs a line-by-line re-read of its own chunk only
+    calls = []
+    parse = parse_libfm_line
+
+    def counted(text, lineno=None):
+        calls.append(lineno)
+        return parse(text, lineno)
+
+    monkeypatch.setattr("gemfm.data.parse_libfm_line", counted)
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 25)   # 10-character lines: 3 a chunk
+    # separated by every ASCII byte str.split() splits on
+    lines = [f"1{sep}{k}:1 9:1" for k, sep in enumerate(" \t\v\f\x1c\x1d\x1e\x1f ")]
+    path = tmp_path / "data.libfm"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert len(load_libfm(path)) == 9
+    assert calls == []
+
+    lines[4] = "1 4:1 4:1"   # line 5, the middle of the second chunk
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(DataFormatError, match=r"duplicate feature index 4 \(line 5\)"):
+        load_libfm(path)
+    assert calls == [4, 5]
+
+
+def _assert_loads_like_reference(path):
+    # the same arrays, dtypes included, or the same error message
+    try:
+        expected = load_libfm_reference(path)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as raised:
+            load_libfm(path)
+        assert str(raised.value) == str(exc)
+    else:
+        assert packed_equal(load_libfm(path), expected)
+
+
+_READER_CASES = {
+    "crlf": "1 0:1 4:2\r\n0 1:0.5\r\n\r\n2 3:1\r\n",
+    "lone-cr": "1 0:1 4:2\r0 1:0.5\r\r2 3:1\r",
+    "vt-ff-and-separators": "1\v0:1\f2:1\x1c3:1\x1d4:1\x1e5:1\x1f6:1\n\v\f\x1c\n0 1:1\n",
+    "hash-mid-line": "1 0:1 # 2:1 note\n0 3:1\n#\n",
+    "label-only": "0.5\n1\n\n-2 0:1\n",
+    "no-final-newline": "1 0:1\n0 2:1",
+    "unsorted": "1 5:1 2:2 9:3 0:4\n0 8:1 7:1\n",
+    "duplicate": "1 5:1 2:2\n0 2:1 3:1 2:3\n",
+    "18-digit-index": "1 999999999999999999:1 000000000000000007:2\n",
+    "19-digit-index": "1 0:1\n1 1000000000000000000:1\n",
+    "two-colons": "1 1:2:3\n",
+    "no-value": "1 3:\n",
+    "no-index": "1 :4\n",
+    "no-colon": "1 0:1 5\n",
+    "float-spellings": "1_0 1:1_0 2:+1 3:.5 4:1e5 5:-0.0 6:0X1P3\n+1 0:1.\n",
+    "inf-label": "1 0:1\ninf 1:1\n",
+    "inf-value": "1 0:1\n1 1:-inf\n",
+    "nan-label": "nan 1:1\n",
+    "nan-value": "1 0:1 2:nan\n",
+    "bad-label": "0 0:1\nx 1:1\n",
+    "bad-value": "0 0:1\n1 1:1x\n",
+    "non-ascii-space": "1 0:1\u00a0\n0 1:1\u2028\n",   # stripped as whitespace
+    "non-ascii-digit": "1 0:1\n1 \u0663:1\n",
+    "nul": "1 0:1\n1 1:1\0\n",
+    "long-value": "1 0:0.1000000000000000055511151231257827021181583404541015625\n",
+}
+
+
+@pytest.mark.parametrize("chunk_chars", [3, 1 << 18])
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_load_matches_the_line_by_line_reader(tmp_path, monkeypatch, case, chunk_chars):
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", chunk_chars)
+    path = tmp_path / f"{case}.libfm"
+    path.write_bytes(_READER_CASES[case].encode("utf-8"))
+    _assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("fault_line", [1, 50, 100])
+def test_load_reports_a_fault_in_any_chunk(tmp_path, monkeypatch, fault_line):
+    # the first, a middle and the last of 20 chunks
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 60)
+    lines = [f"{k % 2} {k}:1 {k + 1}:0.5" for k in range(100)]
+    lines[fault_line - 1] = "1 7:1 x:2"
+    path = tmp_path / "data.libfm"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=rf"malformed entry 'x:2'.*\(line {fault_line}\)"):
+        load_libfm(path)
+    _assert_loads_like_reference(path)
+
+
+def test_load_reports_the_fault_a_line_by_line_read_meets_first(tmp_path):
+    # a bad line 2 and, 100 kB on (past the decoder's first blocks but inside
+    # one bulk chunk), undecodable bytes: the bad line is reported, as before
+    path = tmp_path / "both.libfm"
+    body = "1 0:1\n1 0:1 0:2\n" + "0 1:1\n" * 20_000
+    path.write_bytes(body.encode() + b"1 2:1 # caf\xe9\n")
+    with pytest.raises(DataFormatError, match=r"both\.libfm.*duplicate feature index 0 \(line 2\)"):
+        load_libfm(path)
+    _assert_loads_like_reference(path)
+    path.write_bytes(("0 1:1\n" * 20_000).encode() + b"1 2:1 # caf\xe9\n")
+    with pytest.raises(DataFormatError, match=r"both\.libfm.*UTF-8"):
+        load_libfm(path)
+
+
+# lines shaped like the format, from the pieces the bulk reader treats apart
+_READER_NUMBER = st.sampled_from(["0", "1", "-1", "2.5", "1.0", "1_0", "+1", ".5", "1e5",
+                                  "inf", "nan", "-0.0", "x", "", "1:2", "\u0663"])
+_READER_INDEX = st.one_of(st.integers(0, 40).map(str),
+                          st.sampled_from(["007", "9" * 18, "1" + "0" * 18, "-1", "", "1_0"]))
+_READER_ENTRY = st.one_of(st.tuples(_READER_INDEX, _READER_NUMBER).map(":".join),
+                          st.sampled_from(["5", "1:2:3", "3:", ":4", "#", "# note"]))
+_READER_SPACE = st.sampled_from([" ", " ", "\t", "\v", "\f", "\x1c", "\x1f", "  ", "\u00a0"])
+_READER_LINE = st.tuples(
+    _READER_NUMBER, st.lists(st.tuples(_READER_SPACE, _READER_ENTRY).map("".join), max_size=5),
+    st.sampled_from(["", "", " ", " # note", "\u00e9"]),
+).map(lambda parts: parts[0] + "".join(parts[1]) + parts[2])
+_READER_FILE = st.tuples(
+    st.lists(st.tuples(st.one_of(_READER_LINE, st.just("")),
+                       st.sampled_from(["\n", "\n", "\r\n", "\r"])).map("".join), max_size=12),
+    st.booleans(),
+).map(lambda parts: "".join(parts[0]).rstrip("\r\n") if parts[1] else "".join(parts[0]))
+
+
+@pytest.fixture(scope="module")
+def reader_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "data.libfm"
+
+
+@given(_READER_FILE, st.sampled_from([1, 7, 40, 1 << 18]))
+@settings(max_examples=400, deadline=None)
+def test_load_matches_the_line_by_line_reader_fuzz(reader_file, text, chunk_chars):
+    reader_file.write_bytes(text.encode("utf-8"))
+    with mock.patch("gemfm.data._CHUNK_CHARS", chunk_chars):
+        _assert_loads_like_reference(reader_file)
 
 
 # arbitrary text, and lines shaped like the format from the characters its

@@ -189,6 +189,23 @@ def test_graph_load_rejects(tmp_path, text, fragment):
         FeatureGraph.load(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("nodes 4\n0 1\n2 2\n", ":3: self-edge 2"),
+    ("nodes 4\n\n0 1\n3 4\n", ":4: endpoint outside [0, 4)"),
+    ("nodes 4\n0 1\n1 x\n", ":3: non-integer endpoint in '1 x'"),
+    ("nodes 4\n0 1 # note\n1\n", ":3: expected 'i j', got '1'"),
+    ("\nnodes\n0 1\n", ":2: expected 'nodes <count>' header, got 'nodes'"),
+    ("nodes 4\n0 1\n2 3\n1 0\n", ": duplicate edges in file"),
+])
+def test_graph_load_errors_name_the_line(tmp_path, text, message):
+    # the bulk tokenizer rejects these, and the line-by-line reader names them
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError) as raised:
+        FeatureGraph.load(path)
+    assert str(raised.value) == f"{path}{message}"
+
+
 # arbitrary bytes, arbitrary text, and lines shaped like the format from the
 # tokens its grammar cares about
 _GRAPH_TOKEN = st.one_of(
