@@ -26,10 +26,10 @@ def main():
     # node keeps an exact 1.0 self-loop
     norm = normalize(graph)
     print("\nnormalized coefficients")
-    print(f"  c(0, 4) = {norm.coefficient(0, 4):.6f}  "
+    print(f"  c(0, 4) = {norm.matrix[0, 4]:.6f}  "
           f"(degrees {graph.degrees()[0]} and {graph.degrees()[4]})")
-    print(f"  c(4, 0) = {norm.coefficient(4, 0):.6f}  (symmetric)")
-    print(f"  c(5, 5) = {norm.coefficient(5, 5):.6f}  (isolated node 5)")
+    print(f"  c(4, 0) = {norm.matrix[4, 0]:.6f}  (symmetric)")
+    print(f"  c(5, 5) = {norm.matrix[5, 5]:.6f}  (isolated node 5)")
 
     # neighbor sampling keeps ceil(ratio * degree) neighbors per node and an
     # edge survives if either endpoint kept it, so leaves never lose their

@@ -127,7 +127,7 @@ def load_libfm(path) -> PackedInstances:
     """Read a libFM text file, skipping blank and comment-only lines.
 
     A chunk of whole lines at a time is parsed with array operations straight
-    into CSR arrays. A chunk that fails any check (or holds a ``#`` or a
+    into CSR arrays. A chunk that fails any check (or holds a NUL or a
     non-ASCII character) is re-read line by line through parse_libfm_line,
     which raises the error naming the file and line, or parses it if valid.
     """
@@ -216,9 +216,12 @@ def _parse_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 def _parse_chunk(text: str) -> PackedInstances | None:
     """The rows of whole libFM lines parsed with array operations, or None
     when a check fails: parse_libfm_line then names the fault."""
-    if not text.isascii() or "#" in text or "\0" in text:
+    if not text.isascii() or "\0" in text:
         return None    # NUL would vanish from a fixed-width bytes key
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if "#" in text:    # blank each line from its first '#' up to its newline
+        seen = np.cumsum(buf == 35)
+        buf = np.where(seen > np.maximum.accumulate(np.where(buf == 10, seen, 0)), 32, buf)
     starts, ends, label = ascii_tokens(buf)
     entry = ~label
     entry_starts, entry_ends = starts[entry], ends[entry]

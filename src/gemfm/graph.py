@@ -7,10 +7,8 @@ edges are binary and undirected, stored once in canonical (i < j) order.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -55,18 +53,6 @@ class FeatureGraph:
     def degrees(self) -> np.ndarray:
         """Plain adjacency degree per node (self-loops not counted)."""
         return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
-
-    @cached_property
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Sorted neighbor array per node."""
-        m = self.num_nodes
-        if not self.edges.size:
-            return [np.empty(0, dtype=np.int64)] * m
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.lexsort((dst, src))
-        counts = np.bincount(src, minlength=m)
-        return np.split(dst[order], np.cumsum(counts)[:-1])
 
     def save(self, path) -> None:
         """Write ``nodes m`` then one ``i j`` line per edge."""
@@ -252,9 +238,6 @@ class NormalizedAdjacency:
     def num_nodes(self) -> int:
         return self.matrix.shape[0]
 
-    def coefficient(self, i: int, j: int) -> float:
-        return float(self.matrix[i, j])
-
 
 def node_set(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``ids`` (all in [0, size)) and a size-long table of
@@ -295,31 +278,31 @@ def sample_neighbors(graph: FeatureGraph, ratio: float, seed: int = 0) -> Featur
     """Per-node uniform neighbor subsampling; an edge survives if either
     endpoint keeps it.
 
-    Each node keeps ceil(ratio * degree) of its neighbors, drawn without
-    replacement. ratio 1 returns the input graph unchanged; ratio 0 drops
-    every edge. Deterministic for a given (graph, ratio, seed).
+    Each node keeps the ceil(ratio * degree) neighbors with the smallest of
+    one uniform random key per directed edge: a draw without replacement.
+    ratio 1 returns the input graph unchanged; ratio 0 drops every edge.
+    Deterministic for a given (graph, ratio, seed).
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"sampling ratio must lie in [0, 1], got {ratio}")
     if ratio == 1.0:
         return graph
-    if ratio == 0.0 or graph.num_edges == 0:
-        return FeatureGraph(graph.num_nodes, np.empty((0, 2), dtype=np.int64),
-                            graph.included_fields)
-    rng = np.random.default_rng(seed)
-    src_parts, dst_parts = [], []
-    for node, neighbors in enumerate(graph.neighbor_lists):
-        n = neighbors.size
-        if n == 0:
-            continue
-        # guard against float creep pushing an exact multiple over the ceiling
-        count = min(n, max(1, math.ceil(ratio * n - 1e-9)))
-        kept = neighbors if count == n else rng.choice(neighbors, size=count, replace=False)
-        src_parts.append(np.full(kept.size, node, dtype=np.int64))
-        dst_parts.append(kept.astype(np.int64))
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return FeatureGraph(graph.num_nodes, edges, graph.included_fields)
+    e = graph.num_edges
+    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
+    keys = np.random.default_rng(seed).random(2 * e)
+    kept = np.zeros(e, dtype=bool)
+    kept[_kept_directed_edges(src, keys, ratio, graph.num_nodes) % e] = True
+    # a mask keeps the sorted, unique order of graph.edges
+    return FeatureGraph(graph.num_nodes, graph.edges[kept], graph.included_fields)
+
+
+def _kept_directed_edges(src: np.ndarray, keys: np.ndarray, ratio: float,
+                         num_nodes: int) -> np.ndarray:
+    """Positions of the directed edges (sources ``src``) their source keeps: the
+    ceil(ratio * deg) with the smallest ``keys``, at least one if ratio > 0."""
+    deg = np.bincount(src, minlength=num_nodes)
+    # guard against float creep pushing an exact multiple over the ceiling
+    count = np.minimum(deg, np.maximum(ratio > 0, np.ceil(ratio * deg - 1e-9)))
+    order = np.lexsort((keys, src))    # by node, then by key
+    run_start = np.cumsum(deg) - deg
+    return order[np.arange(src.size) < (run_start + count)[src[order]]]

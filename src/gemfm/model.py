@@ -140,6 +140,8 @@ class ModelParams:
                 f"{path}: expected {expected} bytes, found {len(blob)}"
             )
         flat = np.frombuffer(blob, dtype="<f8", offset=offset)
+        if not np.isfinite(flat).all():
+            raise CheckpointError(f"{path}: non-finite parameter value")
         w0 = float(flat[0])
         w = flat[1:1 + m].copy()
         pos = 1 + m

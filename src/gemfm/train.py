@@ -2,9 +2,9 @@
 Adagrad/Adam with lazy row updates, inverted dropout, early stopping.
 
 The batch objective is sum over the batch of (score - label)^2 plus
-lambda * ||Theta||^2. The reported loss always uses the full parameter norm;
-the gradient applies weight decay only to rows the batch touched unless
-``exact_l2`` asks for the dense decay (used by finite-difference checks).
+lambda * ||Theta||^2. The reported loss takes the full norm, one BLAS dot per
+block (its last bits follow the BLAS build); the gradient decays only rows the
+batch touched unless ``exact_l2`` asks for the dense decay (used by checks).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .seeding import derive_rng, derive_seed
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 EPSILON = 1e-8
+# rows per gather/update/scatter: a block's temporaries stay in cache
+_ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class GradientSet:
 
 
 def _full_l2(params: ModelParams, include_bias: bool) -> float:
-    total = sum(float(np.sum(W * W)) for W in params.weights)
+    total = sum(float(np.vdot(W, W)) for W in params.weights)
     if include_bias:
         total += params.w0 * params.w0 + float(np.dot(params.w, params.w))
     return total
@@ -195,56 +197,65 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
 def optimizer_step(params: ModelParams, state: OptimizerState,
                    grads: GradientSet, config: TrainConfig) -> None:
     """One in-place update; rows outside the touched sets stay untouched,
-    including their accumulators (lazy sparse updates)."""
+    including their accumulators (lazy sparse updates). Raises
+    TrainingDivergedError naming a block the update would leave non-finite."""
     lr = config.learning_rate
+    blocks = list(zip([params.w, *params.weights], [grads.d_w, *grads.d_weights],
+                      [grads.touched_features, grads.touched_rows,
+                       *(np.arange(W.shape[0]) for W in params.weights[1:])],
+                      ["w", *(f"weights[{l}]" for l in range(len(params.weights)))]))
+    accums = [state.accum.w, *state.accum.weights]
     if state.kind == "adagrad":
         state.accum.w0 += grads.d_w0 ** 2
         params.w0 -= lr * grads.d_w0 / math.sqrt(state.accum.w0 + EPSILON)
-        _adagrad_rows(params.w, state.accum.w, grads.d_w, grads.touched_features, lr)
-        _adagrad_rows(params.weights[0], state.accum.weights[0], grads.d_weights[0],
-                      grads.touched_rows, lr)
-        for W, acc, dW in zip(params.weights[1:], state.accum.weights[1:],
-                              grads.d_weights[1:]):
-            acc += dW ** 2
-            W -= lr * dW / np.sqrt(acc + EPSILON)
+        for (param, grad, rows, block), accum in zip(blocks, accums):
+            _adagrad_rows(param, accum, grad, rows, lr, block)
         state.step_count += 1
-        return
-    # adam: global step count, bias-corrected moments, lazy rows
-    state.step_count += 1
-    t = state.step_count
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    state.momentum.w0 = ADAM_BETA1 * state.momentum.w0 + (1 - ADAM_BETA1) * grads.d_w0
-    state.accum.w0 = ADAM_BETA2 * state.accum.w0 + (1 - ADAM_BETA2) * grads.d_w0 ** 2
-    params.w0 -= lr * (state.momentum.w0 / c1) / (math.sqrt(state.accum.w0 / c2) + EPSILON)
-    _adam_rows(params.w, state.momentum.w, state.accum.w, grads.d_w,
-               grads.touched_features, lr, c1, c2)
-    _adam_rows(params.weights[0], state.momentum.weights[0], state.accum.weights[0],
-               grads.d_weights[0], grads.touched_rows, lr, c1, c2)
-    for W, mom, acc, dW in zip(params.weights[1:], state.momentum.weights[1:],
-                               state.accum.weights[1:], grads.d_weights[1:]):
-        mom *= ADAM_BETA1
-        mom += (1 - ADAM_BETA1) * dW
-        acc *= ADAM_BETA2
-        acc += (1 - ADAM_BETA2) * dW ** 2
-        W -= lr * (mom / c1) / (np.sqrt(acc / c2) + EPSILON)
+    else:    # adam: global step count, bias-corrected moments, lazy rows
+        state.step_count += 1
+        t = state.step_count
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
+        state.momentum.w0 = ADAM_BETA1 * state.momentum.w0 + (1 - ADAM_BETA1) * grads.d_w0
+        state.accum.w0 = ADAM_BETA2 * state.accum.w0 + (1 - ADAM_BETA2) * grads.d_w0 ** 2
+        params.w0 -= lr * (state.momentum.w0 / c1) / (math.sqrt(state.accum.w0 / c2) + EPSILON)
+        moments = [state.momentum.w, *state.momentum.weights]
+        for (param, grad, rows, block), mom, accum in zip(blocks, moments, accums):
+            _adam_rows(param, mom, accum, grad, rows, lr, c1, c2, block)
 
 
-def _adagrad_rows(param, accum, grad, rows, lr):
-    if rows.size == 0:
-        return
-    acc = accum[rows] + grad ** 2
-    accum[rows] = acc
-    param[rows] = param[rows] - lr * grad / np.sqrt(acc + EPSILON)
+def _adagrad_rows(param, accum, grad, rows, lr, block):
+    for lo in range(0, rows.size, _ROW_BLOCK):
+        at, g = rows[lo:lo + _ROW_BLOCK], grad[lo:lo + _ROW_BLOCK]
+        acc = accum[at]
+        acc += g * g
+        accum[at] = acc
+        step = lr * g
+        step /= np.sqrt(np.add(acc, EPSILON, out=acc), out=acc)
+        _write_rows(param, at, step, block)
 
 
-def _adam_rows(param, mom, accum, grad, rows, lr, c1, c2):
-    if rows.size == 0:
-        return
-    m = ADAM_BETA1 * mom[rows] + (1 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * accum[rows] + (1 - ADAM_BETA2) * grad ** 2
-    mom[rows], accum[rows] = m, v
-    param[rows] = param[rows] - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
+def _adam_rows(param, mom, accum, grad, rows, lr, c1, c2, block):
+    for lo in range(0, rows.size, _ROW_BLOCK):
+        at, g = rows[lo:lo + _ROW_BLOCK], grad[lo:lo + _ROW_BLOCK]
+        m, v = mom[at], accum[at]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * (g * g)
+        mom[at], accum[at] = m, v
+        step = lr * (m / c1)
+        v /= c2
+        step /= np.add(np.sqrt(v, out=v), EPSILON, out=v)
+        _write_rows(param, at, step, block)
+
+
+def _write_rows(param, at, step, block):
+    rows = param[at]
+    rows -= step
+    if not np.isfinite(rows).all():
+        raise TrainingDivergedError(f"non-finite {block} after the optimizer step")
+    param[at] = rows
 
 
 @dataclass
@@ -385,12 +396,13 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
                                           l2_lambda=config.l2_lambda,
                                           dropout_ratio=config.dropout_ratio,
                                           dropout_seed=mask_seed)
-            if not math.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite loss in epoch {epoch}, batch {batch_index}"
-                )
+            try:
+                if not math.isfinite(value):
+                    raise TrainingDivergedError("non-finite loss")
+                optimizer_step(params, state, grads, config)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"{exc} in epoch {epoch}, batch {batch_index}") from None
             epoch_loss += value
-            optimizer_step(params, state, grads, config)
         val_scores = predict_batch(va, params, full_norm)
         val_rmse = rmse(val_scores, va.labels)
         val_mae = mae(val_scores, va.labels)

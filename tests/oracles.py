@@ -8,6 +8,7 @@ shortcut.
 import numpy as np
 
 from gemfm import DataFormatError, PackedInstances, SparseInstance, parse_libfm_line
+from gemfm.train import ADAM_BETA1, ADAM_BETA2, EPSILON
 
 
 def pairwise_interaction(values, rows):
@@ -146,6 +147,22 @@ def dense_gradients(grads, num_features):
     d_w = scatter_rows(grads.d_w, grads.touched_features, num_features)
     d_table = scatter_rows(grads.d_weights[0], grads.touched_rows, num_features)
     return d_w, [d_table, *grads.d_weights[1:]]
+
+
+def adagrad_rows_reference(param, accum, grad, rows, lr):
+    """Lazy Adagrad on ``rows``: whole-array temporaries, one gather and
+    one scatter per array, in the formula's own order."""
+    acc = accum[rows] + grad ** 2
+    accum[rows] = acc
+    param[rows] = param[rows] - lr * grad / np.sqrt(acc + EPSILON)
+
+
+def adam_rows_reference(param, mom, accum, grad, rows, lr, c1, c2):
+    """Lazy Adam on ``rows`` with bias corrections c1, c2, as above."""
+    m = ADAM_BETA1 * mom[rows] + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * accum[rows] + (1 - ADAM_BETA2) * grad ** 2
+    mom[rows], accum[rows] = m, v
+    param[rows] = param[rows] - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
 
 
 def unpack(packed):

@@ -173,6 +173,10 @@ def test_bulk_reader_re_reads_only_a_faulty_chunk(tmp_path, monkeypatch):
     path.write_text("".join(line + "\n" for line in lines))
     assert len(load_libfm(path)) == 9
     assert calls == []
+    # comments are blanked in bulk, up to a newline and not past it
+    path.write_text("# rows\n" + "".join(f"{line} #{k} 5:1\n" for k, line in enumerate(lines)))
+    assert packed_equal(load_libfm(path), load_libfm_reference(path))
+    assert calls == []
 
     lines[4] = "1 4:1 4:1"   # line 5, the middle of the second chunk
     path.write_text("".join(line + "\n" for line in lines))

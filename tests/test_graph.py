@@ -1,6 +1,7 @@
 """Co-occurrence graph construction, normalization, neighbor sampling."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from gemfm import (FeatureGraph, FeatureSpace, GemfmError, GraphFormatError,
                    SparseInstance, build_graph, normalize, sample_neighbors)
 from gemfm.data import PackedInstances
-from gemfm.graph import local_columns, node_set
+from gemfm.graph import _kept_directed_edges, local_columns, node_set
 from oracles import dense_normalized_adjacency
 
 
@@ -53,9 +54,6 @@ def test_graph_requires_canonical_edges():
 def test_degrees_and_neighbor_lists():
     g = FeatureGraph(5, np.array([[0, 1], [0, 2], [1, 2], [3, 4]]))
     np.testing.assert_array_equal(g.degrees(), [2, 2, 2, 1, 1])
-    np.testing.assert_array_equal(g.neighbor_lists[0], [1, 2])
-    np.testing.assert_array_equal(g.neighbor_lists[2], [0, 1])
-    np.testing.assert_array_equal(g.neighbor_lists[4], [3])
 
 
 def test_build_graph_matches_brute_force():
@@ -259,11 +257,11 @@ def test_normalize_two_node_edge():
 def test_normalize_star_coefficients():
     # center 0 with leaves 1..3: deg+1 = (4, 2, 2, 2)
     norm = normalize(FeatureGraph(4, np.array([[0, 1], [0, 2], [0, 3]])))
-    assert norm.coefficient(0, 0) == 0.25
-    assert norm.coefficient(1, 1) == 0.5
-    assert norm.coefficient(0, 1) == 1.0 / np.sqrt(8.0)
-    assert norm.coefficient(1, 0) == norm.coefficient(0, 1)
-    assert norm.coefficient(1, 2) == 0.0
+    assert norm.matrix[0, 0] == 0.25
+    assert norm.matrix[1, 1] == 0.5
+    assert norm.matrix[0, 1] == 1.0 / np.sqrt(8.0)
+    assert norm.matrix[1, 0] == norm.matrix[0, 1]
+    assert norm.matrix[1, 2] == 0.0
 
 
 def test_normalize_matches_dense_oracle():
@@ -353,6 +351,44 @@ def test_sampling_keep_count_uses_ceiling():
                     for s in range(60)])
     assert abs(kept - 0.75) < 0.06
     assert kept > 0.6  # floor-based sampling would sit near 0.44
+
+
+def test_sampling_keeps_the_smallest_keys_per_node():
+    # the directed keep step, exactly: each node keeps min(deg, max(1,
+    # ceil(ratio * deg))) neighbors (none at ratio 0), those with the smallest keys
+    rng = np.random.default_rng(8)
+    mask = np.triu(rng.random((40, 40)) < 0.25, k=1)
+    g = FeatureGraph(40, np.argwhere(mask))
+    src = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    deg = g.degrees()
+    for ratio in (0.0, 0.01, 0.2, 0.3, 0.5, 0.75, 0.99):
+        keys = rng.random(src.size)
+        kept = _kept_directed_edges(src, keys, ratio, g.num_nodes)
+        for node in range(g.num_nodes):
+            own = np.flatnonzero(src == node)
+            count = min(deg[node], max(1, math.ceil(ratio * deg[node] - 1e-9))) if ratio else 0
+            np.testing.assert_array_equal(np.sort(kept[src[kept] == node]),
+                                          np.sort(own[np.argsort(keys[own])[:count]]))
+
+
+def test_sampling_survival_on_a_clique_matches_the_union_rule():
+    # K_n: each node keeps k of its n - 1 neighbors uniformly, independently
+    # of the other endpoint, so every edge survives with 1 - (1 - k/(n-1))^2
+    n, ratio, seeds = 7, 0.3, 3000
+    g = FeatureGraph(n, np.argwhere(np.triu(np.ones((n, n), dtype=bool), k=1)))
+    k = math.ceil(ratio * (n - 1))
+    p = 1 - (1 - k / (n - 1)) ** 2
+    survived = np.zeros((seeds, g.num_edges), dtype=bool)
+    for seed in range(seeds):
+        kept = sample_neighbors(g, ratio, seed=seed).edges
+        survived[seed] = (kept[:, 0, None] * n + kept[:, 1, None]
+                          == g.edges[:, 0] * n + g.edges[:, 1]).any(axis=0)
+    # the share of edges kept per draw, whose mean estimates p
+    share = survived.mean(axis=1)
+    assert abs(share.mean() - p) < 3 * share.std(ddof=1) / math.sqrt(seeds)
+    # and no edge is favored: each edge's own frequency, at a bound wide
+    # enough for 21 edges at once
+    assert np.all(np.abs(survived.mean(axis=0) - p) < 4 * math.sqrt(p * (1 - p) / seeds))
 
 
 def test_sampling_produces_edge_subset():

@@ -290,6 +290,23 @@ def test_checkpoint_rejects_corruption(tmp_path):
         ModelParams.load(huge)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, value):
+    params = ModelParams.initialize(3, 2, num_layers=2, seed=0)
+    good = tmp_path / "good.bin"
+    params.save(good)
+    blob = good.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 32 + len(params.activation)
+    count = (len(blob) - start) // 8
+    for k in (0, 1, 7, count - 1):    # w0, w[0], a table entry, the last deep weight
+        bad = bytearray(blob)
+        bad[start + 8 * k:start + 8 * k + 8] = np.array(value, dtype="<f8").tobytes()
+        path = tmp_path / f"bad{k}.bin"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            ModelParams.load(path)
+
+
 def test_checkpoint_rejects_foreign_activation(tmp_path):
     params = ModelParams.initialize(3, 2, num_layers=1, seed=0)
     good = tmp_path / "good.bin"
