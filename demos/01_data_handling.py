@@ -22,8 +22,8 @@ def main():
         ["user", "item", "city"], [10, 190, 50])
     print(f"\nfeature space: {space.num_features} features,"
           f" fields {space.field_names}")
-    for index in (3, 17, 208):
-        fid = space.field_of(index)
+    indices = np.array([3, 17, 208])
+    for index, fid in zip(indices.tolist(), space.field_of_array(indices).tolist()):
         lo, hi = space.field_range(fid)
         print(f"  index {index} -> field {space.field_names[fid]!r} [{lo}, {hi})")
 

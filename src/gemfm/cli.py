@@ -292,7 +292,7 @@ def cmd_predict(cfg) -> int:
     preds = predict_batch(_scored_rows(_require(cfg, "data")), params, norm)
     out = _require(cfg, "out")
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{value!r}\n" for value in preds.tolist()))
+        fh.write("\n".join(map(repr, preds.tolist())) + "\n")
     print(f"wrote {len(preds)} predictions to {out}")
     return 0
 

@@ -103,17 +103,15 @@ def parse_libfm_line(text: str, lineno: int | None = None) -> SparseInstance:
 
 def format_libfm_line(instance: SparseInstance) -> str:
     """Serialize an instance so that parse_libfm_line round-trips it exactly."""
-    return _format_line(instance.label, instance.entries)
-
-
-def _format_line(label, entries) -> str:
-    parts = [repr(float(label))]
-    parts += [f"{i}:{float(v)!r}" for i, v in entries]
+    parts = [repr(float(instance.label))]
+    parts += [f"{i}:{float(v)!r}" for i, v in instance.entries]
     return " ".join(parts)
 
 
-# rows formatted per chunk by save_libfm: bounds the Python objects alive
+# rows save_libfm spells per write: bounds its token matrix
 _CHUNK_ROWS = 8192
+# most rejection-sampling candidates negative_sample draws at once
+_CANDIDATE_BLOCK = 1 << 16
 # characters load_libfm reads per chunk, completed to a whole line
 _CHUNK_CHARS = 1 << 18
 # the ASCII bytes str.split() splits on: space, \t \n \v \f \r and \x1c-\x1f
@@ -178,6 +176,13 @@ def ascii_tokens(buf: np.ndarray):
     return starts, ends, first[:-1]
 
 
+def blank_comments(buf: np.ndarray) -> np.ndarray:
+    """The ASCII bytes ``buf`` with each line blanked (to spaces) from its
+    first '#' up to its newline."""
+    seen = np.cumsum(buf == 35)    # '#' so far
+    return np.where(seen > np.maximum.accumulate(np.where(buf == 10, seen, 0)), 32, buf)
+
+
 def parse_indices(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """parse_index over the spans [starts, ends) of ``buf`` at once: the int64
     each spells in 1 to MAX_INDEX_DIGITS ASCII digits, or None if any does not."""
@@ -219,9 +224,8 @@ def _parse_chunk(text: str) -> PackedInstances | None:
     if not text.isascii() or "\0" in text:
         return None    # NUL would vanish from a fixed-width bytes key
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if "#" in text:    # blank each line from its first '#' up to its newline
-        seen = np.cumsum(buf == 35)
-        buf = np.where(seen > np.maximum.accumulate(np.where(buf == 10, seen, 0)), 32, buf)
+    if "#" in text:
+        buf = blank_comments(buf)
     starts, ends, label = ascii_tokens(buf)
     entry = ~label
     entry_starts, entry_ends = starts[entry], ends[entry]
@@ -250,16 +254,80 @@ def _parse_chunk(text: str) -> PackedInstances | None:
 
 
 def save_libfm(instances, path) -> None:
-    """Write instances (packed or a list) one line each, as format_libfm_line
-    gives them, converting a chunk of rows to Python numbers at a time."""
+    """Write instances (packed or a list) one line each, the bytes
+    format_libfm_line gives, a chunk of rows per write.
+
+    Each chunk is one uint8 matrix with a row per token (a label, or an
+    ``index:value`` entry), NUL-padded: index digits by column arithmetic,
+    labels and values spelled by ``repr`` once per distinct float64 bit
+    pattern (so -0.0, nan, inf and subnormals keep Python's spelling), each
+    token ended by a space or, last in its line, a newline. Dropping the NULs
+    leaves the chunk's text.
+    """
     packed = PackedInstances.from_instances(instances)
-    with open(path, "w", encoding="utf-8") as fh:
+    labels = np.asarray(packed.labels, dtype=np.float64)
+    values = np.asarray(packed.values, dtype=np.float64)
+    with open(path, "wb") as fh:
         for lo in range(0, len(packed), _CHUNK_ROWS):
-            part = packed.take(np.arange(lo, min(lo + _CHUNK_ROWS, len(packed))))
-            bounds = part.indptr.tolist()
-            entries = list(zip(part.indices.tolist(), part.values.tolist()))
-            fh.writelines(_format_line(label, entries[a:b]) + "\n" for label, a, b
-                          in zip(part.labels.tolist(), bounds, bounds[1:]))
+            hi = min(lo + _CHUNK_ROWS, len(packed))
+            a, b = packed.indptr[lo], packed.indptr[hi]
+            fh.write(_libfm_bytes(labels[lo:hi], packed.indptr[lo:hi + 1] - a,
+                                  packed.indices[a:b], values[a:b]))
+
+
+def _libfm_bytes(labels, indptr, indices, values) -> bytes:
+    """The libFM lines of CSR rows, as save_libfm describes."""
+    digits, spelled = spell_integers(indices), _spell_floats(values)
+    spelled_labels = _spell_floats(labels)
+    colon = digits.shape[1]
+    width = max(spelled_labels.shape[1], colon + 1 + spelled.shape[1]) + 1
+    entries = np.zeros((indices.size, width), dtype=np.uint8)
+    entries[:, :colon] = digits
+    entries[:, colon] = ord(":")
+    entries[:, colon + 1:colon + 1 + spelled.shape[1]] = spelled
+    # token t of the chunk: row r's label is token indptr[r] + r, its
+    # entries the tokens after it
+    rows = np.arange(labels.size)
+    tokens = np.empty((labels.size + indices.size, width), dtype=np.uint8)
+    tokens[np.arange(indices.size) + np.repeat(rows + 1, np.diff(indptr))] = entries
+    label_at = indptr[:-1] + rows
+    tokens[label_at] = 0
+    tokens[label_at, :spelled_labels.shape[1]] = spelled_labels
+    tokens[:, -1] = ord(" ")
+    tokens[indptr[1:] + rows, -1] = ord("\n")
+    return tokens.tobytes().translate(None, b"\0")
+
+
+def spell_integers(numbers: np.ndarray) -> np.ndarray:
+    """The decimal spelling of each integer, as ``str()`` gives it, in the
+    rows of a uint8 matrix: right-aligned, NUL-padded on the left."""
+    numbers = np.asarray(numbers, dtype=np.int64)
+    # magnitudes in uint64, where -(-2**63) still fits
+    rest = np.where(numbers < 0, np.uint64(0) - numbers.view(np.uint64),
+                    numbers.view(np.uint64))
+    places = len(str(int(rest.max(initial=0))))
+    if places < 10:    # below 2**32: a narrower division is faster
+        rest = rest.astype(np.uint32)
+    ten = rest.dtype.type(10)
+    text = np.zeros((numbers.size, places + 1), dtype=np.uint8)   # room for a sign
+    for column in range(places, 0, -1):
+        quotient = rest // ten
+        digit = (rest - quotient * ten).astype(np.uint8) + np.uint8(48)
+        text[:, column] = np.where(rest > 0, digit, np.uint8(0))
+        rest = quotient
+    text[numbers == 0, places] = ord("0")
+    negative = np.flatnonzero(numbers < 0)
+    text[negative, places - np.count_nonzero(text[negative], axis=1)] = ord("-")
+    return text
+
+
+def _spell_floats(numbers: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 as the NUL-padded rows of a uint8 matrix,
+    called once per distinct bit pattern."""
+    patterns, where = np.unique(numbers.view(np.uint64), return_inverse=True)
+    spelled = np.array([repr(x) for x in patterns.view(np.float64).tolist()] or [""],
+                       dtype=np.bytes_)
+    return spelled.view(np.uint8).reshape(-1, spelled.itemsize)[where]
 
 
 @dataclass(frozen=True)
@@ -309,16 +377,9 @@ class FeatureSpace:
     def _starts(self) -> np.ndarray:
         return np.array([s for s, _ in self.field_bounds], dtype=np.int64)
 
-    def field_of(self, index: int) -> int:
-        """Field id owning a feature index."""
-        if not 0 <= index < self.num_features:
-            raise DataFormatError(
-                f"feature index {index} outside [0, {self.num_features})"
-            )
-        return int(np.searchsorted(self._starts, index, side="right") - 1)
-
     def field_of_array(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized field_of; caller guarantees indices are in range."""
+        """The field id owning each feature index; the caller guarantees every
+        index lies in [0, num_features)."""
         return np.searchsorted(self._starts, indices, side="right") - 1
 
     def field_id(self, name: str) -> int:
@@ -425,6 +486,12 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     that appears with that exact context among the positives. When fewer than
     k eligible items exist, the shortfall is kept (not padded) and a single
     RuntimeWarning reports how many positives came up short.
+
+    A positive with at least 8k eligible items draws candidates until k are
+    new (rejection sampling); one with fewer draws from its pool of eligible
+    items with ``rng.choice``. Rejection candidates are drawn in blocks, each
+    no larger than the draws the rows before the next pool draw are certain
+    to make, so the stream is the one a draw per candidate gives.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -446,45 +513,51 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     clicked: dict[tuple, set[int]] = {}
     for context, item in zip(contexts, packed.indices[item_at].tolist()):
         clicked.setdefault(context, set()).add(item)
+    vocab = end - start
+    eligible = vocab - np.array([len(clicked[c]) for c in contexts], dtype=np.int64)
+    takes = np.minimum(k, eligible)
+    rejection = eligible >= 8 * k
+    # draws the rows from each one to the next pool draw are certain to make
+    run_takes = np.r_[0, np.cumsum(np.where(rejection, takes, 0))]
+    pool_rows = np.flatnonzero(~rejection & (takes > 0))
+    run_end = np.r_[pool_rows, len(packed)][np.searchsorted(pool_rows, np.arange(len(packed)))]
+    need = (run_takes[run_end] - run_takes[:-1]).tolist()
 
     rng = np.random.default_rng(seed)
-    vocab = end - start
-    rows, items = [], []
-    short = 0
-    for row, context in enumerate(contexts):
-        taken = clicked[context]
-        eligible = vocab - len(taken)
-        take = min(k, eligible)
-        if take < k:
-            short += 1
-        if take == 0:
+    drawn: list[int] = []
+    candidates, used = [], 0
+    for row, (context, take, reject) in enumerate(zip(contexts, takes.tolist(),
+                                                      rejection.tolist())):
+        if not take:
             continue
-        if eligible >= 8 * k:
-            # rejection sampling; sequential distinct draws stay uniform
-            # without replacement and avoid materializing the pool
-            draws: list[int] = []
-            seen: set[int] = set()
+        taken = clicked[context]
+        if reject:
+            # sequential distinct draws stay uniform without replacement
+            # and avoid materializing the pool
+            draws: dict[int, None] = {}
             while len(draws) < take:
-                candidate = int(rng.integers(start, end))
-                if candidate in taken or candidate in seen:
-                    continue
-                seen.add(candidate)
-                draws.append(candidate)
+                if used == len(candidates):
+                    size = min(need[row] - len(draws), _CANDIDATE_BLOCK)
+                    candidates, used = rng.integers(start, end, size=size).tolist(), 0
+                candidate = candidates[used]
+                used += 1
+                if candidate not in taken and candidate not in draws:
+                    draws[candidate] = None
+            drawn += draws
         else:
-            pool = np.setdiff1d(np.arange(start, end, dtype=np.int64),
-                                np.fromiter(taken, dtype=np.int64))
-            draws = [int(d) for d in rng.choice(pool, size=take, replace=False)]
-        rows += [row] * len(draws)
-        items += draws
+            free = np.ones(vocab, dtype=bool)
+            free[np.fromiter(taken, dtype=np.int64) - start] = False
+            drawn += rng.choice(np.flatnonzero(free) + start, size=take, replace=False).tolist()
+    short = int(np.count_nonzero(takes < k))
     if short:
         warnings.warn(f"negative_sample: {short} positives had fewer than {k} eligible items",
                       RuntimeWarning, stacklevel=2)
     # the item field is one contiguous range with one entry per row, so
     # swapping that entry's index leaves every row sorted
-    rows_taken = np.array(rows, dtype=np.int64)
+    rows_taken = np.repeat(np.arange(len(packed)), takes)
     out = packed.take(rows_taken)
     offsets = (item_at - packed.indptr[:-1])[rows_taken]
-    out.indices[out.indptr[:-1] + offsets] = items
+    out.indices[out.indptr[:-1] + offsets] = drawn
     return PackedInstances(np.zeros(len(out)), out.indptr, out.indices, out.values)
 
 

@@ -13,8 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import FeatureSpace, PackedInstances, ascii_tokens, parse_index, parse_indices
+from .data import (FeatureSpace, PackedInstances, ascii_tokens, blank_comments, parse_index,
+                   parse_indices, spell_integers)
 from .errors import GraphFormatError
+
+# edges FeatureGraph.save spells per write
+_SAVE_EDGES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,11 +59,15 @@ class FeatureGraph:
         return np.bincount(self.edges.ravel(), minlength=self.num_nodes)
 
     def save(self, path) -> None:
-        """Write ``nodes m`` then one ``i j`` line per edge."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"nodes {self.num_nodes}\n")
-            for i, j in self.edges:
-                fh.write(f"{i} {j}\n")
+        """Write ``nodes m`` then one ``i j`` line per edge, a block of edges
+        per write, spelled as uint8 rows (spell_integers) with NULs dropped."""
+        with open(path, "wb") as fh:
+            fh.write(f"nodes {self.num_nodes}\n".encode("ascii"))
+            for lo in range(0, self.num_edges, _SAVE_EDGES):
+                i, j = self.edges[lo:lo + _SAVE_EDGES].T
+                space, newline = (np.full((i.size, 1), c, dtype=np.uint8) for c in b" \n")
+                text = np.hstack([spell_integers(i), space, spell_integers(j), newline])
+                fh.write(text.tobytes().translate(None, b"\0"))
 
     @classmethod
     def load(cls, path) -> "FeatureGraph":
@@ -82,9 +90,11 @@ class FeatureGraph:
 def _edge_arrays(text: str):
     """The node count and (i < j) endpoint pairs of an edge list, read with
     array operations, or None when any check fails."""
-    if not text.isascii() or "#" in text:
+    if not text.isascii():
         return None
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if "#" in text:
+        buf = blank_comments(buf)
     starts, ends, first = ascii_tokens(buf)
     # two tokens a line: 'nodes m', then 'i j'
     if (not starts.size or starts.size % 2 or not first[::2].all() or first[1::2].any()

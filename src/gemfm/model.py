@@ -33,9 +33,8 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
 
 
 def activation_gradient(name: str, z: np.ndarray) -> np.ndarray:
-    """Elementwise derivative at pre-activation z (relu uses 0 at z == 0)."""
-    if name == "identity":
-        return np.ones_like(z)
+    """Elementwise derivative of a non-identity activation at pre-activation
+    z (relu uses 0 at z == 0); callers skip the identity, whose derivative is 1."""
     if name == "relu":
         return (z > 0.0).astype(np.float64)
     raise ValueError(f"unknown activation {name!r}")

@@ -3,8 +3,8 @@ Adagrad/Adam with lazy row updates, inverted dropout, early stopping.
 
 The batch objective is sum over the batch of (score - label)^2 plus
 lambda * ||Theta||^2. The reported loss takes the full norm, one BLAS dot per
-block (its last bits follow the BLAS build); the gradient decays only rows the
-batch touched unless ``exact_l2`` asks for the dense decay (used by checks).
+block (its last bits follow the BLAS build); the gradient decays only the
+rows the batch touched, and every row of the deeper layers' weights.
 """
 
 from __future__ import annotations
@@ -113,17 +113,14 @@ class GradientSet:
     touched_rows: np.ndarray
 
 
-def _full_l2(params: ModelParams, include_bias: bool) -> float:
+def _full_l2(params: ModelParams) -> float:
     total = sum(float(np.vdot(W, W)) for W in params.weights)
-    if include_bias:
-        total += params.w0 * params.w0 + float(np.dot(params.w, params.w))
-    return total
+    return total + (params.w0 * params.w0 + float(np.dot(params.w, params.w)))
 
 
 def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None = None,
                    *, l2_lambda: float = 0.0, dropout_ratio: float = 0.0,
-                   dropout_seed: int = 0, l2_includes_bias: bool = True,
-                   exact_l2: bool = False) -> tuple[float, GradientSet]:
+                   dropout_seed: int = 0) -> tuple[float, GradientSet]:
     """Summed squared error over the batch plus l2_lambda * ||Theta||^2, and
     its analytic gradients.
 
@@ -131,9 +128,9 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
     with probability ``dropout_ratio`` and scales survivors by
     1/(1 - ratio); the keep mask is drawn from ``dropout_seed`` over the
     batch's sorted node set, so a fixed seed gives a deterministic value.
-    With exact_l2 the weight decay gradient covers every parameter (matching
-    the reported loss exactly); otherwise it covers only the rows the batch
-    activated, which is what training uses.
+    The weight decay gradient covers only the rows the batch activated (the
+    lazy decay training uses); on every other row of w and the table the
+    gradient of the reported loss is 2 * l2_lambda times the parameter.
     """
     if not 0.0 <= dropout_ratio < 1.0:
         raise ValueError(f"dropout ratio must lie in [0, 1), got {dropout_ratio}")
@@ -152,7 +149,7 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
     err = scores - packed.labels
     value = float(err @ err)
     if l2_lambda:
-        value += l2_lambda * _full_l2(params, l2_includes_bias)
+        value += l2_lambda * _full_l2(params)
 
     g = 2.0 * err
     d_w0 = float(np.sum(g))
@@ -177,21 +174,14 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
             d_deep[l - 2] += cache.prop_in.T @ d_pre
             d_out = cache.adj.T @ (d_pre @ params.weights[l - 1].T)
 
-    touched_features = nodes
     if l2_lambda:
         lam2 = 2.0 * l2_lambda
-        if exact_l2:
-            dense_w, dense_table = np.zeros_like(params.w), np.zeros_like(params.weights[0])
-            dense_w[touched_features], dense_table[touched_rows] = d_w, d_table
-            d_w, d_table = dense_w, dense_table
-            touched_features = touched_rows = np.arange(params.num_features)
-        if l2_includes_bias:
-            d_w0 += lam2 * params.w0
-            d_w += lam2 * params.w[touched_features]
+        d_w0 += lam2 * params.w0
+        d_w += lam2 * params.w[nodes]
         d_table += lam2 * params.weights[0][touched_rows]
         for W, dW in zip(params.weights[1:], d_deep):
             dW += lam2 * W
-    return value, GradientSet(d_w0, d_w, [d_table, *d_deep], touched_features, touched_rows)
+    return value, GradientSet(d_w0, d_w, [d_table, *d_deep], nodes, touched_rows)
 
 
 def optimizer_step(params: ModelParams, state: OptimizerState,

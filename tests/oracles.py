@@ -149,6 +149,20 @@ def dense_gradients(grads, num_features):
     return d_w, [d_table, *grads.d_weights[1:]]
 
 
+def decayed_dense_gradients(grads, params, l2_lambda):
+    """(d_w, d_weights) of the reported loss over every parameter: the
+    row-aligned blocks scattered into dense arrays, plus the weight decay
+    2 * l2_lambda * Theta on each row of w and the table that the batch did
+    not touch (training decays only touched rows)."""
+    d_w, d_weights = dense_gradients(grads, params.num_features)
+    lam2 = 2.0 * l2_lambda
+    for dense, param, touched in ((d_w, params.w, grads.touched_features),
+                                  (d_weights[0], params.weights[0], grads.touched_rows)):
+        untouched = np.setdiff1d(np.arange(params.num_features), touched)
+        dense[untouched] += lam2 * param[untouched]
+    return d_w, d_weights
+
+
 def adagrad_rows_reference(param, accum, grad, rows, lr):
     """Lazy Adagrad on ``rows``: whole-array temporaries, one gather and
     one scatter per array, in the formula's own order."""
@@ -233,3 +247,23 @@ def negative_sample_reference(positives, space, item_field, k, seed=0):
         for drawn in draws:
             negatives.append(SparseInstance(0.0, tuple(sorted(context + ((drawn, item_value),)))))
     return negatives, short
+
+
+def save_libfm_reference(instances, path):
+    """The line-at-a-time libFM writer: one format_libfm_line string per row,
+    built from Python numbers."""
+    packed = PackedInstances.from_instances(instances)
+    bounds = packed.indptr.tolist()
+    entries = list(zip(packed.indices.tolist(), packed.values.tolist()))
+    with open(path, "w", encoding="utf-8") as fh:
+        for label, a, b in zip(packed.labels.tolist(), bounds, bounds[1:]):
+            parts = [repr(float(label))] + [f"{i}:{float(v)!r}" for i, v in entries[a:b]]
+            fh.write(" ".join(parts) + "\n")
+
+
+def graph_save_reference(graph, path):
+    """The line-at-a-time edge-list writer: ``nodes m``, then ``i j`` per edge."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"nodes {graph.num_nodes}\n")
+        for i, j in graph.edges:
+            fh.write(f"{i} {j}\n")

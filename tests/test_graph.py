@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from gemfm import (FeatureGraph, FeatureSpace, GemfmError, GraphFormatError,
                    SparseInstance, build_graph, normalize, sample_neighbors)
 from gemfm.data import PackedInstances
-from gemfm.graph import _kept_directed_edges, local_columns, node_set
-from oracles import dense_normalized_adjacency
+from gemfm.graph import (_edge_arrays, _edge_lines, _kept_directed_edges, local_columns,
+                         node_set)
+from oracles import dense_normalized_adjacency, graph_save_reference
 
 
 def _inst(*indices):
@@ -25,7 +27,7 @@ def _brute_force_pairs(instances, space, fields):
     pairs = set()
     for inst in instances:
         for (a, _), (b, _) in itertools.combinations(inst.entries, 2):
-            if space.field_of(a) in allowed and space.field_of(b) in allowed:
+            if set(space.field_of_array(np.array([a, b])).tolist()) <= allowed:
                 pairs.add((min(a, b), max(a, b)))
     return sorted(pairs)
 
@@ -87,7 +89,7 @@ def test_build_graph_groups_rows_of_any_length():
                     low_cardinality_threshold=0)
     pairs = {(0, 2), (1, 1)}
     expected = [(a, b) for a, b in _brute_force_pairs(instances, space, {0, 1, 2})
-                if tuple(sorted((space.field_of(a), space.field_of(b)))) in pairs]
+                if tuple(sorted(space.field_of_array(np.array([a, b])).tolist())) in pairs]
     np.testing.assert_array_equal(g.edges, expected)
     # a pair list no row matches gives no edges
     g = build_graph([_inst(0, 9)], space, mode="pair_list", field_pairs=[("u", "c")],
@@ -154,6 +156,32 @@ def test_graph_file_round_trip(tmp_path):
     loaded = FeatureGraph.load(path)
     assert loaded.num_nodes == 6
     np.testing.assert_array_equal(loaded.edges, g.edges)
+
+
+@given(st.sets(st.tuples(st.integers(0, 2 * 10**9), st.integers(1, 2 * 10**9))
+               .filter(lambda e: e[0] < e[1]), max_size=40),
+       st.integers(0, 3), st.sampled_from([1, 3, 1 << 16]))
+@settings(max_examples=200, deadline=None)
+def test_graph_save_writes_the_line_writer_bytes(graph_file, edges, spare, block):
+    top = max((j for _, j in edges), default=0)
+    graph = FeatureGraph(top + 1 + spare, np.array(sorted(edges), dtype=np.int64))
+    want = graph_file.with_name("want.txt")
+    graph_save_reference(graph, want)
+    with mock.patch("gemfm.graph._SAVE_EDGES", block):
+        graph.save(graph_file)
+    assert graph_file.read_bytes() == want.read_bytes()
+
+
+def test_graph_load_reads_comments_in_bulk(tmp_path, monkeypatch):
+    path = tmp_path / "graph.txt"
+    path.write_text("# written by hand\nnodes 6 # six\n0 5\n#\n2 1  # 1 9 #\n3 4#\n")
+    calls = []
+    monkeypatch.setattr("gemfm.graph._edge_lines",
+                        lambda *args: calls.append(args) or _edge_lines(*args))
+    g = FeatureGraph.load(path)
+    assert calls == []
+    assert g.num_nodes == 6
+    np.testing.assert_array_equal(g.edges, [[0, 5], [1, 2], [3, 4]])
 
 
 def test_graph_load_canonicalizes(tmp_path):
@@ -230,6 +258,18 @@ def test_graph_load_fuzz(graph_file, blob):
         FeatureGraph.load(graph_file)
     except GemfmError:
         pass
+
+
+@given(_GRAPH_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_graph_bulk_reader_agrees_with_the_line_reader(text):
+    # whatever the bulk tokenizer accepts, comments included, the line
+    # reader reads the same way
+    bulk = _edge_arrays(text)
+    if bulk is not None:
+        header, pairs = _edge_lines(text.split("\n"), "graph.txt")
+        assert bulk[0] == header
+        np.testing.assert_array_equal(bulk[1], pairs)
 
 
 def test_graph_load_rejects_non_utf8_bytes(tmp_path):

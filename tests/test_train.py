@@ -18,8 +18,8 @@ from gemfm.model import gcn_embed
 from gemfm.train import (ADAM_BETA1, ADAM_BETA2, EPSILON, EpochRecord, GradientSet,
                          OptimizerState, RunReport, _adagrad_rows, _adam_rows, _full_l2,
                          optimizer_step)
-from oracles import (adagrad_rows_reference, adam_rows_reference, dense_gcn_rows,
-                     dense_gradients, dense_normalized_adjacency,
+from oracles import (adagrad_rows_reference, adam_rows_reference, decayed_dense_gradients,
+                     dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
                      finite_difference_gradients, gradient_agreement, pairwise_score)
 
 
@@ -66,11 +66,8 @@ def test_loss_matches_brute_force_flat():
     )
     assert _loss(batch, params) == pytest.approx(expected, rel=1e-12)
     lam = 0.07
-    with_l2 = expected + lam * _full_l2(params, include_bias=True)
+    with_l2 = expected + lam * _full_l2(params)
     assert _loss(batch, params, l2_lambda=lam) == pytest.approx(with_l2, rel=1e-12)
-    no_bias = expected + lam * _full_l2(params, include_bias=False)
-    assert _loss(batch, params, l2_lambda=lam,
-                 l2_includes_bias=False) == pytest.approx(no_bias, rel=1e-12)
 
 
 def test_loss_matches_brute_force_convolved():
@@ -113,7 +110,8 @@ def test_loss_input_contract():
 # --- analytic gradients vs central differences ---
 
 FD_CASES = [
-    # (layers, activation, l2, dropout, include_bias)
+    # (layers, activation, l2, dropout, nonzero_bias); with zero biases their
+    # decay terms vanish from the loss and the gradient
     (0, "identity", 0.0, 0.0, True),
     (0, "identity", 0.02, 0.3, True),
     (1, "identity", 0.0, 0.0, True),
@@ -123,9 +121,9 @@ FD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("layers,activation,lam,ratio,include_bias", FD_CASES)
+@pytest.mark.parametrize("layers,activation,lam,ratio,nonzero_bias", FD_CASES)
 def test_backward_matches_finite_differences(layers, activation, lam, ratio,
-                                             include_bias):
+                                             nonzero_bias):
     rng = np.random.default_rng(layers * 17 + int(lam * 1000) + int(ratio * 10))
     m, d = 8, 3
     graph = _random_graph(rng, m)
@@ -133,23 +131,23 @@ def test_backward_matches_finite_differences(layers, activation, lam, ratio,
     batch = _random_batch(rng, m, 6)
     params = ModelParams.initialize(m, d, layers, activation,
                                     seed=int(rng.integers(1 << 30)), scale=0.5)
-    params.w0 = float(rng.normal())
-    params.w = rng.normal(size=m)
+    if nonzero_bias:
+        params.w0 = float(rng.normal())
+        params.w = rng.normal(size=m)
     if activation == "relu":
         # keep pre-activations away from the kink so differences are clean
         view = gcn_embed(norm, params, np.unique(batch.indices))
         assert min(float(np.abs(c.pre).min()) for c in view.layers) > 1e-4
 
     # a fixed dropout seed fixes the mask, so the loss is deterministic
-    kwargs = dict(l2_lambda=lam, dropout_ratio=ratio, dropout_seed=99,
-                  l2_includes_bias=include_bias)
+    kwargs = dict(l2_lambda=lam, dropout_ratio=ratio, dropout_seed=99)
 
     def loss_fn(p):
         return _loss(batch, p, norm, **kwargs)
 
-    grads = _grads(batch, params, norm, exact_l2=True, **kwargs)
+    grads = _grads(batch, params, norm, **kwargs)
+    d_w, d_weights = decayed_dense_gradients(grads, params, lam)
     fd_w0, fd_w, fd_weights = finite_difference_gradients(loss_fn, params)
-    d_w, d_weights = dense_gradients(grads, m)
     assert gradient_agreement(grads.d_w0, fd_w0) <= 1.0
     assert gradient_agreement(d_w, fd_w) <= 1.0
     for analytic, numeric in zip(d_weights, fd_weights):
@@ -283,12 +281,14 @@ def test_weight_decay_shrinks_norm_on_perfect_predictions():
     batch = PackedInstances.from_instances(
         [SparseInstance(float(s), inst.entries)
          for s, inst in zip(scores, instances)], m)
-    grads = _grads(batch, params, l2_lambda=0.5, exact_l2=True)
+    grads = _grads(batch, params, l2_lambda=0.5)
+    every = np.arange(m)
+    dense = GradientSet(grads.d_w0, *decayed_dense_gradients(grads, params, 0.5), every, every)
     state = OptimizerState.create(params, "adagrad")
-    before = _full_l2(params, include_bias=True)
-    optimizer_step(params, state, grads,
+    before = _full_l2(params)
+    optimizer_step(params, state, dense,
                    TrainConfig(optimizer="adagrad", learning_rate=0.01))
-    assert _full_l2(params, include_bias=True) < before
+    assert _full_l2(params) < before
 
 
 # --- dropout ---
