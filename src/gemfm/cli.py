@@ -1,13 +1,17 @@
 """Command-line entry points: build-graph, train, evaluate, predict.
 
-Options resolve in three layers: built-in defaults, then a ``key=value``
-config file (# comments allowed), then explicit command-line flags. Exit
-status is 0 only on success; errors print to stderr.
+Every option is declared once, in ``_OPTIONS``: its type, allowed values,
+default and help. That entry makes the ``--flag`` of each command that
+reads it and converts and checks the same key in a ``key=value`` config
+file (# comments allowed). Options resolve in three layers: the defaults,
+then the config file, then explicit flags. Exit status is 0 only on
+success; errors print to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import warnings
 
@@ -18,13 +22,64 @@ from .data import (DatasetSplit, PackedInstances, load_field_map, load_libfm,
 from .errors import ConfigError, DataFormatError, GemfmError
 from .graph import FeatureGraph, build_graph, normalize
 from .metrics import count_params, format_report, metric_report
-from .model import ModelParams, predict_batch
+from .model import ACTIVATIONS, ModelParams, predict_batch
 from .seeding import derive_seed
 from .train import TrainConfig, train
 
 
-def _read_config_file(path) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _field_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _pair_list(text: str) -> list[tuple[str, str]]:
+    pairs = []
+    for chunk in _field_list(text):
+        left, sep, right = chunk.partition(":")
+        if not sep or not left.strip() or not right.strip():
+            raise argparse.ArgumentTypeError(f"graph pair {chunk!r} must look like fieldA:fieldB")
+        pairs.append((left.strip(), right.strip()))
+    return pairs
+
+
+_TRAIN = TrainConfig()
+# option keys that name a TrainConfig field differently
+_TRAIN_FIELDS = {"dropout": "dropout_ratio", "metric": "metric_for_stopping"}
+
+# key: (type, allowed values, default, help); the flag is --key, with - for _
+_OPTIONS = {
+    "data": (str, None, None, "libFM data file"),
+    "field_map": (str, None, None, "field map: name, start, end per line"),
+    "graph_fields": (_field_list, None, None, "comma-separated fields the graph links"),
+    "graph_pairs": (_pair_list, None, None,
+                    "comma-separated fieldA:fieldB pairs; the graph links only these"),
+    "out": (str, None, None, "output path"),
+    "ratios": (str, None, "0.8,0.1,0.1", "train,val,test fractions of --data"),
+    "train": (str, None, None, "pre-split train file"),
+    "val": (str, None, None, "pre-split validation file"),
+    "test": (str, None, None, "pre-split test file"),
+    "dim": (int, None, 64, "embedding size"),
+    "layers": (int, None, 1, "graph convolution layers, 0 for plain FM"),
+    "activation": (str, ACTIVATIONS, "identity", "activation of each layer"),
+    "graph": (str, None, None, "edge-list file"),
+    "optimizer": (str, ("adagrad", "adam"), _TRAIN.optimizer, "optimizer"),
+    "learning_rate": (float, None, _TRAIN.learning_rate, "step size"),
+    "l2_lambda": (float, None, _TRAIN.l2_lambda, "weight of the squared-norm penalty"),
+    "dropout": (float, None, _TRAIN.dropout_ratio, "dropout ratio of the embedding rows"),
+    "batch_size": (int, None, _TRAIN.batch_size, "rows per step"),
+    "max_epochs": (int, None, _TRAIN.max_epochs, "epoch limit"),
+    "patience": (int, None, _TRAIN.patience, "epochs without improvement before stopping"),
+    "sampling_ratio": (float, None, _TRAIN.sampling_ratio, "neighbours kept per epoch"),
+    "metric": (str, ("rmse", "mae"), _TRAIN.metric_for_stopping, "early-stopping metric"),
+    "seed": (int, None, _TRAIN.seed, "run seed"),
+    "model": (str, None, None, "checkpoint path"),
+    "report": (str, None, None, "run report output path"),
+    "clip": (str, ("0", "1"), "0", "clip predictions to [0, 1]"),
+}
+
+
+def _read_config_file(path) -> dict:
+    """The typed values of a key=value file, checked as their flags are."""
+    out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -35,69 +90,40 @@ def _read_config_file(path) -> dict[str, str]:
         if not body:
             continue
         key, sep, value = body.partition("=")
-        if not sep or not key.strip():
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {body!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
+        if key not in _OPTIONS:
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        kind, choices = _OPTIONS[key][:2]
+        try:
+            out[key] = kind(value)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r}") from None
+        if choices and out[key] not in choices:
+            raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r} "
+                              f"(choose from {', '.join(choices)})")
     return out
 
 
-_DEFAULTS = {
-    "seed": "0",
-    "ratios": "0.8,0.1,0.1",
-    "graph_mode": "all_pairs",
-    "dim": "64",
-    "layers": "1",
-    "activation": "identity",
-    "optimizer": "adam",
-    "learning_rate": "0.001",
-    "l2_lambda": "0.0",
-    "dropout": "0.0",
-    "batch_size": "4096",
-    "max_epochs": "100",
-    "patience": "5",
-    "sampling_ratio": "1.0",
-    "metric": "rmse",
-}
+def _settings(given: dict) -> argparse.Namespace:
+    """Defaults < config file < the flags in ``given``."""
+    settings = {key: entry[2] for key, entry in _OPTIONS.items()}
+    if "config" in given:
+        settings.update(_read_config_file(given.pop("config")))
+    settings.update(given)
+    return argparse.Namespace(**settings)
 
 
-def _merge(args: argparse.Namespace) -> dict[str, str]:
-    # defaults < config file < explicit flags (argparse defaults are SUPPRESS,
-    # so only flags the user actually typed appear in the namespace)
-    merged = dict(_DEFAULTS)
-    explicit = {k: v for k, v in vars(args).items()
-                if k not in ("command", "func") and v is not None}
-    config_path = explicit.pop("config", None)
-    if config_path:
-        merged.update(_read_config_file(config_path))
-    merged.update({k: str(v) for k, v in explicit.items()})
-    return merged
-
-
-def _get_int(cfg, key) -> int:
-    try:
-        return int(cfg[key])
-    except (KeyError, ValueError):
-        raise ConfigError(f"option {key!r} must be an integer, "
-                          f"got {cfg.get(key)!r}") from None
-
-
-def _get_float(cfg, key) -> float:
-    try:
-        return float(cfg[key])
-    except (KeyError, ValueError):
-        raise ConfigError(f"option {key!r} must be a number, "
-                          f"got {cfg.get(key)!r}") from None
-
-
-def _require(cfg, key) -> str:
-    value = cfg.get(key)
+def _require(opts, key):
+    value = getattr(opts, key)
     if not value:
         raise ConfigError(f"missing required option {key!r}")
     return value
 
 
-def _load_space(cfg):
-    path = _require(cfg, "field_map")
+def _load_space(opts):
+    path = _require(opts, "field_map")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -106,43 +132,17 @@ def _load_space(cfg):
     return load_field_map(text)
 
 
-def _parse_fields(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _build_graph(opts, instances, space) -> FeatureGraph:
+    try:
+        return build_graph(instances, space, opts.graph_fields, opts.graph_pairs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _parse_pairs(text: str) -> list[tuple[str, str]]:
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        left, sep, right = chunk.partition(":")
-        if not sep or not left.strip() or not right.strip():
-            raise ConfigError(f"graph pair {chunk!r} must look like fieldA:fieldB")
-        pairs.append((left.strip(), right.strip()))
-    return pairs
-
-
-def _build_graph_from_cfg(cfg, instances, space) -> FeatureGraph:
-    mode = cfg["graph_mode"]
-    fields = _parse_fields(cfg["graph_fields"]) if cfg.get("graph_fields") else None
-    pairs = _parse_pairs(cfg["graph_pairs"]) if cfg.get("graph_pairs") else None
-    return build_graph(instances, space, mode, fields, pairs)
-
-
-def _echo_warnings(caught) -> None:
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-
-
-def cmd_build_graph(cfg) -> int:
-    space = _load_space(cfg)
-    instances = load_libfm(_require(cfg, "data"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        graph = _build_graph_from_cfg(cfg, instances, space)
-    _echo_warnings(caught)
-    graph.save(_require(cfg, "out"))
+def cmd_build_graph(opts) -> int:
+    space = _load_space(opts)
+    graph = _build_graph(opts, load_libfm(_require(opts, "data")), space)
+    graph.save(_require(opts, "out"))
     deg = graph.degrees()
     print(f"nodes {graph.num_nodes}")
     print(f"edges {graph.num_edges}")
@@ -165,9 +165,9 @@ def _degree_histogram(deg: np.ndarray) -> list[tuple[str, int]]:
     return out
 
 
-def _resolve_splits(cfg) -> DatasetSplit:
-    presplit = [cfg.get("train"), cfg.get("val"), cfg.get("test")]
-    single = cfg.get("data")
+def _resolve_splits(opts) -> DatasetSplit:
+    presplit = [opts.train, opts.val, opts.test]
+    single = opts.data
     if any(presplit) and single:
         raise ConfigError("give either --data with --ratios or --train/--val/--test, not both")
     if any(presplit):
@@ -177,73 +177,61 @@ def _resolve_splits(cfg) -> DatasetSplit:
                             load_libfm(presplit[2]))
     if not single:
         raise ConfigError("no input data: give --data or --train/--val/--test")
-    seed = derive_seed(_get_int(cfg, "seed"), "split")
+    seed = derive_seed(opts.seed, "split")
     try:
-        ratios = tuple(float(p) for p in cfg["ratios"].split(","))
+        ratios = tuple(float(p) for p in opts.ratios.split(","))
         return split_dataset(load_libfm(single), ratios, seed=seed)
     except ValueError as exc:
-        raise ConfigError(f"cannot split {single} by ratios {cfg['ratios']!r}: {exc}") from None
+        raise ConfigError(f"cannot split {single} by ratios {opts.ratios!r}: {exc}") from None
 
 
-def _train_config(cfg) -> TrainConfig:
+def _train_config(opts) -> TrainConfig:
+    values = {_TRAIN_FIELDS.get(key, key): value for key, value in vars(opts).items()}
     try:
-        return TrainConfig(
-            optimizer=cfg["optimizer"],
-            learning_rate=_get_float(cfg, "learning_rate"),
-            l2_lambda=_get_float(cfg, "l2_lambda"),
-            dropout_ratio=_get_float(cfg, "dropout"),
-            batch_size=_get_int(cfg, "batch_size"),
-            max_epochs=_get_int(cfg, "max_epochs"),
-            patience=_get_int(cfg, "patience"),
-            sampling_ratio=_get_float(cfg, "sampling_ratio"),
-            seed=_get_int(cfg, "seed"),
-            metric_for_stopping=cfg["metric"],
-        )
+        return TrainConfig(**{f.name: values[f.name] for f in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def cmd_train(cfg) -> int:
-    space = _load_space(cfg)
-    split = _resolve_splits(cfg)
+def cmd_train(opts) -> int:
+    space = _load_space(opts)
+    split = _resolve_splits(opts)
     if not len(split.train) or not len(split.validation):
         raise ConfigError(
             f"training needs rows in both the train and the validation part, got "
             f"{len(split.train)} train, {len(split.validation)} validation and "
             f"{len(split.test)} test rows"
         )
-    dim = _get_int(cfg, "dim")
-    layers = _get_int(cfg, "layers")
-    if dim < 1 or layers < 0:
+    if opts.dim < 1 or opts.layers < 0:
         raise ConfigError("dim must be >= 1 and layers >= 0")
-    train_config = _train_config(cfg)
+    train_config = _train_config(opts)
 
     graph = None
-    if layers >= 1:
-        if cfg.get("graph"):
-            graph = FeatureGraph.load(cfg["graph"])
+    if opts.layers >= 1:
+        if opts.graph:
+            graph = FeatureGraph.load(opts.graph)
             if graph.num_nodes != space.num_features:
                 raise ConfigError(
                     f"graph has {graph.num_nodes} nodes but the field map "
                     f"describes {space.num_features} features"
                 )
-        elif cfg.get("graph_fields") or cfg.get("graph_pairs"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                graph = _build_graph_from_cfg(cfg, split.train, space)
-            _echo_warnings(caught)
+        elif opts.graph_fields is not None or opts.graph_pairs is not None:
+            graph = _build_graph(opts, split.train, space)
         else:
             raise ConfigError("layers >= 1 needs --graph or --graph-fields/--graph-pairs")
 
-    params, report = train(split.train, split.validation, space, train_config,
-                           dim=dim, num_layers=layers,
-                           activation=cfg["activation"], graph=graph)
-    if cfg.get("model"):
-        params.save(cfg["model"])
-    if cfg.get("report"):
-        report.save(cfg["report"])
+    try:    # train() refuses a training row with no feature
+        params, report = train(split.train, split.validation, space, train_config,
+                               dim=opts.dim, num_layers=opts.layers,
+                               activation=opts.activation, graph=graph)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from None
+    if opts.model:
+        params.save(opts.model)
+    if opts.report:
+        report.save(opts.report)
 
-    norm = normalize(graph) if layers >= 1 else None
+    norm = normalize(graph) if opts.layers >= 1 else None
     for name, part in (("validation", split.validation), ("test", split.test)):
         if not part:
             continue
@@ -254,11 +242,11 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _load_model_and_graph(cfg):
-    params = ModelParams.load(_require(cfg, "model"))
+def _load_model_and_graph(opts):
+    params = ModelParams.load(_require(opts, "model"))
     norm = None
     if params.num_layers >= 1:
-        graph = FeatureGraph.load(_require(cfg, "graph"))
+        graph = FeatureGraph.load(_require(opts, "graph"))
         if graph.num_nodes != params.num_features:
             raise ConfigError(
                 f"graph has {graph.num_nodes} nodes but the model expects "
@@ -276,31 +264,39 @@ def _scored_rows(path) -> PackedInstances:
     return rows
 
 
-def cmd_evaluate(cfg) -> int:
-    params, norm = _load_model_and_graph(cfg)
-    instances = _scored_rows(_require(cfg, "data"))
+def cmd_evaluate(opts) -> int:
+    params, norm = _load_model_and_graph(opts)
+    instances = _scored_rows(_require(opts, "data"))
     preds = predict_batch(instances, params, norm)
     rep = metric_report(preds, instances.labels, count_params(params),
-                        clip_to_unit=cfg.get("clip") == "1")
+                        clip_to_unit=opts.clip == "1")
     print(format_report(rep))
     return 0
 
 
-def cmd_predict(cfg) -> int:
-    params, norm = _load_model_and_graph(cfg)
+def cmd_predict(opts) -> int:
+    params, norm = _load_model_and_graph(opts)
     # the packed rows are freed once scored, before the output text is built
-    preds = predict_batch(_scored_rows(_require(cfg, "data")), params, norm)
-    out = _require(cfg, "out")
+    preds = predict_batch(_scored_rows(_require(opts, "data")), params, norm)
+    out = _require(opts, "out")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(map(repr, preds.tolist())) + "\n")
     print(f"wrote {len(preds)} predictions to {out}")
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value options file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--field-map", dest="field_map")
+# command: (function, help, the option keys it reads)
+_COMMANDS = {
+    "build-graph": (cmd_build_graph, "build and save a co-occurrence graph",
+                    "data field_map graph_fields graph_pairs out"),
+    "train": (cmd_train, "fit a model",
+              "data ratios train val test field_map dim layers activation graph "
+              "graph_fields graph_pairs optimizer learning_rate l2_lambda dropout "
+              "batch_size max_epochs patience sampling_ratio metric seed model report"),
+    "evaluate": (cmd_evaluate, "score a labeled file against a checkpoint",
+                 "data model graph clip"),
+    "predict": (cmd_predict, "write one prediction per input line", "data model graph out"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,79 +305,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Factorization machines with graph-convolved embeddings",
     )
     parser.set_defaults(func=None)
-    subs = parser.add_subparsers(dest="command")
-
-    p = subs.add_parser("build-graph", help="build and save a co-occurrence graph",
-                        argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--data", help="libFM transactions")
-    p.add_argument("--graph-mode", dest="graph_mode", choices=["all_pairs", "pair_list"])
-    p.add_argument("--graph-fields", dest="graph_fields",
-                   help="comma-separated field names to include")
-    p.add_argument("--graph-pairs", dest="graph_pairs",
-                   help="comma-separated fieldA:fieldB pairs (pair_list mode)")
-    p.add_argument("--out", help="edge-list output path")
-    p.set_defaults(func=cmd_build_graph)
-
-    p = subs.add_parser("train", help="fit a model", argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--data", help="single libFM file, split by --ratios")
-    p.add_argument("--ratios", help="train,val,test fractions (default 0.8,0.1,0.1)")
-    p.add_argument("--train", help="pre-split train file")
-    p.add_argument("--val", help="pre-split validation file")
-    p.add_argument("--test", help="pre-split test file")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--activation", choices=["identity", "relu"])
-    p.add_argument("--graph", help="prebuilt edge-list file")
-    p.add_argument("--graph-mode", dest="graph_mode", choices=["all_pairs", "pair_list"])
-    p.add_argument("--graph-fields", dest="graph_fields")
-    p.add_argument("--graph-pairs", dest="graph_pairs")
-    p.add_argument("--optimizer", choices=["adagrad", "adam"])
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2-lambda", dest="l2_lambda", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--sampling-ratio", dest="sampling_ratio", type=float)
-    p.add_argument("--metric", choices=["rmse", "mae"])
-    p.add_argument("--model", help="checkpoint output path")
-    p.add_argument("--report", help="run report output path")
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("evaluate", help="score a labeled file against a checkpoint",
-                        argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--model")
-    p.add_argument("--graph")
-    p.add_argument("--clip", choices=["0", "1"], help="clip predictions to [0, 1]")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = subs.add_parser("predict", help="write one prediction per input line",
-                        argument_default=argparse.SUPPRESS)
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--model")
-    p.add_argument("--graph")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
+    subs = parser.add_subparsers()
+    for name, (func, help_text, keys) in _COMMANDS.items():
+        # only the flags typed appear in the namespace
+        p = subs.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="key=value options file; flags override it")
+        for key in keys.split():
+            kind, choices, default, text = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices,
+                           help=text if default is None else f"{text} (default {default})")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.func is None:
+    given = vars(parser.parse_args(argv))
+    func = given.pop("func")
+    if func is None:
         parser.print_help(sys.stderr)
         return 1
     try:
-        return args.func(_merge(args))
-    except GemfmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                             file=sys.stderr)
+            return func(_settings(given))
+    except (GemfmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,14 +26,11 @@ class FeatureGraph:
     """Undirected feature graph over ``num_nodes`` feature indices.
 
     ``edges`` is an (E, 2) int64 array, each row i < j, rows unique and
-    lexicographically sorted. ``included_fields`` records which field ids
-    contributed nodes when the graph was built from data (None when unknown,
-    e.g. after loading from a file).
+    lexicographically sorted.
     """
 
     num_nodes: int
     edges: np.ndarray
-    included_fields: frozenset | None = None
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -46,8 +43,9 @@ class FeatureGraph:
                 raise GraphFormatError("edge endpoint outside [0, num_nodes)")
             if np.any(i >= j):
                 raise GraphFormatError("edges must satisfy i < j (no self-edges)")
-            key = i * self.num_nodes + j
-            if np.any(np.diff(key) <= 0):
+            # row by row, not by a combined key that overflows int64
+            di, dj = np.diff(i), np.diff(j)
+            if np.any((di < 0) | ((di == 0) & (dj <= 0))):
                 raise GraphFormatError("edges must be unique and sorted")
 
     @property
@@ -84,7 +82,7 @@ class FeatureGraph:
         edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         if np.any((edges[1:] == edges[:-1]).all(axis=1)):
             raise GraphFormatError(f"{path}: duplicate edges in file")
-        return cls(header, edges, None)
+        return cls(header, edges)
 
 
 def _edge_arrays(text: str):
@@ -146,38 +144,35 @@ def _edge_lines(lines, path):
     return header, np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def build_graph(instances, space: FeatureSpace, mode: str = "all_pairs",
-                included_fields=None, field_pairs=None, *,
+def build_graph(instances, space: FeatureSpace, included_fields=None, field_pairs=None, *,
                 low_cardinality_threshold: int = 10) -> FeatureGraph:
     """Build the binary co-occurrence graph from transactions.
 
-    mode "all_pairs" links every pair of features co-occurring in an instance
-    whose fields are both included; "pair_list" links only pairs whose
-    unordered field pair appears in ``field_pairs``. Fields may be given by id
-    or name. Including a field with fewer features than
+    Links every pair of features co-occurring in an instance whose fields
+    are both included (all fields by default); given ``field_pairs``, only
+    pairs whose unordered field pair is listed there. Fields may be given
+    by id or name. Including a field with fewer features than
     ``low_cardinality_threshold`` emits a RuntimeWarning, since near-universal
     features (a 2-value flag, say) end up adjacent to most of the graph.
     """
-    if mode not in ("all_pairs", "pair_list"):
-        raise ValueError(f"unknown graph mode {mode!r}")
     m = space.num_features
     if included_fields is None:
         included = list(range(space.num_fields))
     else:
         included = [_resolve_field(space, f) for f in included_fields]
     if len(set(included)) != len(included):
-        raise ValueError("included_fields has duplicates")
+        raise ValueError("the graph's field list names a field twice")
 
     pair_codes = None
-    if mode == "pair_list":
+    if field_pairs is not None:
         if not field_pairs:
-            raise ValueError("pair_list mode requires a non-empty field_pairs")
+            raise ValueError("the graph's field pair list is empty")
         codes = set()
         for a, b in field_pairs:
             fa, fb = _resolve_field(space, a), _resolve_field(space, b)
             if fa not in included or fb not in included:
                 raise ValueError(
-                    f"field pair ({a!r}, {b!r}) uses a field outside included_fields"
+                    f"field pair ({a!r}, {b!r}) uses a field outside the graph's fields"
                 )
             lo, hi = min(fa, fb), max(fa, fb)
             codes.add(lo * space.num_fields + hi)
@@ -220,7 +215,7 @@ def build_graph(instances, space: FeatureSpace, mode: str = "all_pairs",
             code = np.minimum(fu, fv) * space.num_fields + np.maximum(fu, fv)
             pairs = pairs[np.isin(code, pair_codes)]
         edges.append(pairs)
-    return FeatureGraph(m, np.unique(np.concatenate(edges), axis=0), frozenset(included))
+    return FeatureGraph(m, np.unique(np.concatenate(edges), axis=0))
 
 
 def _resolve_field(space: FeatureSpace, f) -> int:
@@ -271,12 +266,9 @@ def normalize(graph: FeatureGraph) -> NormalizedAdjacency:
     deg = graph.degrees()
     dtil = (deg + 1).astype(np.int64)
     loops = np.arange(m, dtype=np.int64)
-    if graph.num_edges:
-        e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-        rows = np.concatenate([e0, e1, loops])
-        cols = np.concatenate([e1, e0, loops])
-    else:
-        rows = cols = loops
+    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
+    rows = np.concatenate([e0, e1, loops])
+    cols = np.concatenate([e1, e0, loops])
     # the integer product is exact, so perfect squares normalize exactly
     data = 1.0 / np.sqrt((dtil[rows] * dtil[cols]).astype(np.float64))
     matrix = sparse.csr_array((data, (rows, cols)), shape=(m, m))
@@ -303,7 +295,7 @@ def sample_neighbors(graph: FeatureGraph, ratio: float, seed: int = 0) -> Featur
     kept = np.zeros(e, dtype=bool)
     kept[_kept_directed_edges(src, keys, ratio, graph.num_nodes) % e] = True
     # a mask keeps the sorted, unique order of graph.edges
-    return FeatureGraph(graph.num_nodes, graph.edges[kept], graph.included_fields)
+    return FeatureGraph(graph.num_nodes, graph.edges[kept])
 
 
 def _kept_directed_edges(src: np.ndarray, keys: np.ndarray, ratio: float,

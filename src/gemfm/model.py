@@ -22,6 +22,8 @@ from .graph import NormalizedAdjacency, local_columns, node_set
 ACTIVATIONS = ("identity", "relu")
 
 CHECKPOINT_MAGIC = b"GEMFM\x00\x00\x01"
+# rows predict_batch scores per batch_design
+_PREDICT_CHUNK = 8192
 
 
 def activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -277,8 +279,7 @@ def scores_from_design(params: ModelParams, nodes: np.ndarray,
 
 
 def predict_batch(instances, params: ModelParams,
-                  norm: NormalizedAdjacency | None = None, *,
-                  chunk_size: int = 8192) -> np.ndarray:
+                  norm: NormalizedAdjacency | None = None) -> np.ndarray:
     """Deterministic batch scoring (dropout never applies here).
 
     ``norm`` must be given exactly when the model has convolution layers.
@@ -287,8 +288,8 @@ def predict_batch(instances, params: ModelParams,
     packed = PackedInstances.from_instances(instances, params.num_features)
     n = len(packed)
     out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, chunk_size):
-        chunk = packed.take(np.arange(lo, min(lo + chunk_size, n)))
+    for lo in range(0, n, _PREDICT_CHUNK):
+        chunk = packed.take(np.arange(lo, min(lo + _PREDICT_CHUNK, n)))
         nodes, x, x2 = batch_design(chunk)
         rows = embed(params, norm, nodes).rows
         out[lo:lo + len(chunk)] = scores_from_design(params, nodes, x, x2, rows)[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -305,8 +305,7 @@ class RunReport:
 def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
           num_layers: int = 0, activation: str = "identity",
           graph: FeatureGraph | None = None,
-          init_params: ModelParams | None = None,
-          extra_metadata: dict | None = None) -> tuple[ModelParams, RunReport]:
+          init_params: ModelParams | None = None) -> tuple[ModelParams, RunReport]:
     """Fit by mini-batch gradient descent with validation early stopping.
 
     Stops after ``config.patience`` consecutive epochs without strict
@@ -340,17 +339,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     full_norm = normalize(graph) if num_layers >= 1 else None
     state = OptimizerState.create(params, config.optimizer)
 
-    meta = {
-        "optimizer": config.optimizer,
-        "learning_rate": repr(config.learning_rate),
-        "l2_lambda": repr(config.l2_lambda),
-        "dropout_ratio": repr(config.dropout_ratio),
-        "batch_size": str(config.batch_size),
-        "max_epochs": str(config.max_epochs),
-        "patience": str(config.patience),
-        "sampling_ratio": repr(config.sampling_ratio),
-        "seed": str(config.seed),
-        "metric_for_stopping": config.metric_for_stopping,
+    meta = {key: str(value) for key, value in asdict(config).items()}
+    meta.update({
         "dim": str(dim),
         "num_layers": str(num_layers),
         "activation": activation,
@@ -359,9 +349,7 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         "loss": "sum_squared_error_plus_l2",
         "validation_graph": "full",
         "validation_dropout": "off",
-    }
-    if extra_metadata:
-        meta.update({str(k): str(v) for k, v in extra_metadata.items()})
+    })
     report = RunReport(meta)
 
     n = len(tr)

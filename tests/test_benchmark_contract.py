@@ -43,7 +43,7 @@ def _data(seed, n):
             for _ in range(n)]
 
 
-def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path):
+def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path, monkeypatch):
     bench_trace, bench_clock = bench
     space = FeatureSpace.from_cardinalities(["u", "i"], [5, 6])
     train_set, val_set = _data(0, 100), _data(1, 30)
@@ -66,8 +66,9 @@ def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path):
     assert len(ticks.ticks) == steps
 
     norm = normalize(graph)
+    monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 8)
     with bench_clock.Ticks(_CountingKernel(), "gemfm.model", "scores_from_design") as ticks:
-        predict_batch(val_set, params, norm, chunk_size=8)
+        predict_batch(val_set, params, norm)
     assert len(ticks.ticks) == 4   # one per chunk: ceil(30 / 8)
 
     path = tmp_path / "val.libfm"

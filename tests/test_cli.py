@@ -1,5 +1,6 @@
 """End-to-end command-line runs against small on-disk fixtures."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from gemfm import (FeatureGraph, FeatureSpace, GemfmError, ModelParams, SparseInstance,
                    build_graph, count_params, format_report, load_libfm,
-                   metric_report, normalize, predict_batch, save_libfm)
-from gemfm.cli import _get_int, _merge, _train_config, build_parser, main
+                   TrainConfig, metric_report, normalize, predict_batch, save_libfm)
+from gemfm.cli import _OPTIONS, _settings, _train_config, build_parser, main
 from gemfm.train import RunReport
 
 
@@ -219,6 +220,127 @@ def test_bad_config_lines_fail_cleanly(workspace, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,flags", [
+    ("dim=x", ["train", "--dim", "x"]),
+    ("learning_rate=abc", ["train", "--learning-rate", "abc"]),
+    ("activation=tanh", ["train", "--activation", "tanh"]),
+    ("optimizer=sgd", ["train", "--optimizer", "sgd"]),
+    ("metric=auc", ["train", "--metric", "auc"]),
+    ("clip=yes", ["evaluate", "--clip", "yes"]),
+    ("graph_mode=pair_list", ["train", "--graph-mode", "pair_list"]),
+    ("lerning_rate=0.1", ["train", "--lerning-rate", "0.1"]),
+])
+def test_config_values_are_checked_as_their_flags_are(workspace, capsys, line, flags):
+    tmp_path, data, fmap, _ = workspace
+    config = tmp_path / "run.conf"
+    config.write_text(f"# options\nlayers = 0\n{line}\n")
+    rc = main(_train_args(data, fmap, tmp_path, "--config", str(config)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:3: ") and err.count("\n") == 1
+    assert not (tmp_path / "model.bin").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(flags)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_every_train_config_field_has_an_option():
+    # a TrainConfig field no option sets would keep its default, or fail here
+    values = {}
+    for key, (kind, choices, default, _) in _OPTIONS.items():
+        if choices:
+            values[key] = next(c for c in choices if c != default)
+        elif kind in (int, float):
+            values[key] = default + 1 if kind is int else default / 2 + 0.25
+    config, default = _train_config(_settings(values)), TrainConfig()
+    assert [f.name for f in dataclasses.fields(TrainConfig)
+            if getattr(config, f.name) == getattr(default, f.name)] == []
+
+
+def test_run_report_config_lines_are_pinned(workspace, capsys):
+    tmp_path, data, fmap, _ = workspace
+    rc = main(_train_args(data, fmap, tmp_path, "--seed", "4", "--l2-lambda", "1e-4",
+                          "--dropout", "0.1", "--optimizer", "adagrad", "--metric", "mae",
+                          "--sampling-ratio", "0.3"))
+    capsys.readouterr()
+    assert rc == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("config ")] == [
+        "config optimizer=adagrad", "config learning_rate=0.05", "config l2_lambda=0.0001",
+        "config dropout_ratio=0.1", "config batch_size=16", "config max_epochs=3",
+        "config patience=3", "config sampling_ratio=0.3", "config seed=4",
+        "config metric_for_stopping=mae", "config dim=3", "config num_layers=0",
+        "config activation=identity", "config num_train=64", "config num_validation=8",
+        "config loss=sum_squared_error_plus_l2", "config validation_graph=full",
+        "config validation_dropout=off",
+    ]
+
+
+def test_graph_pairs_alone_build_the_pair_list_graph(tmp_path, capsys):
+    # item-item co-occurrences are linked by default, not by the pair user:item
+    space = FeatureSpace.from_cardinalities(["user", "item"], [4, 5])
+    instances = [SparseInstance(1.0, ((u, 1.0), (4 + i, 1.0), (5 + i, 1.0)))
+                 for u in range(4) for i in range(0, 4, 2)]
+    data, fmap, out = tmp_path / "data.libfm", tmp_path / "fields.tsv", tmp_path / "graph.txt"
+    save_libfm(instances, data)
+    fmap.write_text("user\t0\t4\nitem\t4\t9\n")
+    rc = main(["build-graph", "--data", str(data), "--field-map", str(fmap),
+               "--graph-pairs", "user:item", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    expected = build_graph(instances, space, field_pairs=[("user", "item")],
+                           low_cardinality_threshold=0)
+    np.testing.assert_array_equal(FeatureGraph.load(out).edges, expected.edges)
+    assert expected.num_edges < build_graph(instances, space,
+                                            low_cardinality_threshold=0).num_edges
+
+
+@pytest.mark.parametrize("command", ["build-graph", "train"])
+@pytest.mark.parametrize("flags,fragment", [
+    (["--graph-fields", "user", "--graph-pairs", "user:item"], "outside the graph's fields"),
+    (["--graph-fields", "user,item,user"], "names a field twice"),
+    (["--graph-pairs", ","], "pair list is empty"),
+])
+def test_bad_graph_field_lists_fail_cleanly(workspace, capsys, command, flags, fragment):
+    tmp_path, data, fmap, _ = workspace
+    out = tmp_path / "graph.txt"
+    rc = main([command, "--data", str(data), "--field-map", str(fmap), *flags,
+               *(["--out", str(out)] if command == "build-graph" else
+                 ["--layers", "1", "--model", str(tmp_path / "model.bin")])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err and err.count("\n") == 1
+    assert not out.exists() and not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("presplit", [False, True])
+def test_label_only_training_rows_fail_cleanly(workspace, capsys, presplit):
+    tmp_path, data, fmap, _ = workspace
+    bad = tmp_path / "bad.libfm"
+    bad.write_text(data.read_text() + "1.5\n" * 20)
+    source = (["--train", str(bad), "--val", str(data), "--test", str(data)] if presplit
+              else ["--data", str(bad)])
+    rc = main(["train", *source, "--field-map", str(fmap), "--dim", "2", "--layers", "0",
+               "--model", str(tmp_path / "model.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: training instances must have at least one active feature\n"
+    assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("build-graph", "--seed"), ("evaluate", "--seed"), ("predict", "--seed"),
+    ("evaluate", "--field-map"), ("predict", "--field-map"),
+])
+def test_commands_take_only_the_flags_they_read(workspace, capsys, command, flag):
+    tmp_path, data, fmap, _ = workspace
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(data), flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags,fragment", [
     (["--ratios", "0.8,0.1,0.2"], "sum to 1"),
     (["--ratios", "nan,0.5,0.5"], "finite"),      # used to fail in math.floor
@@ -299,10 +421,9 @@ def test_config_file_to_train_config_fuzz(config_file, text):
     # read and converted as cmd_train does: it may only work or raise a GemfmError
     config_file.write_text(text, encoding="utf-8")
     try:
-        cfg = _merge(build_parser().parse_args(["train", "--config", str(config_file)]))
-        _get_int(cfg, "dim")
-        _get_int(cfg, "layers")
-        _train_config(cfg)
+        given = vars(build_parser().parse_args(["train", "--config", str(config_file)]))
+        del given["func"]
+        _train_config(_settings(given))
     except GemfmError:
         pass
 

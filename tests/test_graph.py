@@ -74,7 +74,7 @@ def test_build_graph_matches_brute_force():
 
 
 def test_build_graph_groups_rows_of_any_length():
-    # rows with 0 to 6 selected entries, packed or not; both modes
+    # rows with 0 to 6 selected entries, packed or not; with and without field pairs
     rng = np.random.default_rng(4)
     space = FeatureSpace.from_cardinalities(["u", "i", "c"], [9, 12, 6])
     instances = [_inst(*rng.choice(27, size=int(rng.integers(0, 7)), replace=False).tolist())
@@ -85,14 +85,14 @@ def test_build_graph_groups_rows_of_any_length():
         for data in (instances, packed):
             g = build_graph(data, space, included_fields=fields, low_cardinality_threshold=0)
             np.testing.assert_array_equal(g.edges, np.array(expected).reshape(-1, 2))
-    g = build_graph(packed, space, mode="pair_list", field_pairs=[("u", "c"), ("i", "i")],
+    g = build_graph(packed, space, field_pairs=[("u", "c"), ("i", "i")],
                     low_cardinality_threshold=0)
     pairs = {(0, 2), (1, 1)}
     expected = [(a, b) for a, b in _brute_force_pairs(instances, space, {0, 1, 2})
                 if tuple(sorted(space.field_of_array(np.array([a, b])).tolist())) in pairs]
     np.testing.assert_array_equal(g.edges, expected)
     # a pair list no row matches gives no edges
-    g = build_graph([_inst(0, 9)], space, mode="pair_list", field_pairs=[("u", "c")],
+    g = build_graph([_inst(0, 9)], space, field_pairs=[("u", "c")],
                     low_cardinality_threshold=0)
     assert g.edges.shape == (0, 2)
 
@@ -110,13 +110,13 @@ def test_build_graph_field_subset():
 def test_build_graph_pair_list_mode():
     space = FeatureSpace.from_cardinalities(["u", "i", "c"], [4, 4, 4])
     instances = [_inst(0, 5, 9), _inst(1, 6, 10)]
-    g = build_graph(instances, space, mode="pair_list",
+    g = build_graph(instances, space,
                     field_pairs=[("u", "c")], low_cardinality_threshold=0)
     np.testing.assert_array_equal(g.edges, [[0, 9], [1, 10]])
 
 
 def test_build_graph_links_within_a_field_too():
-    # multi-hot fields co-occur with themselves; all_pairs keeps those edges
+    # multi-hot fields co-occur with themselves; without field pairs those edges stay
     space = FeatureSpace.from_cardinalities(["tags"], [6])
     instances = [_inst(0, 1, 2), _inst(3, 4)]
     g = build_graph(instances, space, low_cardinality_threshold=0)
@@ -189,6 +189,16 @@ def test_graph_load_canonicalizes(tmp_path):
     path.write_text("nodes 4\n# comment\n3 1\n0 2\n")
     g = FeatureGraph.load(path)
     np.testing.assert_array_equal(g.edges, [[0, 2], [1, 3]])
+
+
+def test_graph_order_check_holds_past_the_int64_key_range(tmp_path):
+    # i * num_nodes + j overflows int64 here, so rows are compared as pairs
+    path = tmp_path / "graph.txt"
+    path.write_text("nodes 922337203685477581\n0 1\n9 922337203685477580\n")
+    g = FeatureGraph.load(path)
+    np.testing.assert_array_equal(g.edges, [[0, 1], [9, 922337203685477580]])
+    with pytest.raises(GraphFormatError, match="sorted"):
+        FeatureGraph(g.num_nodes, g.edges[::-1])
 
 
 @pytest.mark.parametrize("text,fragment", [

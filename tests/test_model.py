@@ -181,13 +181,14 @@ def test_predict_batch_matches_per_instance_scores():
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_predict_batch_chunking_changes_nothing():
+def test_predict_batch_chunking_changes_nothing(monkeypatch):
     rng = np.random.default_rng(7)
     m = 15
     instances = [_random_instance(rng, m) for _ in range(23)]
     params = ModelParams.initialize(m, 3, 0, seed=5, scale=0.2)
     whole = predict_batch(instances, params)
-    chunked = predict_batch(instances, params, chunk_size=4)
+    monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
+    chunked = predict_batch(instances, params)
     np.testing.assert_array_equal(whole, chunked)
 
 
