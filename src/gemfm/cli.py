@@ -126,10 +126,11 @@ def _load_space(opts):
     path = _require(opts, "field_map")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return load_field_map(fh.read())
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return load_field_map(text)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _build_graph(opts, instances, space) -> FeatureGraph:
@@ -205,6 +206,15 @@ def cmd_train(opts) -> int:
     if opts.dim < 1 or opts.layers < 0:
         raise ConfigError("dim must be >= 1 and layers >= 0")
     train_config = _train_config(opts)
+    # a warning, not an error: a config file cannot unset a key
+    unread = ("graph", "graph_fields", "graph_pairs", "sampling_ratio", "activation")
+    if opts.layers:
+        unread = ("graph_fields", "graph_pairs") if opts.graph else ()
+    ignored = ["--" + key.replace("_", "-") for key in unread
+               if getattr(opts, key) != _OPTIONS[key][2]]
+    if ignored:
+        warnings.warn(f"ignoring {', '.join(ignored)}: " + ("the graph is read from --graph"
+                      if opts.layers else "--layers 0 trains plain FM, without a graph"))
 
     graph = None
     if opts.layers >= 1:

@@ -334,8 +334,8 @@ def _spell_floats(numbers: np.ndarray) -> np.ndarray:
 class FeatureSpace:
     """Feature-index layout: contiguous [start, end) ranges grouped into named fields.
 
-    Ranges must tile [0, num_features) in order with no gaps or overlaps and
-    every field must hold at least one feature.
+    Ranges must tile [0, num_features) in order with no gaps or overlaps,
+    every field must hold at least one feature and no two fields share a name.
     """
 
     field_names: tuple[str, ...]
@@ -345,7 +345,9 @@ class FeatureSpace:
         if not self.field_names or len(self.field_names) != len(self.field_bounds):
             raise DataFormatError("field names and bounds must be non-empty and aligned")
         expected = 0
-        for name, (start, end) in zip(self.field_names, self.field_bounds):
+        for k, (name, (start, end)) in enumerate(zip(self.field_names, self.field_bounds)):
+            if name in self.field_names[:k]:
+                raise DataFormatError(f"field {name!r} is named twice")
             if start != expected:
                 raise DataFormatError(
                     f"field {name!r} starts at {start}, expected {expected} "

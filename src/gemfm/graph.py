@@ -237,7 +237,6 @@ class NormalizedAdjacency:
     """
 
     matrix: sparse.csr_array
-    degrees: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -273,7 +272,7 @@ def normalize(graph: FeatureGraph) -> NormalizedAdjacency:
     data = 1.0 / np.sqrt((dtil[rows] * dtil[cols]).astype(np.float64))
     matrix = sparse.csr_array((data, (rows, cols)), shape=(m, m))
     matrix.sort_indices()
-    return NormalizedAdjacency(matrix, dtil)
+    return NormalizedAdjacency(matrix)
 
 
 def sample_neighbors(graph: FeatureGraph, ratio: float, seed: int = 0) -> FeatureGraph:

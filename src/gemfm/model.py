@@ -104,17 +104,15 @@ class ModelParams:
                            self.activation, self.num_layers)
 
     def save(self, path) -> None:
-        """Binary checkpoint: magic, dims, activation name, float64 LE arrays."""
+        """Binary checkpoint: magic, dims, activation name, float64 LE blocks."""
         act = self.activation.encode("ascii")
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<qqqq", self.num_features, self.dim,
                                  self.num_layers, len(act)))
             fh.write(act)
-            fh.write(struct.pack("<d", self.w0))
-            fh.write(np.ascontiguousarray(self.w, dtype="<f8").tobytes())
-            for W in self.weights:
-                fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
+            for block in [np.array([self.w0]), self.w, *self.weights]:
+                fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "ModelParams":
@@ -143,15 +141,12 @@ class ModelParams:
         flat = np.frombuffer(blob, dtype="<f8", offset=offset)
         if not np.isfinite(flat).all():
             raise CheckpointError(f"{path}: non-finite parameter value")
-        w0 = float(flat[0])
-        w = flat[1:1 + m].copy()
-        pos = 1 + m
-        weights = [flat[pos:pos + m * d].reshape(m, d).copy()]
-        pos += m * d
-        for _ in range(max(0, layers - 1)):
-            weights.append(flat[pos:pos + d * d].reshape(d, d).copy())
-            pos += d * d
-        return cls(w0, w, weights, act, layers)
+        blocks, pos = [], 0
+        for shape in [(1,), (m,), (m, d), *[(d, d)] * max(0, layers - 1)]:
+            blocks.append(flat[pos:pos + np.prod(shape)].reshape(shape).copy())
+            pos += blocks[-1].size
+        w0, w, *weights = blocks
+        return cls(w0[0], w, weights, act, layers)
 
 
 @dataclass(eq=False)

@@ -67,34 +67,22 @@ class TrainConfig:
 
 
 @dataclass(eq=False)
-class ParamStats:
-    """Float accumulators shaped exactly like ModelParams."""
-
-    w0: float
-    w: np.ndarray
-    weights: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "ParamStats":
-        return cls(0.0, np.zeros_like(params.w),
-                   [np.zeros_like(W) for W in params.weights])
-
-
-@dataclass(eq=False)
 class OptimizerState:
-    """Adagrad squared-gradient sums, or Adam moments with a global step count."""
+    """One array per parameter block [w0, w, *weights]: Adagrad's squared-gradient
+    sums in ``accum``, or Adam's second moments in ``accum`` and first moments in
+    ``momentum`` (Adam is the state that has them) with a global step count."""
 
-    kind: str
-    accum: ParamStats
-    momentum: ParamStats | None = None
+    accum: list[np.ndarray]
+    momentum: list[np.ndarray] | None = None
     step_count: int = 0
 
     @classmethod
     def create(cls, params: ModelParams, kind: str) -> "OptimizerState":
         if kind not in ("adagrad", "adam"):
             raise ValueError(f"unknown optimizer {kind!r}")
-        momentum = ParamStats.zeros_like(params) if kind == "adam" else None
-        return cls(kind, ParamStats.zeros_like(params), momentum)
+        blocks = [np.array([params.w0]), params.w, *params.weights]
+        momentum = [np.zeros_like(b) for b in blocks] if kind == "adam" else None
+        return cls([np.zeros_like(b) for b in blocks], momentum)
 
 
 @dataclass(eq=False)
@@ -190,28 +178,21 @@ def optimizer_step(params: ModelParams, state: OptimizerState,
     including their accumulators (lazy sparse updates). Raises
     TrainingDivergedError naming a block the update would leave non-finite."""
     lr = config.learning_rate
-    blocks = list(zip([params.w, *params.weights], [grads.d_w, *grads.d_weights],
-                      [grads.touched_features, grads.touched_rows,
-                       *(np.arange(W.shape[0]) for W in params.weights[1:])],
-                      ["w", *(f"weights[{l}]" for l in range(len(params.weights)))]))
-    accums = [state.accum.w, *state.accum.weights]
-    if state.kind == "adagrad":
-        state.accum.w0 += grads.d_w0 ** 2
-        params.w0 -= lr * grads.d_w0 / math.sqrt(state.accum.w0 + EPSILON)
-        for (param, grad, rows, block), accum in zip(blocks, accums):
+    blocks = [np.array([params.w0]), params.w, *params.weights]   # w0 as a one-row block
+    steps = zip(blocks, [np.array([grads.d_w0]), grads.d_w, *grads.d_weights],
+                [np.array([0]), grads.touched_features, grads.touched_rows,
+                 *(np.arange(W.shape[0]) for W in params.weights[1:])],
+                ["w0", "w", *(f"weights[{l}]" for l in range(len(params.weights)))])
+    state.step_count += 1
+    if state.momentum is None:
+        for (param, grad, rows, block), accum in zip(steps, state.accum):
             _adagrad_rows(param, accum, grad, rows, lr, block)
-        state.step_count += 1
     else:    # adam: global step count, bias-corrected moments, lazy rows
-        state.step_count += 1
-        t = state.step_count
-        c1 = 1.0 - ADAM_BETA1 ** t
-        c2 = 1.0 - ADAM_BETA2 ** t
-        state.momentum.w0 = ADAM_BETA1 * state.momentum.w0 + (1 - ADAM_BETA1) * grads.d_w0
-        state.accum.w0 = ADAM_BETA2 * state.accum.w0 + (1 - ADAM_BETA2) * grads.d_w0 ** 2
-        params.w0 -= lr * (state.momentum.w0 / c1) / (math.sqrt(state.accum.w0 / c2) + EPSILON)
-        moments = [state.momentum.w, *state.momentum.weights]
-        for (param, grad, rows, block), mom, accum in zip(blocks, moments, accums):
+        c1 = 1.0 - ADAM_BETA1 ** state.step_count
+        c2 = 1.0 - ADAM_BETA2 ** state.step_count
+        for (param, grad, rows, block), mom, accum in zip(steps, state.momentum, state.accum):
             _adam_rows(param, mom, accum, grad, rows, lr, c1, c2, block)
+    params.w0 = float(blocks[0][0])
 
 
 def _adagrad_rows(param, accum, grad, rows, lr, block):

@@ -314,6 +314,48 @@ def test_bad_graph_field_lists_fail_cleanly(workspace, capsys, command, flags, f
     assert not out.exists() and not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize("flags,layers,message", [
+    (["--layers", "0", "--graph-pairs", "user:bogus"], 0,
+     "ignoring --graph-pairs: --layers 0 trains plain FM"),
+    (["--layers", "1", "--graph", "EDGELESS", "--graph-pairs", "user:bogus"], 1,
+     "ignoring --graph-pairs: the graph is read from --graph"),
+    (["--layers", "0", "--sampling-ratio", "0.3", "--activation", "relu"], 0,
+     "ignoring --sampling-ratio, --activation: --layers 0 trains plain FM"),
+    # a config file cannot unset a key, so --layers 0 over it still trains FM
+    (["--config", "GEM_CONFIG", "--layers", "0"], 0,
+     "ignoring --graph-fields, --sampling-ratio: --layers 0 trains plain FM"),
+])
+def test_ignored_training_options_are_named(workspace, capsys, flags, layers, message):
+    tmp_path, data, fmap, _ = workspace
+    edgeless, config = tmp_path / "edgeless.txt", tmp_path / "gem.cfg"
+    FeatureGraph(9, np.zeros((0, 2), dtype=np.int64)).save(edgeless)
+    config.write_text("layers = 1\ngraph-fields = user,item\nsampling-ratio = 0.5\n")
+    paths = {"EDGELESS": str(edgeless), "GEM_CONFIG": str(config)}
+    rc = main(_train_args(data, fmap, tmp_path, *(paths.get(f, f) for f in flags)))
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: " + message) and err.count("\n") == 1
+    assert ModelParams.load(tmp_path / "model.bin").num_layers == layers
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("user\t0\t4\nitem\t4\t6\nitem\t6\t9\n", "field 'item' is named twice"),
+    ("user\t0\tx\n", "field map line 1: non-integer bound"),
+])
+def test_bad_field_maps_name_their_file(workspace, capsys, text, fragment):
+    # a repeated field used to load, and --graph-fields item took its first range
+    tmp_path, data, _, _ = workspace
+    fmap = tmp_path / "bad-fields.tsv"
+    fmap.write_text(text)
+    out = tmp_path / "graph.txt"
+    rc = main(["build-graph", "--data", str(data), "--field-map", str(fmap),
+               "--graph-fields", "item", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fmap}: {fragment}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("presplit", [False, True])
 def test_label_only_training_rows_fail_cleanly(workspace, capsys, presplit):
     tmp_path, data, fmap, _ = workspace

@@ -379,6 +379,7 @@ def test_field_map_parses_comments_and_blanks():
     ("user\t0\t99999999999999999999\n", "non-integer"),
     ("user 0 3\n", "expected name"),
     ("", "no fields"),
+    ("user\t0\t3\nitem\t3\t5\nitem\t5\t8\n", "'item' is named twice"),
 ])
 def test_field_map_rejects(text, fragment):
     with pytest.raises(DataFormatError, match=fragment):

@@ -1,5 +1,7 @@
 """Scoring paths, convolution embeddings, checkpoints."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,20 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     np.testing.assert_array_equal(loaded.w, params.w)
     for a, b in zip(loaded.weights, params.weights):
         np.testing.assert_array_equal(a, b)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # exact binary values (no random draws), so the file is the same
+    # everywhere; the digest was recorded before save/load became one loop
+    # over the parameter blocks
+    m, d = 5, 3
+    params = ModelParams(-0.8125, np.arange(m) / 8.0 - 0.25,
+                         [np.arange(m * d).reshape(m, d) / 16.0, np.eye(d) / 2.0,
+                          -np.eye(d)[::-1] / 4.0], "relu", 3)
+    path = tmp_path / "model.bin"
+    params.save(path)
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+    assert digest == "9964635be1ac21dacec4d86b79b84344"
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

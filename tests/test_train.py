@@ -210,8 +210,9 @@ def test_adagrad_first_step_hand_calc():
     assert params.w[0] == pytest.approx(expected, rel=1e-12)
     assert params.w[1] == 0.0
     assert params.weights[0][1, 0] == 0.0
-    assert state.accum.w[0] == 9.0
-    assert state.accum.w[1] == 0.0
+    assert state.accum[0][0] == 9.0    # w0
+    assert state.accum[1][0] == 9.0
+    assert state.accum[1][1] == 0.0
 
 
 def test_adam_first_step_moves_by_learning_rate():
@@ -266,8 +267,9 @@ def test_lazy_updates_leave_accumulators_untouched():
         rest = np.arange(1, m)
         np.testing.assert_array_equal(params.w[rest], before_w[rest])
         np.testing.assert_array_equal(params.weights[0][rest], before_table[rest])
-        assert not state.accum.w[rest].any()
-        assert not state.accum.weights[0][rest].any()
+        assert not state.accum[1][rest].any()
+        assert not state.accum[2][rest].any()
+        assert state.accum[0][0] != 0.0    # w0 is touched by every step
 
 
 def test_weight_decay_shrinks_norm_on_perfect_predictions():
@@ -445,14 +447,16 @@ def test_train_diverged_raises():
                   config, dim=4, init_params=huge)
 
 
-@pytest.mark.parametrize("block", ["w", "weights[0]", "weights[1]"])
+@pytest.mark.parametrize("block", ["w0", "w", "weights[0]", "weights[1]"])
 def test_optimizer_step_refuses_a_non_finite_parameter(block):
     params = ModelParams.initialize(6, 3, num_layers=2, seed=0)
     for kind in ("adagrad", "adam"):
         state = OptimizerState.create(params, kind)
         grads = GradientSet(0.5, np.ones(2), [np.ones((2, 3)), np.ones((3, 3))],
                             np.array([1, 4]), np.array([0, 5]))
-        if block == "w":
+        if block == "w0":
+            grads.d_w0 = np.nan
+        elif block == "w":
             grads.d_w[1] = np.inf
         else:
             grads.d_weights[int(block[-2])][1, 2] = np.nan
