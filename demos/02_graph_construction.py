@@ -3,6 +3,8 @@
 Run: python demos/02_graph_construction.py
 """
 
+import warnings
+
 import numpy as np
 
 from gemfm import (FeatureGraph, FeatureSpace, SparseInstance, build_graph,
@@ -14,7 +16,10 @@ def main():
     space = FeatureSpace.from_cardinalities(["user", "item"], [3, 4])
     rows = [(0, 3), (0, 4), (1, 4), (2, 6)]
     transactions = [SparseInstance(1.0, ((u, 1.0), (i, 1.0))) for u, i in rows]
-    graph = build_graph(transactions, space, low_cardinality_threshold=0)
+    with warnings.catch_warnings():
+        # toy fields of 3 and 4 features draw the low-cardinality warning
+        warnings.simplefilter("ignore", RuntimeWarning)
+        graph = build_graph(transactions, space)
     print(f"{len(transactions)} transactions -> {graph.num_edges} edges "
           f"over {graph.num_nodes} feature nodes")
     for i, j in graph.edges:

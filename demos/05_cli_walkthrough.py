@@ -39,29 +39,34 @@ def main():
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        data = root / "clicks.libfm"
-        save_libfm(instances, data)
+        # pre-split files: the graph sees the training rows only
+        parts = {"train": instances[:480], "val": instances[480:540], "test": instances[540:]}
+        files = {name: root / f"{name}.libfm" for name in parts}
+        for name, rows in parts.items():
+            save_libfm(rows, files[name])
         fmap = root / "fields.tsv"
         fmap.write_text(format_field_map(space))
-        print(f"wrote {len(instances)} transactions to {data.name}")
+        print("wrote " + ", ".join(f"{len(rows)} transactions to {files[name].name}"
+                                   for name, rows in parts.items()))
 
         graph = root / "graph.txt"
-        run("build-graph", ["build-graph", "--data", str(data),
+        run("build-graph", ["build-graph", "--data", str(files["train"]),
                             "--field-map", str(fmap), "--out", str(graph)])
 
         model = root / "model.bin"
         report = root / "report.txt"
-        run("train", ["train", "--data", str(data), "--field-map", str(fmap),
+        run("train", ["train", "--train", str(files["train"]), "--val", str(files["val"]),
+                      "--test", str(files["test"]), "--field-map", str(fmap),
                       "--dim", "8", "--layers", "1", "--graph", str(graph),
                       "--learning-rate", "0.02", "--batch-size", "64",
                       "--max-epochs", "30", "--patience", "4", "--seed", "1",
                       "--model", str(model), "--report", str(report)])
 
-        run("evaluate", ["evaluate", "--data", str(data),
+        run("evaluate", ["evaluate", "--data", str(files["test"]),
                          "--model", str(model), "--graph", str(graph)])
 
         preds = root / "preds.txt"
-        run("predict", ["predict", "--data", str(data), "--model", str(model),
+        run("predict", ["predict", "--data", str(files["test"]), "--model", str(model),
                         "--graph", str(graph), "--out", str(preds)])
         head = preds.read_text().splitlines()[:3]
         print(f"\nfirst predictions: {head}")

@@ -1,4 +1,6 @@
-"""Factorization-machine scoring and training with graph-convolved feature embeddings."""
+"""Factorization-machine scoring and training with graph-convolved feature embeddings.
+
+``gemfm.train`` is the function; its module is ``importlib.import_module("gemfm.train")``."""
 
 from .data import (DatasetSplit, FeatureSpace, PackedInstances, SparseInstance,
                    format_field_map, format_libfm_line, load_field_map,

@@ -133,23 +133,16 @@ def _load_space(opts):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _build_graph(opts, instances, space) -> FeatureGraph:
-    try:
-        return build_graph(instances, space, opts.graph_fields, opts.graph_pairs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def cmd_build_graph(opts) -> int:
     space = _load_space(opts)
-    graph = _build_graph(opts, load_libfm(_require(opts, "data")), space)
+    graph = build_graph(load_libfm(_require(opts, "data")), space, opts.graph_fields,
+                        opts.graph_pairs)
     graph.save(_require(opts, "out"))
     deg = graph.degrees()
     print(f"nodes {graph.num_nodes}")
     print(f"edges {graph.num_edges}")
     print("degree histogram (bucket: count)")
-    edges_hist = _degree_histogram(deg)
-    for label, count in edges_hist:
+    for label, count in _degree_histogram(deg):
         print(f"  {label}: {count}")
     return 0
 
@@ -188,10 +181,7 @@ def _resolve_splits(opts) -> DatasetSplit:
 
 def _train_config(opts) -> TrainConfig:
     values = {_TRAIN_FIELDS.get(key, key): value for key, value in vars(opts).items()}
-    try:
-        return TrainConfig(**{f.name: values[f.name] for f in dataclasses.fields(TrainConfig)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return TrainConfig(**{f.name: values[f.name] for f in dataclasses.fields(TrainConfig)})
 
 
 def cmd_train(opts) -> int:
@@ -226,16 +216,13 @@ def cmd_train(opts) -> int:
                     f"describes {space.num_features} features"
                 )
         elif opts.graph_fields is not None or opts.graph_pairs is not None:
-            graph = _build_graph(opts, split.train, space)
+            graph = build_graph(split.train, space, opts.graph_fields, opts.graph_pairs)
         else:
             raise ConfigError("layers >= 1 needs --graph or --graph-fields/--graph-pairs")
 
-    try:    # train() refuses a training row with no feature
-        params, report = train(split.train, split.validation, space, train_config,
-                               dim=opts.dim, num_layers=opts.layers,
-                               activation=opts.activation, graph=graph)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from None
+    params, report = train(split.train, split.validation, space, train_config,
+                           dim=opts.dim, num_layers=opts.layers,
+                           activation=opts.activation, graph=graph)
     if opts.model:
         params.save(opts.model)
     if opts.report:

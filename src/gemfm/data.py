@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 # digits an index may have: 10**18 - 1 still fits int64
 MAX_INDEX_DIGITS = 18
@@ -464,13 +464,13 @@ def split_dataset(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSp
     every instance exactly once.
     """
     if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ValueError(f"need three positive finite ratios, got {ratios!r}")
+        raise ConfigError(f"need three positive finite ratios, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
+        raise ConfigError(f"ratios must sum to 1, got {sum(ratios)!r}")
     packed = PackedInstances.from_instances(instances)
     n = len(packed)
     if not n:
-        raise ValueError("cannot split an empty dataset")
+        raise ConfigError("cannot split an empty dataset")
     sizes = _largest_remainder_sizes(n, ratios)
     perm = np.random.default_rng(seed).permutation(n)
     cut1, cut2 = sizes[0], sizes[0] + sizes[1]
@@ -496,15 +496,15 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     to make, so the stream is the one a draw per candidate gives.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     start, end = space.field_range(item_field)
     packed = PackedInstances.from_instances(positives)
     in_item = (packed.indices >= start) & (packed.indices < end)
     per_row = np.diff(np.r_[0, np.cumsum(in_item)][packed.indptr])
     bad = np.flatnonzero(per_row != 1)
     if bad.size:
-        raise ValueError(f"positive {bad[0]} has {per_row[bad[0]]} active features in the "
-                         f"item field; exactly one is required")
+        raise ConfigError(f"positive {bad[0]} has {per_row[bad[0]]} active features in the "
+                          f"item field; exactly one is required")
     item_at = np.flatnonzero(in_item)   # one entry per row, in row order
     # a context is the row's other entries; + 0.0 turns -0.0 into 0.0, which
     # compare equal, so equal contexts give equal bytes

@@ -17,8 +17,8 @@ class CheckpointError(GemfmError):
     """Unreadable or inconsistent model checkpoint."""
 
 
-class ConfigError(GemfmError):
-    """Invalid or contradictory run configuration."""
+class ConfigError(GemfmError, ValueError):
+    """Invalid or contradictory setting or argument; also a ValueError."""
 
 
 class TrainingDivergedError(GemfmError):

@@ -15,10 +15,12 @@ from scipy import sparse
 
 from .data import (FeatureSpace, PackedInstances, ascii_tokens, blank_comments, parse_index,
                    parse_indices, spell_integers)
-from .errors import GraphFormatError
+from .errors import ConfigError, GraphFormatError
 
 # edges FeatureGraph.save spells per write
 _SAVE_EDGES = 1 << 16
+# build_graph warns about each linked field with fewer features than this
+_LOW_CARDINALITY = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +81,18 @@ class FeatureGraph:
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         header, pairs = _edge_arrays(text) or _edge_lines(text.split("\n"), path)
-        edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        if np.any((edges[1:] == edges[:-1]).all(axis=1)):
+        edges, repeated = _sorted_edges(pairs)
+        if repeated.any():
             raise GraphFormatError(f"{path}: duplicate edges in file")
         return cls(header, edges)
+
+
+def _sorted_edges(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` sorted by (i, j), and a mask of the rows equal to the row before."""
+    edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    repeated = np.zeros(len(edges), dtype=bool)
+    repeated[1:] = (edges[1:] == edges[:-1]).all(axis=1)
+    return edges, repeated
 
 
 def _edge_arrays(text: str):
@@ -144,49 +154,43 @@ def _edge_lines(lines, path):
     return header, np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def build_graph(instances, space: FeatureSpace, included_fields=None, field_pairs=None, *,
-                low_cardinality_threshold: int = 10) -> FeatureGraph:
+def build_graph(instances, space: FeatureSpace, included_fields=None,
+                field_pairs=None) -> FeatureGraph:
     """Build the binary co-occurrence graph from transactions.
 
     Links every pair of features co-occurring in an instance whose fields
     are both included (all fields by default); given ``field_pairs``, only
     pairs whose unordered field pair is listed there. Fields may be given
-    by id or name. Including a field with fewer features than
-    ``low_cardinality_threshold`` emits a RuntimeWarning, since near-universal
-    features (a 2-value flag, say) end up adjacent to most of the graph.
+    by id or name. Linking a field with fewer than 10 features emits a
+    RuntimeWarning, since near-universal features (a 2-value flag, say) end
+    up adjacent to most of the graph.
     """
     m = space.num_features
-    if included_fields is None:
-        included = list(range(space.num_fields))
-    else:
-        included = [_resolve_field(space, f) for f in included_fields]
+    named = range(space.num_fields) if included_fields is None else included_fields
+    included = [_resolve_field(space, f) for f in named]
     if len(set(included)) != len(included):
-        raise ValueError("the graph's field list names a field twice")
+        raise ConfigError("the graph's field list names a field twice")
 
-    pair_codes = None
-    if field_pairs is not None:
-        if not field_pairs:
-            raise ValueError("the graph's field pair list is empty")
-        codes = set()
-        for a, b in field_pairs:
-            fa, fb = _resolve_field(space, a), _resolve_field(space, b)
-            if fa not in included or fb not in included:
-                raise ValueError(
-                    f"field pair ({a!r}, {b!r}) uses a field outside the graph's fields"
-                )
-            lo, hi = min(fa, fb), max(fa, fb)
-            codes.add(lo * space.num_fields + hi)
-        pair_codes = np.array(sorted(codes), dtype=np.int64)
-
-    for fid in included:
-        if space.cardinality(fid) < low_cardinality_threshold:
-            warnings.warn(
-                f"field {space.field_names[fid]!r} has only "
-                f"{space.cardinality(fid)} features; its nodes will be adjacent "
-                f"to most of the graph",
-                RuntimeWarning,
-                stacklevel=2,
+    # linked[f, g]: the graph links features of field f to those of field g
+    linked = np.zeros((space.num_fields, space.num_fields), dtype=bool)
+    if field_pairs is None:
+        linked[np.ix_(included, included)] = True
+    elif not field_pairs:
+        raise ConfigError("the graph's field pair list is empty")
+    for a, b in field_pairs or ():
+        fa, fb = _resolve_field(space, a), _resolve_field(space, b)
+        if fa not in included or fb not in included:
+            raise ConfigError(
+                f"field pair ({a!r}, {b!r}) uses a field outside the graph's fields"
             )
+        linked[fa, fb] = linked[fb, fa] = True
+
+    linked_fields = linked.any(axis=1)
+    for fid in np.flatnonzero(linked_fields).tolist():
+        if space.cardinality(fid) < _LOW_CARDINALITY:
+            warnings.warn(f"field {space.field_names[fid]!r} has only {space.cardinality(fid)} "
+                          "features; its nodes will be adjacent to most of the graph",
+                          RuntimeWarning, stacklevel=2)
 
     packed = PackedInstances.from_instances(instances)
     idx = packed.indices
@@ -196,10 +200,8 @@ def build_graph(instances, space: FeatureSpace, included_fields=None, field_pair
         raise GraphFormatError(
             f"instance {pos}: feature index {int(idx[outside[0]])} outside [0, {m})"
         )
-    include_mask = np.zeros(space.num_fields, dtype=bool)
-    include_mask[included] = True
     fields = space.field_of_array(idx)
-    keep = include_mask[fields]
+    keep = linked_fields[fields]
     selected, fields = idx[keep], fields[keep]
     # a row's selected entries are contiguous: rows with k of them form a
     # (rows, k) block whose i < j column pairs are the row's edges
@@ -210,12 +212,10 @@ def build_graph(instances, space: FeatureSpace, included_fields=None, field_pair
         at = before[:-1][counts == k][:, None] + np.arange(k)
         a, b = np.triu_indices(k, 1)
         pairs = np.stack([selected[at[:, a]].ravel(), selected[at[:, b]].ravel()], axis=1)
-        if pair_codes is not None:
-            fu, fv = fields[at[:, a]].ravel(), fields[at[:, b]].ravel()
-            code = np.minimum(fu, fv) * space.num_fields + np.maximum(fu, fv)
-            pairs = pairs[np.isin(code, pair_codes)]
+        pairs = pairs[linked[fields[at[:, a]].ravel(), fields[at[:, b]].ravel()]]
         edges.append(pairs)
-    return FeatureGraph(m, np.unique(np.concatenate(edges), axis=0))
+    edges, repeated = _sorted_edges(np.concatenate(edges))
+    return FeatureGraph(m, edges[~repeated])
 
 
 def _resolve_field(space: FeatureSpace, f) -> int:
@@ -223,7 +223,7 @@ def _resolve_field(space: FeatureSpace, f) -> int:
         return space.field_id(f)
     fid = int(f)
     if not 0 <= fid < space.num_fields:
-        raise ValueError(f"field id {fid} outside [0, {space.num_fields})")
+        raise ConfigError(f"field id {fid} outside [0, {space.num_fields})")
     return fid
 
 
@@ -285,7 +285,7 @@ def sample_neighbors(graph: FeatureGraph, ratio: float, seed: int = 0) -> Featur
     Deterministic for a given (graph, ratio, seed).
     """
     if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"sampling ratio must lie in [0, 1], got {ratio}")
+        raise ConfigError(f"sampling ratio must lie in [0, 1], got {ratio}")
     if ratio == 1.0:
         return graph
     e = graph.num_edges

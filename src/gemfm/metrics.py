@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import ModelParams
 
 
@@ -13,10 +14,10 @@ def _paired(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape or p.ndim != 1:
-        raise ValueError(f"predictions and labels must be 1-d and aligned, "
-                         f"got {p.shape} vs {y.shape}")
+        raise ConfigError(f"predictions and labels must be 1-d and aligned, "
+                          f"got {p.shape} vs {y.shape}")
     if p.size == 0:
-        raise ValueError("metrics of an empty set are undefined")
+        raise ConfigError("metrics of an empty set are undefined")
     return p, y
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import PackedInstances
-from .errors import CheckpointError, DataFormatError
+from .errors import CheckpointError, ConfigError, DataFormatError
 from .graph import NormalizedAdjacency, local_columns, node_set
 
 ACTIVATIONS = ("identity", "relu")
@@ -29,17 +29,12 @@ _PREDICT_CHUNK = 8192
 def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "identity":
         return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
+    return np.maximum(z, 0.0)
 
 
 def activation_gradient(name: str, z: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of a non-identity activation at pre-activation
-    z (relu uses 0 at z == 0); callers skip the identity, whose derivative is 1."""
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    raise ValueError(f"unknown activation {name!r}")
+    """Elementwise relu derivative at pre-activation z (0 at z == 0); callers skip the identity."""
+    return (z > 0.0).astype(np.float64)
 
 
 @dataclass(eq=False)
@@ -63,22 +58,22 @@ class ModelParams:
         self.w = np.asarray(self.w, dtype=np.float64)
         self.weights = [np.asarray(W, dtype=np.float64) for W in self.weights]
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.num_layers < 0:
-            raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
+            raise ConfigError(f"num_layers must be >= 0, got {self.num_layers}")
         if len(self.weights) != max(1, self.num_layers):
-            raise ValueError(
+            raise ConfigError(
                 f"expected {max(1, self.num_layers)} weight matrices for "
                 f"num_layers={self.num_layers}, got {len(self.weights)}"
             )
         if self.w.ndim != 1 or self.weights[0].ndim != 2:
-            raise ValueError("w must be 1-d and weights[0] 2-d")
+            raise ConfigError("w must be 1-d and weights[0] 2-d")
         m, d = self.weights[0].shape
         if self.w.shape[0] != m:
-            raise ValueError(f"w has {self.w.shape[0]} entries but table has {m} rows")
+            raise ConfigError(f"w has {self.w.shape[0]} entries but table has {m} rows")
         for layer, W in enumerate(self.weights[1:], start=2):
             if W.shape != (d, d):
-                raise ValueError(f"layer {layer} weight must be ({d}, {d}), got {W.shape}")
+                raise ConfigError(f"layer {layer} weight must be ({d}, {d}), got {W.shape}")
 
     @property
     def num_features(self) -> int:
@@ -200,9 +195,9 @@ def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> Embeddin
     of the graph never enter the matmuls.
     """
     if params.num_layers < 1:
-        raise ValueError("gcn_embed requires a model with num_layers >= 1")
+        raise ConfigError("gcn_embed requires a model with num_layers >= 1")
     if norm.num_nodes != params.num_features:
-        raise ValueError(
+        raise ConfigError(
             f"adjacency over {norm.num_nodes} nodes does not match "
             f"{params.num_features} features"
         )
@@ -237,7 +232,7 @@ def embed(params: ModelParams, norm: NormalizedAdjacency | None, nodes) -> Embed
     ``norm`` must be given exactly when the model has convolution layers.
     """
     if (norm is None) != (params.num_layers == 0):
-        raise ValueError("norm must be provided iff the model has convolution layers")
+        raise ConfigError("norm must be provided iff the model has convolution layers")
     if norm is None:
         return lookup_embed(params, nodes)
     return gcn_embed(norm, params, nodes)

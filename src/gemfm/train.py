@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import PackedInstances
-from .errors import TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError
 from .graph import (FeatureGraph, NormalizedAdjacency, local_columns, normalize,
                     sample_neighbors)
 from .metrics import mae, rmse
@@ -51,19 +51,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in ("adagrad", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
+            raise ConfigError("learning_rate must be finite and positive")
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
-            raise ValueError("l2_lambda must be finite and non-negative")
+            raise ConfigError("l2_lambda must be finite and non-negative")
         if not 0.0 <= self.dropout_ratio < 1.0:
-            raise ValueError("dropout_ratio must lie in [0, 1)")
+            raise ConfigError("dropout_ratio must lie in [0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs, patience must be >= 1")
+            raise ConfigError("batch_size, max_epochs, patience must be >= 1")
         if not 0.0 <= self.sampling_ratio <= 1.0:
-            raise ValueError("sampling_ratio must lie in [0, 1]")
+            raise ConfigError("sampling_ratio must lie in [0, 1]")
         if self.metric_for_stopping not in ("rmse", "mae"):
-            raise ValueError(f"unknown stopping metric {self.metric_for_stopping!r}")
+            raise ConfigError(f"unknown stopping metric {self.metric_for_stopping!r}")
 
 
 @dataclass(eq=False)
@@ -79,7 +79,7 @@ class OptimizerState:
     @classmethod
     def create(cls, params: ModelParams, kind: str) -> "OptimizerState":
         if kind not in ("adagrad", "adam"):
-            raise ValueError(f"unknown optimizer {kind!r}")
+            raise ConfigError(f"unknown optimizer {kind!r}")
         blocks = [np.array([params.w0]), params.w, *params.weights]
         momentum = [np.zeros_like(b) for b in blocks] if kind == "adam" else None
         return cls([np.zeros_like(b) for b in blocks], momentum)
@@ -121,10 +121,10 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
     gradient of the reported loss is 2 * l2_lambda times the parameter.
     """
     if not 0.0 <= dropout_ratio < 1.0:
-        raise ValueError(f"dropout ratio must lie in [0, 1), got {dropout_ratio}")
+        raise ConfigError(f"dropout ratio must lie in [0, 1), got {dropout_ratio}")
     packed = PackedInstances.from_instances(batch, params.num_features)
     if len(packed) == 0:
-        raise ValueError("loss of an empty batch is undefined")
+        raise ConfigError("loss of an empty batch is undefined")
     nodes, x, x2 = batch_design(packed)
     view = embed(params, norm, nodes)
     rows, scale = view.rows, None
@@ -298,21 +298,21 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     metric goes non-finite.
     """
     if not len(train_set) or not len(val_set):
-        raise ValueError("train and validation sets must be non-empty")
+        raise ConfigError("train and validation sets must be non-empty")
     if num_layers >= 1 and graph is None:
-        raise ValueError("num_layers >= 1 requires a co-occurrence graph")
+        raise ConfigError("num_layers >= 1 requires a co-occurrence graph")
     if num_layers == 0 and graph is not None:
-        raise ValueError("graph given but the model has no convolution layers")
+        raise ConfigError("graph given but the model has no convolution layers")
     m = space.num_features
     tr = PackedInstances.from_instances(train_set, m)
     va = PackedInstances.from_instances(val_set, m)
     if np.any(np.diff(tr.indptr) == 0):
-        raise ValueError("training instances must have at least one active feature")
+        raise ConfigError("training instances must have at least one active feature")
 
     if init_params is not None:
         if (init_params.num_features, init_params.dim,
                 init_params.num_layers) != (m, dim, num_layers):
-            raise ValueError("init_params shape does not match requested model")
+            raise ConfigError("init_params shape does not match requested model")
         params = init_params.copy()
     else:
         params = ModelParams.initialize(m, dim, num_layers, activation,

@@ -47,7 +47,7 @@ def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path, monkeypatc
     bench_trace, bench_clock = bench
     space = FeatureSpace.from_cardinalities(["u", "i"], [5, 6])
     train_set, val_set = _data(0, 100), _data(1, 30)
-    graph = build_graph(train_set, space, low_cardinality_threshold=0)
+    graph = build_graph(train_set, space)
     config = TrainConfig(batch_size=32, max_epochs=1, patience=1, dropout_ratio=0.2)
     steps = 4   # ceil(100 / 32)
 

@@ -1,8 +1,10 @@
 """End-to-end command-line runs against small on-disk fixtures."""
 
 import dataclasses
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,11 +291,9 @@ def test_graph_pairs_alone_build_the_pair_list_graph(tmp_path, capsys):
                "--graph-pairs", "user:item", "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
-    expected = build_graph(instances, space, field_pairs=[("user", "item")],
-                           low_cardinality_threshold=0)
+    expected = build_graph(instances, space, field_pairs=[("user", "item")])
     np.testing.assert_array_equal(FeatureGraph.load(out).edges, expected.edges)
-    assert expected.num_edges < build_graph(instances, space,
-                                            low_cardinality_threshold=0).num_edges
+    assert expected.num_edges < build_graph(instances, space).num_edges
 
 
 @pytest.mark.parametrize("command", ["build-graph", "train"])
@@ -501,8 +501,12 @@ def test_non_utf8_input_files_fail_cleanly(workspace, capsys, corrupt):
 
 
 def test_no_subcommand_prints_help_to_stderr():
+    # pyproject's pythonpath reaches pytest's own process, not a child's
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gemfm.cli"],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 1
     assert "usage:" in proc.stderr
 

@@ -67,7 +67,7 @@ def test_build_graph_matches_brute_force():
         i = 20 + int(rng.integers(0, 30))
         c = 50 + int(rng.integers(0, 15))
         instances.append(_inst(u, i, c))
-    g = build_graph(instances, space, low_cardinality_threshold=0)
+    g = build_graph(instances, space)
     expected = _brute_force_pairs(instances, space, {0, 1, 2})
     np.testing.assert_array_equal(g.edges, expected)
     assert g.num_nodes == space.num_features
@@ -83,25 +83,22 @@ def test_build_graph_groups_rows_of_any_length():
     for fields in (None, ["u", "c"]):
         expected = _brute_force_pairs(instances, space, {0, 2} if fields else {0, 1, 2})
         for data in (instances, packed):
-            g = build_graph(data, space, included_fields=fields, low_cardinality_threshold=0)
+            g = build_graph(data, space, included_fields=fields)
             np.testing.assert_array_equal(g.edges, np.array(expected).reshape(-1, 2))
-    g = build_graph(packed, space, field_pairs=[("u", "c"), ("i", "i")],
-                    low_cardinality_threshold=0)
+    g = build_graph(packed, space, field_pairs=[("u", "c"), ("i", "i")])
     pairs = {(0, 2), (1, 1)}
     expected = [(a, b) for a, b in _brute_force_pairs(instances, space, {0, 1, 2})
                 if tuple(sorted(space.field_of_array(np.array([a, b])).tolist())) in pairs]
     np.testing.assert_array_equal(g.edges, expected)
     # a pair list no row matches gives no edges
-    g = build_graph([_inst(0, 9)], space, field_pairs=[("u", "c")],
-                    low_cardinality_threshold=0)
+    g = build_graph([_inst(0, 9)], space, field_pairs=[("u", "c")])
     assert g.edges.shape == (0, 2)
 
 
 def test_build_graph_field_subset():
     space = FeatureSpace.from_cardinalities(["u", "i", "c"], [20, 30, 15])
     instances = [_inst(0, 25, 55), _inst(1, 25, 60)]
-    g = build_graph(instances, space, included_fields=["u", "i"],
-                    low_cardinality_threshold=0)
+    g = build_graph(instances, space, included_fields=["u", "i"])
     expected = _brute_force_pairs(instances, space, {0, 1})
     np.testing.assert_array_equal(g.edges, expected)
     assert not any(i >= 50 for edge in g.edges for i in edge)
@@ -111,7 +108,7 @@ def test_build_graph_pair_list_mode():
     space = FeatureSpace.from_cardinalities(["u", "i", "c"], [4, 4, 4])
     instances = [_inst(0, 5, 9), _inst(1, 6, 10)]
     g = build_graph(instances, space,
-                    field_pairs=[("u", "c")], low_cardinality_threshold=0)
+                    field_pairs=[("u", "c")])
     np.testing.assert_array_equal(g.edges, [[0, 9], [1, 10]])
 
 
@@ -119,7 +116,7 @@ def test_build_graph_links_within_a_field_too():
     # multi-hot fields co-occur with themselves; without field pairs those edges stay
     space = FeatureSpace.from_cardinalities(["tags"], [6])
     instances = [_inst(0, 1, 2), _inst(3, 4)]
-    g = build_graph(instances, space, low_cardinality_threshold=0)
+    g = build_graph(instances, space)
     np.testing.assert_array_equal(
         g.edges, [[0, 1], [0, 2], [1, 2], [3, 4]])
 
@@ -128,14 +125,13 @@ def test_build_graph_warns_on_low_cardinality_field():
     space = FeatureSpace.from_cardinalities(["u", "flag"], [50, 2])
     instances = [_inst(0, 50), _inst(1, 51)]
     with pytest.warns(RuntimeWarning, match="'flag' has only 2 features"):
-        build_graph(instances, space, low_cardinality_threshold=10)
+        build_graph(instances, space)
 
 
 def test_build_graph_rejects_out_of_range_feature():
     space = FeatureSpace.from_cardinalities(["u", "i"], [2, 2])
     with pytest.raises(GraphFormatError, match=r"instance 1: feature index 4"):
-        build_graph([_inst(0, 2), _inst(1, 4)], space,
-                    low_cardinality_threshold=0)
+        build_graph([_inst(0, 2), _inst(1, 4)], space)
 
 
 def test_build_graph_rejects_unknown_field():
@@ -468,3 +464,12 @@ def test_sampling_rejects_bad_ratio():
     for ratio in (-0.1, 1.5):
         with pytest.raises(ValueError, match="ratio"):
             sample_neighbors(g, ratio, seed=0)
+
+
+def test_pairs_only_graph_warns_only_about_linked_fields():
+    space = FeatureSpace.from_cardinalities(["u", "i", "flag", "day"], [3, 4, 2, 7])
+    instances = [_inst(0, 3, 7, 9), _inst(1, 4, 8, 10)]
+    with pytest.warns(RuntimeWarning) as record:
+        g = build_graph(instances, space, field_pairs=[("u", "i")])
+    assert sorted(str(w.message).split("'")[1] for w in record) == ["i", "u"]
+    np.testing.assert_array_equal(g.edges, [[0, 3], [1, 4]])

@@ -424,7 +424,7 @@ def test_train_is_deterministic_per_seed():
 
 def test_train_with_convolution_and_sampling():
     data = _regression_data(0, 150)
-    graph = build_graph(data, _space(), low_cardinality_threshold=0)
+    graph = build_graph(data, _space())
     config = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=5,
                          patience=5, sampling_ratio=0.5, seed=1)
     params, report = train(data, _regression_data(1, 40), _space(), config,
