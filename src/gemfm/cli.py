@@ -193,8 +193,6 @@ def cmd_train(opts) -> int:
             f"{len(split.train)} train, {len(split.validation)} validation and "
             f"{len(split.test)} test rows"
         )
-    if opts.dim < 1 or opts.layers < 0:
-        raise ConfigError("dim must be >= 1 and layers >= 0")
     train_config = _train_config(opts)
     # a warning, not an error: a config file cannot unset a key
     unread = ("graph", "graph_fields", "graph_pairs", "sampling_ratio", "activation")
@@ -210,11 +208,6 @@ def cmd_train(opts) -> int:
     if opts.layers >= 1:
         if opts.graph:
             graph = FeatureGraph.load(opts.graph)
-            if graph.num_nodes != space.num_features:
-                raise ConfigError(
-                    f"graph has {graph.num_nodes} nodes but the field map "
-                    f"describes {space.num_features} features"
-                )
         elif opts.graph_fields is not None or opts.graph_pairs is not None:
             graph = build_graph(split.train, space, opts.graph_fields, opts.graph_pairs)
         else:
@@ -243,13 +236,7 @@ def _load_model_and_graph(opts):
     params = ModelParams.load(_require(opts, "model"))
     norm = None
     if params.num_layers >= 1:
-        graph = FeatureGraph.load(_require(opts, "graph"))
-        if graph.num_nodes != params.num_features:
-            raise ConfigError(
-                f"graph has {graph.num_nodes} nodes but the model expects "
-                f"{params.num_features}"
-            )
-        norm = normalize(graph)
+        norm = normalize(FeatureGraph.load(_require(opts, "graph")))
     return params, norm
 
 

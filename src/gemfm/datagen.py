@@ -49,15 +49,6 @@ def click_space(config: ClickDataConfig) -> FeatureSpace:
     return FeatureSpace.from_cardinalities(names, sizes)
 
 
-def frappe_published_space() -> FeatureSpace:
-    """Field layout at the published Frappe scale (957 users, 4082 items,
-    343 context features; 5382 features total). Used for parameter-count
-    checks, not for generating data."""
-    names = ["user", "item"] + [n for n, _ in CONTEXT_FIELDS] + ["country", "city"]
-    sizes = [957, 4082] + [s for _, s in CONTEXT_FIELDS] + [80, 233]
-    return FeatureSpace.from_cardinalities(names, sizes)
-
-
 def _zipf_probs(n: int, exponent: float) -> np.ndarray:
     weights = np.arange(1, n + 1, dtype=np.float64) ** -exponent
     return weights / weights.sum()

@@ -32,11 +32,6 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def activation_gradient(name: str, z: np.ndarray) -> np.ndarray:
-    """Elementwise relu derivative at pre-activation z (0 at z == 0); callers skip the identity."""
-    return (z > 0.0).astype(np.float64)
-
-
 @dataclass(eq=False)
 class ModelParams:
     """Trainable state: global bias, per-feature bias, embedding and layer weights.
@@ -69,6 +64,8 @@ class ModelParams:
         if self.w.ndim != 1 or self.weights[0].ndim != 2:
             raise ConfigError("w must be 1-d and weights[0] 2-d")
         m, d = self.weights[0].shape
+        if m < 1 or d < 1:
+            raise ConfigError(f"num_features and dim must be >= 1, got {m} and {d}")
         if self.w.shape[0] != m:
             raise ConfigError(f"w has {self.w.shape[0]} entries but table has {m} rows")
         for layer, W in enumerate(self.weights[1:], start=2):
@@ -88,6 +85,8 @@ class ModelParams:
                    activation: str = "identity", seed: int = 0,
                    scale: float = 0.01) -> "ModelParams":
         """Gaussian(0, scale) weight matrices, zero biases."""
+        if num_features < 1 or dim < 1:
+            raise ConfigError(f"num_features and dim must be >= 1, got {num_features} and {dim}")
         rng = np.random.default_rng(seed)
         weights = [rng.normal(0.0, scale, size=(num_features, dim))]
         for _ in range(max(0, num_layers - 1)):
@@ -164,9 +163,8 @@ class GcnLayerCache:
 
 @dataclass(eq=False)
 class EmbeddingView:
-    """Embedding rows for a sorted set of nodes, plus per-layer caches."""
+    """Embedding rows for the sorted, distinct nodes asked for, plus per-layer caches."""
 
-    nodes: np.ndarray
     rows: np.ndarray
     layers: tuple[GcnLayerCache, ...] = ()
 
@@ -183,8 +181,7 @@ def _as_node_array(nodes, num_features: int) -> np.ndarray:
 
 def lookup_embed(params: ModelParams, nodes) -> EmbeddingView:
     """Plain table rows for the given nodes (the num_layers == 0 path)."""
-    arr = _as_node_array(nodes, params.num_features)
-    return EmbeddingView(arr, params.weights[0][arr])
+    return EmbeddingView(params.weights[0][_as_node_array(nodes, params.num_features)])
 
 
 def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> EmbeddingView:
@@ -201,28 +198,22 @@ def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> Embeddin
             f"adjacency over {norm.num_nodes} nodes does not match "
             f"{params.num_features} features"
         )
-    target = _as_node_array(nodes, params.num_features)
-    L = params.num_layers
-    frontiers: list[np.ndarray | None] = [None] * (L + 1)
-    blocks: list[sparse.csr_array | None] = [None] * (L + 1)
-    frontiers[L] = target
-    for l in range(L, 1, -1):
-        frontiers[l - 1], blocks[l] = local_columns(norm.matrix[frontiers[l]])
-    caches = []
-    out = None
-    for l in range(1, L + 1):
-        frontier = frontiers[l]
-        if l == 1:
-            adj = norm.matrix[frontier]
-            pre = adj @ params.weights[0]
-            prop_in = None
-        else:
-            adj = blocks[l]
-            prop_in = adj @ out
-            pre = prop_in @ params.weights[l - 1]
+    frontiers, blocks = [_as_node_array(nodes, params.num_features)], []
+    for _ in range(params.num_layers - 1):
+        reached, block = local_columns(norm.matrix[frontiers[0]])
+        frontiers.insert(0, reached)
+        blocks.insert(0, block)
+    # layer 1: the one-hot input makes the table its weight
+    adj = norm.matrix[frontiers[0]]
+    pre = adj @ params.weights[0]
+    out = activate(params.activation, pre)
+    caches = [GcnLayerCache(frontiers[0], pre, adj, None)]
+    for frontier, adj, W in zip(frontiers[1:], blocks, params.weights[1:]):
+        prop_in = adj @ out
+        pre = prop_in @ W
         out = activate(params.activation, pre)
         caches.append(GcnLayerCache(frontier, pre, adj, prop_in))
-    return EmbeddingView(target, out, tuple(caches))
+    return EmbeddingView(out, tuple(caches))
 
 
 def embed(params: ModelParams, norm: NormalizedAdjacency | None, nodes) -> EmbeddingView:

@@ -20,8 +20,7 @@ from .errors import ConfigError, TrainingDivergedError
 from .graph import (FeatureGraph, NormalizedAdjacency, local_columns, normalize,
                     sample_neighbors)
 from .metrics import mae, rmse
-from .model import (ModelParams, activation_gradient, batch_design, embed, predict_batch,
-                    scores_from_design)
+from .model import ModelParams, batch_design, embed, predict_batch, scores_from_design
 # benchmarks/bench_trace.py patches every namespace a traced name may be
 # looked up in, this one included, so these stay importable from here
 from .model import gcn_embed, lookup_embed  # noqa: F401
@@ -147,20 +146,18 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
     if scale is not None:
         d_rows = d_rows * scale
 
+    relu = params.activation == "relu"
     d_table = d_out = d_rows
-    d_deep = [np.zeros_like(W) for W in params.weights[1:]]
-    touched_rows = nodes
-    for l in range(params.num_layers, 0, -1):
-        cache = view.layers[l - 1]
-        d_pre = (d_out if params.activation == "identity"
-                 else d_out * activation_gradient(params.activation, cache.pre))
-        if l == 1:
-            # table rows reached through the layer-1 adjacency, in local ids
-            touched_rows, adj = local_columns(cache.adj)
-            d_table = adj.T @ d_pre
-        else:
-            d_deep[l - 2] += cache.prop_in.T @ d_pre
-            d_out = cache.adj.T @ (d_pre @ params.weights[l - 1].T)
+    d_deep, touched_rows = [], nodes
+    if view.layers:
+        first, *deep = view.layers
+        for cache, W in zip(deep[::-1], params.weights[:0:-1]):
+            d_pre = d_out * (cache.pre > 0.0) if relu else d_out
+            d_deep.insert(0, cache.prop_in.T @ d_pre)
+            d_out = cache.adj.T @ (d_pre @ W.T)
+        # layer 1: table rows reached through its adjacency, in local ids
+        touched_rows, adj = local_columns(first.adj)
+        d_table = adj.T @ (d_out * (first.pre > 0.0) if relu else d_out)
 
     if l2_lambda:
         lam2 = 2.0 * l2_lambda
@@ -336,8 +333,6 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     n = len(tr)
     best_metric = math.inf
     best_params = params.copy()
-    best_epoch = 0
-    bad_epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         if num_layers >= 1 and config.sampling_ratio < 1.0:
@@ -373,11 +368,7 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         if metric < best_metric:
             best_metric = metric
             best_params = params.copy()
-            best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
-    report.best_epoch = best_epoch
+            report.best_epoch = epoch
+        elif epoch - report.best_epoch >= config.patience:
+            break
     return best_params, report

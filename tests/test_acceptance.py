@@ -17,7 +17,7 @@ from gemfm import (FeatureGraph, FeatureSpace, ModelParams, SparseInstance,
                    normalize, parse_libfm_line, format_libfm_line,
                    predict_batch, rmse, sample_neighbors, train)
 from gemfm.data import PackedInstances
-from gemfm.datagen import ClickDataConfig, click_benchmark, frappe_published_space
+from gemfm.datagen import ClickDataConfig, click_benchmark, click_space
 from gemfm.model import gcn_embed
 from oracles import (decayed_dense_gradients, dense_gcn_rows, dense_gradients,
                      dense_normalized_adjacency, finite_difference_gradients,
@@ -200,7 +200,8 @@ def test_criterion_3_convolution_degrades_to_plain_fm_bitwise():
 #    convolved variants report the same count, within 1% of 1.383M.
 
 def test_criterion_4_parameter_count_at_published_scale():
-    space = frappe_published_space()
+    space = click_space(ClickDataConfig(num_users=957, num_items=4082, num_countries=80,
+                                        num_cities=233))
     m = space.num_features
     assert abs(m - 5400) < 100  # ~5.4K features
     flat = ModelParams.initialize(m, 256, num_layers=0, seed=0)

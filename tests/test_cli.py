@@ -391,6 +391,7 @@ def test_commands_take_only_the_flags_they_read(workspace, capsys, command, flag
     (["--learning-rate", "nan"], "learning_rate"),
     (["--learning-rate", "inf"], "learning_rate"),
     (["--l2-lambda", "nan"], "l2_lambda"),
+    (["--dim", "0"], "dim must be >= 1"),          # checked by ModelParams
 ])
 def test_bad_ratios_and_rates_fail_cleanly(workspace, capsys, flags, fragment):
     tmp_path, data, fmap, _ = workspace
@@ -421,6 +422,24 @@ def test_too_few_rows_to_train_fail_cleanly(workspace, capsys, presplit):
     err = capsys.readouterr().err
     assert err.startswith("error:") and sizes in err and err.count("\n") == 1
     assert not (tmp_path / "model.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_a_graph_one_node_short_fails_cleanly(workspace, capsys, command):
+    # the node count is checked where the graph meets the model, in gcn_embed
+    tmp_path, data, fmap, _ = workspace
+    short = tmp_path / "short.txt"
+    FeatureGraph(8, np.array([[0, 4]])).save(short)
+    model, out = tmp_path / "model.bin", tmp_path / "preds.txt"
+    if command == "train":
+        args = _train_args(data, fmap, tmp_path, "--layers", "1", "--graph", str(short))
+    else:
+        ModelParams.initialize(9, 3, num_layers=1).save(model)
+        args = [command, "--data", str(data), "--model", str(model), "--graph", str(short)]
+        args += ["--out", str(out)] if command == "predict" else []
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: adjacency over 8 nodes does not match 9 features\n"
+    assert model.exists() == (command != "train") and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])

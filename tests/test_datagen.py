@@ -6,8 +6,7 @@ import warnings
 import numpy as np
 
 from gemfm import ModelParams, build_graph, count_params
-from gemfm.datagen import (ClickDataConfig, click_benchmark, click_space,
-                           frappe_published_space, generate_positives)
+from gemfm.datagen import ClickDataConfig, click_benchmark, click_space, generate_positives
 from oracles import packed_equal, unpack
 
 SMALL = ClickDataConfig(num_users=30, num_items=24, num_countries=5,
@@ -26,7 +25,8 @@ def test_click_space_layout():
 
 
 def test_published_space_parameter_budget():
-    space = frappe_published_space()
+    space = click_space(ClickDataConfig(num_users=957, num_items=4082, num_countries=80,
+                                        num_cities=233))
     assert space.num_features == 5382
     params = ModelParams.initialize(space.num_features, 256)
     assert count_params(params) == 1 + 5382 + 5382 * 256 == 1_383_175

@@ -1,5 +1,6 @@
 """Every refused argument is a ConfigError, which ``except ValueError`` also catches."""
 
+import numpy as np
 import pytest
 
 from gemfm import (ConfigError, FeatureSpace, GemfmError, ModelParams, SparseInstance,
@@ -17,7 +18,14 @@ LABEL_ONLY = SparseInstance(1.0, ())
     lambda: split_dataset(ROWS, (0.5, 0.5)),
     lambda: ModelParams.initialize(SPACE.num_features, 2, num_layers=-1),
     lambda: rmse([], []),
-], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse"])
+    # an embedding size below 1 (the CLI's --dim 0 reaches the same check)
+    lambda: ModelParams.initialize(7, 0),
+    lambda: ModelParams.initialize(0, 4),
+    lambda: ModelParams.initialize(7, -1),
+    lambda: ModelParams(0.0, np.zeros(0), [np.zeros((0, 3))]),
+    lambda: train(ROWS, ROWS, SPACE, TrainConfig(max_epochs=2), dim=0),
+], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse",
+        "dim_0", "no_features", "dim_negative", "empty_table", "train_dim_0"])
 def test_refused_arguments_raise_config_error(call):
     with pytest.raises(ValueError) as info:
         call()

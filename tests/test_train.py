@@ -118,6 +118,8 @@ FD_CASES = [
     (1, "relu", 0.01, 0.0, False),
     (2, "relu", 0.0, 0.25, True),
     (2, "identity", 0.03, 0.0, True),
+    (3, "identity", 0.02, 0.0, True),
+    (3, "relu", 0.02, 0.5, True),
 ]
 
 
@@ -573,12 +575,14 @@ def _param_digest(params):
 # the arithmetic of a training step (order of a reduction included) moves
 # them; another BLAS build may round dense products differently. The
 # sampled row was recorded again when neighbour sampling moved to one random
-# key per directed edge (a new stream; the optimizer kept its bits).
+# key per directed edge (a new stream; the optimizer kept its bits). The
+# L=3 row was recorded before the layer stack became one loop per direction.
 PINNED_STREAMS = [
     # (layers, optimizer, activation, dropout, l2, sampling ratio, digest)
     (0, "adam", "identity", 0.3, 0.0, 1.0, "68e2e955cf6fb8683a9a1352163befc0"),
     (1, "adam", "identity", 0.3, 1e-3, 1.0, "831a70797028c00742a2768ffb6a3532"),
     (2, "adagrad", "relu", 0.0, 0.0, 0.5, "07d0049e80bf75789e6378c8d124f6b8"),
+    (3, "adam", "relu", 0.3, 1e-3, 1.0, "66cb8d28d5d805ef57bb3f763916af10"),
 ]
 
 
