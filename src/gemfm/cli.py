@@ -112,6 +112,9 @@ def _settings(given: dict) -> argparse.Namespace:
     if "config" in given:
         settings.update(_read_config_file(given.pop("config")))
     settings.update(given)
+    for key, least in (("dim", 1), ("layers", 0)):    # checked before any data is read
+        if settings[key] < least:
+            raise ConfigError(f"--{key} must be >= {least}, got {settings[key]}")
     return argparse.Namespace(**settings)
 
 

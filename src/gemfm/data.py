@@ -265,19 +265,15 @@ def save_libfm(instances, path) -> None:
     leaves the chunk's text.
     """
     packed = PackedInstances.from_instances(instances)
-    labels = np.asarray(packed.labels, dtype=np.float64)
-    values = np.asarray(packed.values, dtype=np.float64)
     with open(path, "wb") as fh:
         for lo in range(0, len(packed), _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, len(packed))
-            a, b = packed.indptr[lo], packed.indptr[hi]
-            fh.write(_libfm_bytes(labels[lo:hi], packed.indptr[lo:hi + 1] - a,
-                                  packed.indices[a:b], values[a:b]))
+            fh.write(_libfm_bytes(packed.row_range(lo, lo + _CHUNK_ROWS)))
 
 
-def _libfm_bytes(labels, indptr, indices, values) -> bytes:
-    """The libFM lines of CSR rows, as save_libfm describes."""
-    digits, spelled = spell_integers(indices), _spell_floats(values)
+def _libfm_bytes(rows: PackedInstances) -> bytes:
+    """The libFM lines of packed rows, as save_libfm describes."""
+    labels, indptr, indices = rows.labels, rows.indptr, rows.indices
+    digits, spelled = spell_integers(indices), _spell_floats(rows.values)
     spelled_labels = _spell_floats(labels)
     colon = digits.shape[1]
     width = max(spelled_labels.shape[1], colon + 1 + spelled.shape[1]) + 1
@@ -324,6 +320,7 @@ def spell_integers(numbers: np.ndarray) -> np.ndarray:
 def _spell_floats(numbers: np.ndarray) -> np.ndarray:
     """``repr`` of each float64 as the NUL-padded rows of a uint8 matrix,
     called once per distinct bit pattern."""
+    numbers = np.asarray(numbers, dtype=np.float64)
     patterns, where = np.unique(numbers.view(np.uint64), return_inverse=True)
     spelled = np.array([repr(x) for x in patterns.view(np.float64).tolist()] or [""],
                        dtype=np.bytes_)
@@ -593,22 +590,22 @@ class PackedInstances:
                 raise DataFormatError(f"feature index {top} outside [0, {num_features})")
         return packed
 
+    def row_range(self, lo: int, hi: int) -> "PackedInstances":
+        """Rows lo up to hi (clipped to the last), as views of these arrays
+        but for the rebased indptr."""
+        indptr = self.indptr[lo:hi + 1]
+        a, b = indptr[0], indptr[-1]
+        return PackedInstances(self.labels[lo:hi], indptr - a, self.indices[a:b], self.values[a:b])
+
     def take(self, selection) -> "PackedInstances":
         """Sub-pack holding the given instance rows, in the given order."""
         sel = np.asarray(selection, dtype=np.int64)
-        lengths = np.diff(self.indptr)
-        out_lengths = lengths[sel]
-        out_indptr = np.zeros(sel.size + 1, dtype=np.int64)
-        np.cumsum(out_lengths, out=out_indptr[1:])
-        total = int(out_indptr[-1])
-        if total:
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(out_indptr[:-1], out_lengths)
-            source = np.repeat(self.indptr[sel], out_lengths) + offsets
-        else:
-            source = np.empty(0, dtype=np.int64)
-        return PackedInstances(
-            self.labels[sel], out_indptr, self.indices[source], self.values[source]
-        )
+        out_lengths = np.diff(self.indptr)[sel]
+        out_indptr = np.r_[0, np.cumsum(out_lengths)]
+        offsets = np.arange(out_indptr[-1]) - np.repeat(out_indptr[:-1], out_lengths)
+        source = np.repeat(self.indptr[sel], out_lengths) + offsets
+        return PackedInstances(self.labels[sel], out_indptr, self.indices[source],
+                               self.values[source])
 
 
 def _pack_rows(instances) -> PackedInstances:

@@ -3,8 +3,9 @@
 A score is w0 + sum_i w_i x_i + sum_{i<j} x_i x_j <e_i, e_j>, where e_i is
 either row i of the embedding table (num_layers == 0) or the output of
 num_layers rounds of graph convolution over the normalized co-occurrence
-adjacency. The pairwise sum is evaluated through the squared-sum identity,
-so scoring stays linear in the number of active features.
+adjacency. The pairwise sum is evaluated through the squared-sum identity
+0.5 * (||sum_i x_i e_i||^2 - sum_i x_i^2 ||e_i||^2), whose square term needs
+one number per node, so scoring stays linear in the number of active features.
 """
 
 from __future__ import annotations
@@ -251,10 +252,10 @@ def scores_from_design(params: ModelParams, nodes: np.ndarray,
                        x: sparse.csr_array, x2: sparse.csr_array,
                        rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch scores given embedding rows aligned with ``nodes``, and the
-    weighted row sums ``x @ rows`` the interaction gradient reuses."""
+    weighted row sums ``x @ rows`` the interaction gradient reuses. The square
+    term is one sparse product with the rows' squared norms (numpy sums, not BLAS)."""
     summed = x @ rows
-    sq = x2 @ (rows * rows)
-    interaction = 0.5 * (summed * summed - sq).sum(axis=1)
+    interaction = 0.5 * ((summed * summed).sum(axis=1) - x2 @ (rows * rows).sum(axis=1))
     linear = x @ params.w[nodes]
     return params.w0 + linear + interaction, summed
 
@@ -267,10 +268,9 @@ def predict_batch(instances, params: ModelParams,
     Accepts a PackedInstances or a list of instances.
     """
     packed = PackedInstances.from_instances(instances, params.num_features)
-    n = len(packed)
-    out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, _PREDICT_CHUNK):
-        chunk = packed.take(np.arange(lo, min(lo + _PREDICT_CHUNK, n)))
+    out = np.empty(len(packed), dtype=np.float64)
+    for lo in range(0, len(packed), _PREDICT_CHUNK):
+        chunk = packed.row_range(lo, lo + _PREDICT_CHUNK)
         nodes, x, x2 = batch_design(chunk)
         rows = embed(params, norm, nodes).rows
         out[lo:lo + len(chunk)] = scores_from_design(params, nodes, x, x2, rows)[0]

@@ -129,8 +129,8 @@ def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None 
     rows, scale = view.rows, None
     if dropout_ratio > 0.0:
         rng = np.random.default_rng(dropout_seed)
-        keep = (rng.random((nodes.size, params.dim)) >= dropout_ratio).astype(np.float64)
-        scale = keep * (1.0 / (1.0 - dropout_ratio))
+        scale = np.where(rng.random((nodes.size, params.dim)) >= dropout_ratio,
+                         1.0 / (1.0 - dropout_ratio), 0.0)
         rows = rows * scale
     scores, summed = scores_from_design(params, nodes, x, x2, rows)
     err = scores - packed.labels

@@ -247,6 +247,21 @@ def test_config_values_are_checked_as_their_flags_are(workspace, capsys, line, f
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key,value,least", [("dim", "-3", 1), ("dim", "0", 1),
+                                             ("layers", "-1", 0)])
+def test_bad_model_sizes_fail_before_the_graph_is_built(workspace, capsys, key, value, least):
+    # both workspace fields have under 10 features: building their graph warns
+    tmp_path, data, fmap, _ = workspace
+    config = tmp_path / "sizes.conf"
+    config.write_text(f"{key} = {value}\n")
+    args = ["train", "--data", str(data), "--field-map", str(fmap),
+            "--graph-fields", "user,item", "--model", str(tmp_path / "model.bin")]
+    for extra in ([f"--{key}", value], ["--config", str(config)]):
+        assert main([*args, *extra]) == 1
+        assert capsys.readouterr().err == f"error: --{key} must be >= {least}, got {value}\n"
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_every_train_config_field_has_an_option():
     # a TrainConfig field no option sets would keep its default, or fail here
     values = {}

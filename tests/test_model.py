@@ -187,11 +187,19 @@ def test_predict_batch_chunking_changes_nothing(monkeypatch):
     rng = np.random.default_rng(7)
     m = 15
     instances = [_random_instance(rng, m) for _ in range(23)]
-    params = ModelParams.initialize(m, 3, 0, seed=5, scale=0.2)
-    whole = predict_batch(instances, params)
-    monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
-    chunked = predict_batch(instances, params)
-    np.testing.assert_array_equal(whole, chunked)
+    # in chunks of 4: rows of 1 and 6 entries meet where chunk 0 ends, and
+    # empty rows end chunk 1 and start chunk 2
+    instances[3] = SparseInstance(0.5, ((2, 1.5),))
+    instances[4] = SparseInstance(-0.5, tuple((i, 0.25 * i - 1.0) for i in range(0, 12, 2)))
+    instances[7] = instances[8] = SparseInstance(1.0, ())
+    norm = normalize(_random_graph(rng, m))
+    for layers in (0, 2):
+        params = ModelParams.initialize(m, 3, layers, seed=5, scale=0.2)
+        graph = norm if layers else None
+        monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 8192)
+        whole = predict_batch(instances, params, graph)
+        monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
+        assert predict_batch(instances, params, graph).tobytes() == whole.tobytes()
 
 
 def test_predict_batch_norm_contract():

@@ -575,14 +575,16 @@ def _param_digest(params):
 # the arithmetic of a training step (order of a reduction included) moves
 # them; another BLAS build may round dense products differently. The
 # sampled row was recorded again when neighbour sampling moved to one random
-# key per directed edge (a new stream; the optimizer kept its bits). The
-# L=3 row was recorded before the layer stack became one loop per direction.
+# key per directed edge (a new stream; the optimizer kept its bits). All four
+# rows were recorded again when the score's square term came to sum each
+# row's squared norm before the sparse product (a new reduction order: the
+# parameters and losses of the old digests agree with these to 5e-16 in norm).
 PINNED_STREAMS = [
     # (layers, optimizer, activation, dropout, l2, sampling ratio, digest)
-    (0, "adam", "identity", 0.3, 0.0, 1.0, "68e2e955cf6fb8683a9a1352163befc0"),
-    (1, "adam", "identity", 0.3, 1e-3, 1.0, "831a70797028c00742a2768ffb6a3532"),
-    (2, "adagrad", "relu", 0.0, 0.0, 0.5, "07d0049e80bf75789e6378c8d124f6b8"),
-    (3, "adam", "relu", 0.3, 1e-3, 1.0, "66cb8d28d5d805ef57bb3f763916af10"),
+    (0, "adam", "identity", 0.3, 0.0, 1.0, "7e6e5728f3be7e1bdefe2086d9def22c"),
+    (1, "adam", "identity", 0.3, 1e-3, 1.0, "415b23840acb8c9677b7b7f32774f5f7"),
+    (2, "adagrad", "relu", 0.0, 0.0, 0.5, "59430ecf228a832f24920ffbe59221b3"),
+    (3, "adam", "relu", 0.3, 1e-3, 1.0, "d6b6511cbd422b20d40602b3f20d71bd"),
 ]
 
 
