@@ -8,8 +8,7 @@ from .data import (DatasetSplit, FeatureSpace, PackedInstances, SparseInstance,
                    split_dataset)
 from .errors import (CheckpointError, ConfigError, DataFormatError, GemfmError,
                      GraphFormatError, TrainingDivergedError)
-from .graph import (FeatureGraph, NormalizedAdjacency, build_graph, normalize,
-                    sample_neighbors)
+from .graph import FeatureGraph, build_graph, normalize, sample_neighbors
 from .metrics import MetricReport, count_params, format_report, mae, metric_report, rmse
 from .model import (EmbeddingView, ModelParams, gcn_embed, lookup_embed,
                     predict_batch)
@@ -23,7 +22,7 @@ __all__ = [
     "CheckpointError", "ConfigError", "DataFormatError", "DatasetSplit",
     "EmbeddingView", "EpochRecord", "FeatureGraph", "FeatureSpace",
     "GemfmError", "GradientSet", "GraphFormatError", "MetricReport",
-    "ModelParams", "NormalizedAdjacency", "OptimizerState", "PackedInstances",
+    "ModelParams", "OptimizerState", "PackedInstances",
     "RunReport", "SparseInstance", "TrainConfig", "TrainingDivergedError",
     "build_graph", "count_params", "derive_rng", "derive_seed",
     "format_field_map", "format_libfm_line", "format_report", "gcn_embed",

@@ -24,7 +24,7 @@ from .graph import FeatureGraph, build_graph, normalize
 from .metrics import count_params, format_report, metric_report
 from .model import ACTIVATIONS, ModelParams, predict_batch
 from .seeding import derive_seed
-from .train import TrainConfig, train
+from .train import OPTIMIZERS, STOPPING_METRICS, TrainConfig, train
 
 
 def _field_list(text: str) -> list[str]:
@@ -61,7 +61,7 @@ _OPTIONS = {
     "layers": (int, None, 1, "graph convolution layers, 0 for plain FM"),
     "activation": (str, ACTIVATIONS, "identity", "activation of each layer"),
     "graph": (str, None, None, "edge-list file"),
-    "optimizer": (str, ("adagrad", "adam"), _TRAIN.optimizer, "optimizer"),
+    "optimizer": (str, OPTIMIZERS, _TRAIN.optimizer, "optimizer"),
     "learning_rate": (float, None, _TRAIN.learning_rate, "step size"),
     "l2_lambda": (float, None, _TRAIN.l2_lambda, "weight of the squared-norm penalty"),
     "dropout": (float, None, _TRAIN.dropout_ratio, "dropout ratio of the embedding rows"),
@@ -69,7 +69,7 @@ _OPTIONS = {
     "max_epochs": (int, None, _TRAIN.max_epochs, "epoch limit"),
     "patience": (int, None, _TRAIN.patience, "epochs without improvement before stopping"),
     "sampling_ratio": (float, None, _TRAIN.sampling_ratio, "neighbours kept per epoch"),
-    "metric": (str, ("rmse", "mae"), _TRAIN.metric_for_stopping, "early-stopping metric"),
+    "metric": (str, STOPPING_METRICS, _TRAIN.metric_for_stopping, "early-stopping metric"),
     "seed": (int, None, _TRAIN.seed, "run seed"),
     "model": (str, None, None, "checkpoint path"),
     "report": (str, None, None, "run report output path"),
@@ -188,6 +188,7 @@ def _train_config(opts) -> TrainConfig:
 
 
 def cmd_train(opts) -> int:
+    train_config = _train_config(opts)    # refuses a bad value before any file is read
     space = _load_space(opts)
     split = _resolve_splits(opts)
     if not len(split.train) or not len(split.validation):
@@ -196,7 +197,6 @@ def cmd_train(opts) -> int:
             f"{len(split.train)} train, {len(split.validation)} validation and "
             f"{len(split.test)} test rows"
         )
-    train_config = _train_config(opts)
     # a warning, not an error: a config file cannot unset a key
     unread = ("graph", "graph_fields", "graph_pairs", "sampling_ratio", "activation")
     if opts.layers:

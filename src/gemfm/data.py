@@ -381,17 +381,22 @@ class FeatureSpace:
         index lies in [0, num_features)."""
         return np.searchsorted(self._starts, indices, side="right") - 1
 
-    def field_id(self, name: str) -> int:
-        try:
-            return self.field_names.index(name)
-        except ValueError:
-            raise DataFormatError(f"unknown field {name!r}") from None
+    def field_id(self, field) -> int:
+        """The id of a field given by name or id (ConfigError outside [0, num_fields))."""
+        if isinstance(field, str):
+            try:
+                return self.field_names.index(field)
+            except ValueError:
+                raise DataFormatError(f"unknown field {field!r}") from None
+        if not 0 <= field < self.num_fields:
+            raise ConfigError(f"field id {field} outside [0, {self.num_fields})")
+        return int(field)
 
     def field_range(self, field_id: int) -> tuple[int, int]:
-        return self.field_bounds[field_id]
+        return self.field_bounds[self.field_id(field_id)]
 
     def cardinality(self, field_id: int) -> int:
-        start, end = self.field_bounds[field_id]
+        start, end = self.field_range(field_id)
         return end - start
 
 

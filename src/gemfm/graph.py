@@ -167,7 +167,7 @@ def build_graph(instances, space: FeatureSpace, included_fields=None,
     """
     m = space.num_features
     named = range(space.num_fields) if included_fields is None else included_fields
-    included = [_resolve_field(space, f) for f in named]
+    included = [space.field_id(f) for f in named]
     if len(set(included)) != len(included):
         raise ConfigError("the graph's field list names a field twice")
 
@@ -178,7 +178,7 @@ def build_graph(instances, space: FeatureSpace, included_fields=None,
     elif not field_pairs:
         raise ConfigError("the graph's field pair list is empty")
     for a, b in field_pairs or ():
-        fa, fb = _resolve_field(space, a), _resolve_field(space, b)
+        fa, fb = space.field_id(a), space.field_id(b)
         if fa not in included or fb not in included:
             raise ConfigError(
                 f"field pair ({a!r}, {b!r}) uses a field outside the graph's fields"
@@ -218,31 +218,6 @@ def build_graph(instances, space: FeatureSpace, included_fields=None,
     return FeatureGraph(m, edges[~repeated])
 
 
-def _resolve_field(space: FeatureSpace, f) -> int:
-    if isinstance(f, str):
-        return space.field_id(f)
-    fid = int(f)
-    if not 0 <= fid < space.num_fields:
-        raise ConfigError(f"field id {fid} outside [0, {space.num_fields})")
-    return fid
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedAdjacency:
-    """Symmetrically normalized adjacency with self-loops, in CSR form.
-
-    Entry (i, j) holds 1/sqrt(d_i * d_j) where d is degree + 1, for every
-    edge in both directions and every self-loop. An edgeless graph therefore
-    normalizes to the identity matrix exactly.
-    """
-
-    matrix: sparse.csr_array
-
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
-
-
 def node_set(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``ids`` (all in [0, size)) and a size-long table of
     their positions, from a presence mask: no sort, unlike np.unique."""
@@ -259,8 +234,14 @@ def local_columns(block: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array
                                      shape=(block.shape[0], columns.size))
 
 
-def normalize(graph: FeatureGraph) -> NormalizedAdjacency:
-    """Self-loop augmented symmetric normalization of the co-occurrence graph."""
+def normalize(graph: FeatureGraph) -> sparse.csr_array:
+    """Self-loop augmented symmetric normalization of the co-occurrence graph,
+    D^-1/2 (A + I) D^-1/2, as an (m, m) CSR array with sorted indices.
+
+    Entry (i, j) holds 1/sqrt(d_i * d_j) where d is degree + 1, for every
+    edge in both directions and every self-loop. An edgeless graph therefore
+    normalizes to the identity matrix exactly.
+    """
     m = graph.num_nodes
     deg = graph.degrees()
     dtil = (deg + 1).astype(np.int64)
@@ -270,9 +251,9 @@ def normalize(graph: FeatureGraph) -> NormalizedAdjacency:
     cols = np.concatenate([e1, e0, loops])
     # the integer product is exact, so perfect squares normalize exactly
     data = 1.0 / np.sqrt((dtil[rows] * dtil[cols]).astype(np.float64))
-    matrix = sparse.csr_array((data, (rows, cols)), shape=(m, m))
-    matrix.sort_indices()
-    return NormalizedAdjacency(matrix)
+    norm = sparse.csr_array((data, (rows, cols)), shape=(m, m))
+    norm.sort_indices()
+    return norm
 
 
 def sample_neighbors(graph: FeatureGraph, ratio: float, seed: int = 0) -> FeatureGraph:

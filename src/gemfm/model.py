@@ -18,7 +18,7 @@ from scipy import sparse
 
 from .data import PackedInstances
 from .errors import CheckpointError, ConfigError, DataFormatError
-from .graph import NormalizedAdjacency, local_columns, node_set
+from .graph import local_columns, node_set
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -185,7 +185,7 @@ def lookup_embed(params: ModelParams, nodes) -> EmbeddingView:
     return EmbeddingView(params.weights[0][_as_node_array(nodes, params.num_features)])
 
 
-def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> EmbeddingView:
+def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingView:
     """Graph-convolved embedding rows for the given nodes.
 
     Computes only the L-hop in-neighborhood of the requested nodes: frontier
@@ -194,18 +194,16 @@ def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> Embeddin
     """
     if params.num_layers < 1:
         raise ConfigError("gcn_embed requires a model with num_layers >= 1")
-    if norm.num_nodes != params.num_features:
-        raise ConfigError(
-            f"adjacency over {norm.num_nodes} nodes does not match "
-            f"{params.num_features} features"
-        )
+    if norm.shape[0] != params.num_features:
+        raise ConfigError(f"adjacency over {norm.shape[0]} nodes does not match "
+                          f"{params.num_features} features")
     frontiers, blocks = [_as_node_array(nodes, params.num_features)], []
     for _ in range(params.num_layers - 1):
-        reached, block = local_columns(norm.matrix[frontiers[0]])
+        reached, block = local_columns(norm[frontiers[0]])
         frontiers.insert(0, reached)
         blocks.insert(0, block)
     # layer 1: the one-hot input makes the table its weight
-    adj = norm.matrix[frontiers[0]]
+    adj = norm[frontiers[0]]
     pre = adj @ params.weights[0]
     out = activate(params.activation, pre)
     caches = [GcnLayerCache(frontiers[0], pre, adj, None)]
@@ -217,7 +215,7 @@ def gcn_embed(norm: NormalizedAdjacency, params: ModelParams, nodes) -> Embeddin
     return EmbeddingView(out, tuple(caches))
 
 
-def embed(params: ModelParams, norm: NormalizedAdjacency | None, nodes) -> EmbeddingView:
+def embed(params: ModelParams, norm: sparse.csr_array | None, nodes) -> EmbeddingView:
     """The model's embedding rows for the given nodes: table rows when it has
     no convolution layers, graph-convolved rows over ``norm`` otherwise.
 
@@ -261,7 +259,7 @@ def scores_from_design(params: ModelParams, nodes: np.ndarray,
 
 
 def predict_batch(instances, params: ModelParams,
-                  norm: NormalizedAdjacency | None = None) -> np.ndarray:
+                  norm: sparse.csr_array | None = None) -> np.ndarray:
     """Deterministic batch scoring (dropout never applies here).
 
     ``norm`` must be given exactly when the model has convolution layers.

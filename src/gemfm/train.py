@@ -14,11 +14,11 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .data import PackedInstances
 from .errors import ConfigError, TrainingDivergedError
-from .graph import (FeatureGraph, NormalizedAdjacency, local_columns, normalize,
-                    sample_neighbors)
+from .graph import FeatureGraph, local_columns, normalize, sample_neighbors
 from .metrics import mae, rmse
 from .model import ModelParams, batch_design, embed, predict_batch, scores_from_design
 # benchmarks/bench_trace.py patches every namespace a traced name may be
@@ -26,6 +26,8 @@ from .model import ModelParams, batch_design, embed, predict_batch, scores_from_
 from .model import gcn_embed, lookup_embed  # noqa: F401
 from .seeding import derive_rng, derive_seed
 
+OPTIMIZERS = ("adagrad", "adam")
+STOPPING_METRICS = ("rmse", "mae")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 EPSILON = 1e-8
@@ -49,7 +51,7 @@ class TrainConfig:
     metric_for_stopping: str = "rmse"
 
     def __post_init__(self):
-        if self.optimizer not in ("adagrad", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("learning_rate must be finite and positive")
@@ -57,11 +59,12 @@ class TrainConfig:
             raise ConfigError("l2_lambda must be finite and non-negative")
         if not 0.0 <= self.dropout_ratio < 1.0:
             raise ConfigError("dropout_ratio must lie in [0, 1)")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ConfigError("batch_size, max_epochs, patience must be >= 1")
+        for key in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.sampling_ratio <= 1.0:
             raise ConfigError("sampling_ratio must lie in [0, 1]")
-        if self.metric_for_stopping not in ("rmse", "mae"):
+        if self.metric_for_stopping not in STOPPING_METRICS:
             raise ConfigError(f"unknown stopping metric {self.metric_for_stopping!r}")
 
 
@@ -77,7 +80,7 @@ class OptimizerState:
 
     @classmethod
     def create(cls, params: ModelParams, kind: str) -> "OptimizerState":
-        if kind not in ("adagrad", "adam"):
+        if kind not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {kind!r}")
         blocks = [np.array([params.w0]), params.w, *params.weights]
         momentum = [np.zeros_like(b) for b in blocks] if kind == "adam" else None
@@ -105,7 +108,7 @@ def _full_l2(params: ModelParams) -> float:
     return total + (params.w0 * params.w0 + float(np.dot(params.w, params.w)))
 
 
-def loss_and_grads(batch, params: ModelParams, norm: NormalizedAdjacency | None = None,
+def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = None,
                    *, l2_lambda: float = 0.0, dropout_ratio: float = 0.0,
                    dropout_seed: int = 0) -> tuple[float, GradientSet]:
     """Summed squared error over the batch plus l2_lambda * ||Theta||^2, and
@@ -237,13 +240,13 @@ class EpochRecord:
 
 @dataclass
 class RunReport:
-    """Per-epoch history plus the effective configuration, as written to disk."""
+    """Per-epoch history and the effective configuration: written, never read back."""
 
     config: dict[str, str]
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
 
-    def to_text(self) -> str:
+    def save(self, path) -> None:
         lines = [f"config {key}={value}" for key, value in self.config.items()]
         for r in self.epochs:
             lines.append(
@@ -252,32 +255,8 @@ class RunReport:
                 f"seconds={r.seconds:.3f}"
             )
         lines.append(f"best_epoch {self.best_epoch}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunReport":
-        config: dict[str, str] = {}
-        epochs: list[EpochRecord] = []
-        best = 0
-        for line in text.splitlines():
-            if line.startswith("config "):
-                key, _, value = line[len("config "):].partition("=")
-                config[key] = value
-            elif line.startswith("epoch "):
-                parts = line.split()
-                fields = dict(p.split("=", 1) for p in parts[2:])
-                epochs.append(EpochRecord(int(parts[1]),
-                                          float(fields["train_loss"]),
-                                          float(fields["val_rmse"]),
-                                          float(fields["val_mae"]),
-                                          float(fields["seconds"])))
-            elif line.startswith("best_epoch "):
-                best = int(line.split()[1])
-        return cls(config, epochs, best)
+            fh.write("\n".join(lines) + "\n")
 
 
 def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
@@ -355,7 +334,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
                     raise TrainingDivergedError("non-finite loss")
                 optimizer_step(params, state, grads, config)
             except TrainingDivergedError as exc:
-                raise TrainingDivergedError(f"{exc} in epoch {epoch}, batch {batch_index}") from None
+                raise TrainingDivergedError(
+                    f"{exc} in epoch {epoch}, batch {batch_index}") from None
             epoch_loss += value
         val_scores = predict_batch(va, params, full_norm)
         val_rmse = rmse(val_scores, va.labels)

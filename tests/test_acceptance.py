@@ -293,7 +293,7 @@ def test_criterion_7_property_bundle():
     # normalization: symmetric, matches the dense oracle
     for _ in range(10):
         graph = _random_graph(rng, int(rng.integers(2, 40)), density=0.3)
-        dense = normalize(graph).matrix.toarray()
+        dense = normalize(graph).toarray()
         np.testing.assert_array_equal(dense, dense.T)
         np.testing.assert_allclose(
             dense, dense_normalized_adjacency(graph.num_nodes, graph.edges),

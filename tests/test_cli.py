@@ -15,7 +15,6 @@ from gemfm import (FeatureGraph, FeatureSpace, GemfmError, ModelParams, SparseIn
                    build_graph, count_params, format_report, load_libfm,
                    TrainConfig, metric_report, normalize, predict_batch, save_libfm)
 from gemfm.cli import _OPTIONS, _settings, _train_config, build_parser, main
-from gemfm.train import RunReport
 
 
 @pytest.fixture()
@@ -76,9 +75,9 @@ def test_train_single_file_writes_model_and_report(workspace, capsys):
     params = ModelParams.load(tmp_path / "model.bin")
     assert params.dim == 3
     assert params.num_layers == 0
-    report = RunReport.from_text((tmp_path / "report.txt").read_text())
-    assert report.config["dim"] == "3"
-    assert 1 <= len(report.epochs) <= 3
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert "config dim=3" in lines
+    assert 1 <= sum(line.startswith("epoch ") for line in lines) <= 3
 
 
 def test_train_is_reproducible_at_the_command_line(workspace, capsys):
@@ -406,7 +405,7 @@ def test_commands_take_only_the_flags_they_read(workspace, capsys, command, flag
     (["--learning-rate", "nan"], "learning_rate"),
     (["--learning-rate", "inf"], "learning_rate"),
     (["--l2-lambda", "nan"], "l2_lambda"),
-    (["--dim", "0"], "dim must be >= 1"),          # checked by ModelParams
+    (["--dim", "0"], "dim must be >= 1"),          # checked as the options resolve
 ])
 def test_bad_ratios_and_rates_fail_cleanly(workspace, capsys, flags, fragment):
     tmp_path, data, fmap, _ = workspace
@@ -417,10 +416,20 @@ def test_bad_ratios_and_rates_fail_cleanly(workspace, capsys, flags, fragment):
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize("key", ["batch_size", "max_epochs", "patience"])
+def test_bad_loop_sizes_fail_before_any_file_is_read(workspace, capsys, key):
+    # the message names the one bad field, not a missing data file
+    tmp_path, _, fmap, _ = workspace
+    rc = main(["train", "--data", str(tmp_path / "missing.libfm"), "--field-map", str(fmap),
+               "--" + key.replace("_", "-"), "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {key} must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("presplit", [False, True])
 def test_too_few_rows_to_train_fail_cleanly(workspace, capsys, presplit):
     # 3 rows at 0.8,0.1,0.1 leave the validation part empty, and so does an
-    # empty --val file; train() would raise a bare ValueError
+    # empty --val file; unlike train()'s own check, the message gives each part's size
     tmp_path, data, fmap, instances = workspace
     if presplit:
         (tmp_path / "empty.libfm").write_text("# no rows\n")

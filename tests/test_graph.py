@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from gemfm import (FeatureGraph, FeatureSpace, GemfmError, GraphFormatError,
                    SparseInstance, build_graph, normalize, sample_neighbors)
@@ -290,24 +291,26 @@ def test_graph_load_rejects_non_utf8_bytes(tmp_path):
 def test_normalize_isolated_node_is_exact():
     g = FeatureGraph(3, np.zeros((0, 2), dtype=np.int64))
     norm = normalize(g)
-    dense = norm.matrix.toarray()
+    dense = norm.toarray()
     np.testing.assert_array_equal(dense, np.eye(3))  # bitwise identity
 
 
 def test_normalize_two_node_edge():
     # both degrees+1 = 2, so every coefficient is exactly 1/2
     norm = normalize(FeatureGraph(2, np.array([[0, 1]])))
-    np.testing.assert_array_equal(norm.matrix.toarray(), np.full((2, 2), 0.5))
+    np.testing.assert_array_equal(norm.toarray(), np.full((2, 2), 0.5))
 
 
 def test_normalize_star_coefficients():
     # center 0 with leaves 1..3: deg+1 = (4, 2, 2, 2)
     norm = normalize(FeatureGraph(4, np.array([[0, 1], [0, 2], [0, 3]])))
-    assert norm.matrix[0, 0] == 0.25
-    assert norm.matrix[1, 1] == 0.5
-    assert norm.matrix[0, 1] == 1.0 / np.sqrt(8.0)
-    assert norm.matrix[1, 0] == norm.matrix[0, 1]
-    assert norm.matrix[1, 2] == 0.0
+    assert isinstance(norm, sparse.csr_array) and norm.has_sorted_indices
+    assert norm.indices.tolist() == [0, 1, 2, 3, 0, 1, 0, 2, 0, 3]
+    assert norm[0, 0] == 0.25
+    assert norm[1, 1] == 0.5
+    assert norm[0, 1] == 1.0 / np.sqrt(8.0)
+    assert norm[1, 0] == norm[0, 1]
+    assert norm[1, 2] == 0.0
 
 
 def test_normalize_matches_dense_oracle():
@@ -318,7 +321,7 @@ def test_normalize_matches_dense_oracle():
         edges = np.argwhere(mask)
         g = FeatureGraph(n, edges if len(edges) else np.zeros((0, 2), np.int64))
         expected = dense_normalized_adjacency(n, g.edges)
-        np.testing.assert_allclose(norm_dense := normalize(g).matrix.toarray(),
+        np.testing.assert_allclose(norm_dense := normalize(g).toarray(),
                                    expected, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(norm_dense, norm_dense.T)
 
@@ -329,7 +332,7 @@ def test_normalize_row_sums_on_regular_graphs():
         [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]))
     complete = FeatureGraph(4, np.array(list(itertools.combinations(range(4), 2))))
     for g in (cycle, complete):
-        sums = normalize(g).matrix.toarray().sum(axis=1)
+        sums = normalize(g).toarray().sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
 
@@ -337,7 +340,7 @@ def test_normalize_expand_collects_neighbors():
     g = FeatureGraph(5, np.array([[0, 1], [1, 2], [3, 4]]))
     norm = normalize(g)
     for nodes, reached in (([0], [0, 1]), ([1], [0, 1, 2]), ([0, 3], [0, 1, 3, 4])):
-        np.testing.assert_array_equal(local_columns(norm.matrix[nodes])[0], reached)
+        np.testing.assert_array_equal(local_columns(norm[nodes])[0], reached)
 
 
 def test_node_set_matches_sorted_dedup():
@@ -351,7 +354,7 @@ def test_node_set_matches_sorted_dedup():
 
 def test_local_columns_renumbers_without_reordering():
     g = FeatureGraph(6, np.array([[0, 1], [1, 2], [3, 5], [4, 5]]))
-    block = normalize(g).matrix[np.array([0, 4])]
+    block = normalize(g)[np.array([0, 4])]
     columns, local = local_columns(block)
     np.testing.assert_array_equal(columns, [0, 1, 4, 5])
     assert local.shape == (2, 4)

@@ -1,0 +1,22 @@
+"""Package hygiene: the public names resolve, and the source keeps its line width."""
+
+from pathlib import Path
+
+import gemfm
+
+SRC = Path(gemfm.__file__).resolve().parent
+MAX_COLUMNS = 100
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in gemfm.__all__ if not hasattr(gemfm, name)]
+    assert missing == []
+    assert len(set(gemfm.__all__)) == len(gemfm.__all__)
+
+
+def test_no_source_line_is_wider_than_the_convention():
+    wide = [f"{path.name}:{lineno}: {len(line)} columns"
+            for path in sorted(SRC.glob("*.py"))
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_COLUMNS]
+    assert wide == []

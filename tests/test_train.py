@@ -616,7 +616,7 @@ def test_training_step_dedups_at_most_once(monkeypatch, small_clicks, layers):
     nodes = np.unique(batch.indices)
     reached = nodes
     for _ in range(layers):
-        reached = np.unique(norm.matrix[reached].indices)
+        reached = np.unique(norm[reached].indices)
 
     calls = []
     unique = np.unique
@@ -659,24 +659,21 @@ def test_config_validation(kwargs):
         TrainConfig(**kwargs)
 
 
-def test_run_report_round_trip():
+def test_run_report_bytes_are_pinned(tmp_path):
+    # the report is written, never read back: losses and metrics are spelled
+    # by repr, which reads back to the same float (0.1 + 0.2 needs 17 digits),
+    # and seconds to the millisecond
     report = RunReport({"optimizer": "adam", "dim": "4"},
                        [EpochRecord(1, 12.5, 0.9, 0.7, 1.5),
-                        EpochRecord(2, 10.25, 0.8125, 0.625, 0.125)],
+                        EpochRecord(2, 0.1 + 0.2, 0.8125, 1 / 3, 0.1235)],
                        best_epoch=2)
-    parsed = RunReport.from_text(report.to_text())
-    assert parsed.config == report.config
-    assert parsed.best_epoch == 2
-    assert [(e.epoch, e.train_loss, e.val_rmse, e.val_mae, e.seconds)
-            for e in parsed.epochs] == \
-           [(e.epoch, e.train_loss, e.val_rmse, e.val_mae, e.seconds)
-            for e in report.epochs]
-
-
-def test_run_report_file_round_trip(tmp_path):
-    report = RunReport({"seed": "0"}, [EpochRecord(1, 3.0, 1.0, 0.5, 0.25)], 1)
     path = tmp_path / "report.txt"
     report.save(path)
-    parsed = RunReport.from_text(path.read_text())
-    assert parsed.config == {"seed": "0"}
-    assert parsed.epochs[0].train_loss == 3.0
+    assert path.read_bytes() == (
+        b"config optimizer=adam\n"
+        b"config dim=4\n"
+        b"epoch 1 train_loss=12.5 val_rmse=0.9 val_mae=0.7 seconds=1.500\n"
+        b"epoch 2 train_loss=0.30000000000000004 val_rmse=0.8125 "
+        b"val_mae=0.3333333333333333 seconds=0.123\n"
+        b"best_epoch 2\n"
+    )
