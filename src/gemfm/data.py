@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .seeding import seeded_rng
 
 # digits an index may have: 10**18 - 1 still fits int64
 MAX_INDEX_DIGITS = 18
@@ -110,8 +111,9 @@ def format_libfm_line(instance: SparseInstance) -> str:
 
 # rows save_libfm spells per write: bounds its token matrix
 _CHUNK_ROWS = 8192
-# most rejection-sampling candidates negative_sample draws at once
-_CANDIDATE_BLOCK = 1 << 16
+# the fewest rows in a row that refuse no candidate before negative_sample
+# checks rejection candidates a window at a time
+_CALM_ROWS = 16
 # characters load_libfm reads per chunk, completed to a whole line
 _CHUNK_CHARS = 1 << 18
 # the ASCII bytes str.split() splits on: space, \t \n \v \f \r and \x1c-\x1f
@@ -474,7 +476,7 @@ def split_dataset(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSp
     if not n:
         raise ConfigError("cannot split an empty dataset")
     sizes = _largest_remainder_sizes(n, ratios)
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = seeded_rng(seed).permutation(n)
     cut1, cut2 = sizes[0], sizes[0] + sizes[1]
     return DatasetSplit(packed.take(perm[:cut1]), packed.take(perm[cut1:cut2]),
                         packed.take(perm[cut2:]))
@@ -492,13 +494,12 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     RuntimeWarning reports how many positives came up short.
 
     A positive with at least 8k eligible items draws candidates until k are
-    new (rejection sampling); one with fewer draws from its pool of eligible
-    items with ``rng.choice``. Rejection candidates are drawn in blocks, each
-    no larger than the draws the rows before the next pool draw are certain
-    to make, so the stream is the one a draw per candidate gives.
+    new (rejection sampling, _rejection_run); one with fewer draws from its
+    pool of eligible items with ``rng.choice``.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    rng = seeded_rng(seed)
     start, end = space.field_range(item_field)
     packed = PackedInstances.from_instances(positives)
     in_item = (packed.indices >= start) & (packed.indices < end)
@@ -508,50 +509,40 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
         raise ConfigError(f"positive {bad[0]} has {per_row[bad[0]]} active features in the "
                           f"item field; exactly one is required")
     item_at = np.flatnonzero(in_item)   # one entry per row, in row order
-    # a context is the row's other entries; + 0.0 turns -0.0 into 0.0, which
-    # compare equal, so equal contexts give equal bytes
-    keys = (packed.indices[~in_item].astype(np.int64).tobytes(),
-            (packed.values[~in_item].astype(np.float64) + 0.0).tobytes())
-    bounds = (8 * (packed.indptr - np.arange(len(packed) + 1))).tolist()
-    contexts = [(keys[0][a:b], keys[1][a:b]) for a, b in zip(bounds, bounds[1:])]
-    clicked: dict[tuple, set[int]] = {}
-    for context, item in zip(contexts, packed.indices[item_at].tolist()):
-        clicked.setdefault(context, set()).add(item)
-    vocab = end - start
-    eligible = vocab - np.array([len(clicked[c]) for c in contexts], dtype=np.int64)
-    takes = np.minimum(k, eligible)
-    rejection = eligible >= 8 * k
-    # draws the rows from each one to the next pool draw are certain to make
-    run_takes = np.r_[0, np.cumsum(np.where(rejection, takes, 0))]
-    pool_rows = np.flatnonzero(~rejection & (takes > 0))
-    run_end = np.r_[pool_rows, len(packed)][np.searchsorted(pool_rows, np.arange(len(packed)))]
-    need = (run_takes[run_end] - run_takes[:-1]).tolist()
-
-    rng = np.random.default_rng(seed)
-    drawn: list[int] = []
-    candidates, used = [], 0
-    for row, (context, take, reject) in enumerate(zip(contexts, takes.tolist(),
-                                                      rejection.tolist())):
-        if not take:
-            continue
-        taken = clicked[context]
-        if reject:
-            # sequential distinct draws stay uniform without replacement
-            # and avoid materializing the pool
-            draws: dict[int, None] = {}
-            while len(draws) < take:
-                if used == len(candidates):
-                    size = min(need[row] - len(draws), _CANDIDATE_BLOCK)
-                    candidates, used = rng.integers(start, end, size=size).tolist(), 0
-                candidate = candidates[used]
-                used += 1
-                if candidate not in taken and candidate not in draws:
-                    draws[candidate] = None
-            drawn += draws
-        else:
-            free = np.ones(vocab, dtype=bool)
-            free[np.fromiter(taken, dtype=np.int64) - start] = False
-            drawn += rng.choice(np.flatnonzero(free) + start, size=take, replace=False).tolist()
+    # a context is the row's other entries; one int64 key row holds their number,
+    # indices and value bits (+ 0.0 turns -0.0 into 0.0, which compare equal)
+    lengths = np.diff(packed.indptr) - 1
+    keys = np.zeros((len(packed), 1 + 2 * int(lengths.max(initial=0))), dtype=np.int64)
+    keys[:, 0] = lengths
+    at = np.arange(lengths.sum()) + np.repeat(
+        np.arange(len(packed)) * (keys.shape[1] + 1) + 1 - packed.indptr[:-1], lengths)
+    keys.ravel()[at] = packed.indices[~in_item]
+    values = packed.values[~in_item].astype(np.float64) + 0.0
+    keys.ravel()[at + keys.shape[1] // 2] = values.view(np.int64)
+    ids: dict[bytes, int] = {}
+    context = np.array([ids.setdefault(key, len(ids)) for key in
+                        keys.view(f"V{8 * keys.shape[1]}").ravel().tolist()], dtype=np.int64)
+    # the distinct items clicked with row r's context, sorted, are
+    # clicked[lo[r]:hi[r]]; a spare entry keeps every search position in range
+    order = np.lexsort((packed.indices[item_at], context))
+    by_context, clicked = context[order], packed.indices[item_at][order]
+    new = (np.diff(by_context, prepend=-1) != 0) | (np.diff(clicked, prepend=-1) != 0)
+    seg = np.r_[0, np.cumsum(np.bincount(by_context[new], minlength=len(packed)))]
+    clicked, lo, hi = np.r_[clicked[new], 0], seg[context], seg[context + 1]
+    eligible = (end - start) - (hi - lo)
+    takes, pool = np.minimum(k, eligible), eligible < 8 * k
+    rows = np.flatnonzero(takes > 0)
+    drawn = [np.empty(0, dtype=np.int64)]
+    # each piece: a pool row (but at the start) and the rejection rows after it
+    for piece in np.split(rows, np.flatnonzero(pool[rows])):
+        if piece.size and pool[piece[0]]:
+            free = np.ones(end - start, dtype=bool)
+            free[clicked[lo[piece[0]]:hi[piece[0]]] - start] = False
+            drawn.append(rng.choice(np.flatnonzero(free) + start, size=takes[piece[0]],
+                                    replace=False))
+            piece = piece[1:]
+        if piece.size:
+            drawn.append(_rejection_run(rng, start, end, k, lo[piece], hi[piece], clicked))
     short = int(np.count_nonzero(takes < k))
     if short:
         warnings.warn(f"negative_sample: {short} positives had fewer than {k} eligible items",
@@ -561,8 +552,72 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     rows_taken = np.repeat(np.arange(len(packed)), takes)
     out = packed.take(rows_taken)
     offsets = (item_at - packed.indptr[:-1])[rows_taken]
-    out.indices[out.indptr[:-1] + offsets] = drawn
+    out.indices[out.indptr[:-1] + offsets] = np.concatenate(drawn)
     return PackedInstances(np.zeros(len(out)), out.indptr, out.indices, out.values)
+
+
+def _rejection_run(rng, low: int, high: int, k: int, lo: np.ndarray, hi: np.ndarray,
+                   clicked: np.ndarray) -> np.ndarray:
+    """k distinct items of [low, high) for each row r, none in the sorted
+    ``clicked[lo[r]:hi[r]]``: the first such candidates of the generator's
+    stream, drawn in blocks of the draws still certain to be made.
+
+    Rows draw a candidate at a time until ``need`` rows in a row refuse none.
+    Then the candidates of the next ``span`` rows are checked at once; the
+    rows before the first refused candidate keep theirs, and that row goes
+    back to drawing a candidate at a time.
+    """
+    out = np.empty((lo.size, k), dtype=np.int64)
+    block, pos, row, calm = rng.integers(low, high, size=out.size), 0, 0, 0
+    stream, starts, stops = block.tolist(), lo.tolist(), hi.tolist()
+    span = need = _CALM_ROWS
+    taken: dict[int, set[int]] = {}    # the clicked items of a row's context, by lo
+    while True:
+        done = []
+        for r in range(row, lo.size if calm < need else row):
+            if starts[r] not in taken:
+                taken[starts[r]] = set(clicked[starts[r]:stops[r]].tolist())
+            draws = []
+            calm += 1
+            while len(draws) < k:
+                if pos == len(stream):
+                    block = rng.integers(low, high, size=(lo.size - r) * k - len(draws))
+                    stream, pos = block.tolist(), 0
+                candidate = stream[pos]
+                pos += 1
+                if candidate in taken[starts[r]] or candidate in draws:
+                    calm = 0
+                else:
+                    draws.append(candidate)
+            done.append(draws)
+            if calm == need:
+                break
+        if done:
+            out[row:row + len(done)] = done
+            row += len(done)
+        if row == lo.size:
+            return out.ravel()
+        held = row + (block.size - pos) // k    # rows whose draws the block holds in full
+        last = min(row + span, held)
+        window = block[pos:pos + (last - row) * k].reshape(-1, k)
+        # a binary search for each candidate in its row's clicked items
+        first, end = lo[row:last, None], hi[row:last, None]
+        for _ in range(int((end - first).max(initial=0)).bit_length()):
+            mid = (first + end) // 2
+            below = (first < end) & (clicked[mid] < window)
+            first, end = np.where(below, mid + 1, first), np.where(below, end, mid)
+        refused = (first < hi[row:last, None]) & (clicked[first] == window)
+        for lag in range(1, k):    # a repeat within its row
+            refused[:, lag:] |= window[:, lag:] == window[:, :-lag]
+        kept = row + int(refused.any(axis=1).argmax()) if refused.any() else last
+        out[row:kept] = window[:kept - row]
+        pos += (kept - row) * k
+        if kept < last:    # a window that kept fewer than _CALM_ROWS rows did not pay
+            need = _CALM_ROWS if kept - row >= _CALM_ROWS else 2 * need
+        span = 2 * (span if kept == last else max(kept - row, need))
+        # the next window at once if this one refused nothing and the block holds more
+        calm = need if kept == last < held else 0
+        row = kept
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,8 +662,8 @@ class PackedInstances:
         sel = np.asarray(selection, dtype=np.int64)
         out_lengths = np.diff(self.indptr)[sel]
         out_indptr = np.r_[0, np.cumsum(out_lengths)]
-        offsets = np.arange(out_indptr[-1]) - np.repeat(out_indptr[:-1], out_lengths)
-        source = np.repeat(self.indptr[sel], out_lengths) + offsets
+        source = np.arange(out_indptr[-1]) + np.repeat(self.indptr[sel] - out_indptr[:-1],
+                                                       out_lengths)
         return PackedInstances(self.labels[sel], out_indptr, self.indices[source],
                                self.values[source])
 

@@ -16,6 +16,7 @@ from scipy import sparse
 from .data import (FeatureSpace, PackedInstances, ascii_tokens, blank_comments, parse_index,
                    parse_indices, spell_integers)
 from .errors import ConfigError, GraphFormatError
+from .seeding import seeded_rng
 
 # edges FeatureGraph.save spells per write
 _SAVE_EDGES = 1 << 16
@@ -267,11 +268,12 @@ def sample_neighbors(graph: FeatureGraph, ratio: float, seed: int = 0) -> Featur
     """
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"sampling ratio must lie in [0, 1], got {ratio}")
+    rng = seeded_rng(seed)
     if ratio == 1.0:
         return graph
     e = graph.num_edges
     src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    keys = np.random.default_rng(seed).random(2 * e)
+    keys = rng.random(2 * e)
     kept = np.zeros(e, dtype=bool)
     kept[_kept_directed_edges(src, keys, ratio, graph.num_nodes) % e] = True
     # a mask keeps the sorted, unique order of graph.edges

@@ -19,6 +19,7 @@ from scipy import sparse
 from .data import PackedInstances
 from .errors import CheckpointError, ConfigError, DataFormatError
 from .graph import local_columns, node_set
+from .seeding import seeded_rng
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -88,7 +89,7 @@ class ModelParams:
         """Gaussian(0, scale) weight matrices, zero biases."""
         if num_features < 1 or dim < 1:
             raise ConfigError(f"num_features and dim must be >= 1, got {num_features} and {dim}")
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         weights = [rng.normal(0.0, scale, size=(num_features, dim))]
         for _ in range(max(0, num_layers - 1)):
             weights.append(rng.normal(0.0, scale, size=(dim, dim)))

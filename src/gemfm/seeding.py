@@ -6,8 +6,11 @@ run seed through named sub-seeds, so no stream perturbs another.
 """
 
 import hashlib
+import numbers
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def derive_seed(seed: int, *names) -> int:
@@ -20,3 +23,10 @@ def derive_seed(seed: int, *names) -> int:
 def derive_rng(seed: int, *names) -> np.random.Generator:
     """A fresh Generator seeded from ``derive_seed(seed, *names)``."""
     return np.random.default_rng(derive_seed(seed, *names))
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """A fresh Generator for ``seed``, which must be a non-negative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)

@@ -10,6 +10,7 @@ rows the batch touched, and every row of the deeper layers' weights.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -24,7 +25,7 @@ from .model import ModelParams, batch_design, embed, predict_batch, scores_from_
 # benchmarks/bench_trace.py patches every namespace a traced name may be
 # looked up in, this one included, so these stay importable from here
 from .model import gcn_embed, lookup_embed  # noqa: F401
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed, seeded_rng
 
 OPTIMIZERS = ("adagrad", "adam")
 STOPPING_METRICS = ("rmse", "mae")
@@ -53,6 +54,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        for key in ("learning_rate", "l2_lambda", "dropout_ratio", "sampling_ratio"):
+            if not isinstance(getattr(self, key), numbers.Real):
+                raise ConfigError(f"{key} must be a real number, got {getattr(self, key)!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("learning_rate must be finite and positive")
         if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
@@ -60,6 +64,8 @@ class TrainConfig:
         if not 0.0 <= self.dropout_ratio < 1.0:
             raise ConfigError("dropout_ratio must lie in [0, 1)")
         for key in ("batch_size", "max_epochs", "patience"):
+            if not isinstance(getattr(self, key), numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.sampling_ratio <= 1.0:
@@ -131,9 +137,8 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
     view = embed(params, norm, nodes)
     rows, scale = view.rows, None
     if dropout_ratio > 0.0:
-        rng = np.random.default_rng(dropout_seed)
-        scale = np.where(rng.random((nodes.size, params.dim)) >= dropout_ratio,
-                         1.0 / (1.0 - dropout_ratio), 0.0)
+        keep = seeded_rng(dropout_seed).random((nodes.size, params.dim)) >= dropout_ratio
+        scale = keep * (1.0 / (1.0 - dropout_ratio))
         rows = rows * scale
     scores, summed = scores_from_design(params, nodes, x, x2, rows)
     err = scores - packed.labels

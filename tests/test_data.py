@@ -553,6 +553,16 @@ def test_negative_sampling_treats_signed_zeros_as_one_context():
     assert [n.entries[1][0] for n in negatives] == [3, 3]
 
 
+def test_negative_sampling_tells_an_empty_context_from_zero_valued_entries():
+    # (0, 0.0) has all-zero bits, yet it is an entry: the empty context of
+    # the first positive is not the context of the second
+    space = FeatureSpace.from_cardinalities(["user", "item"], [1, 3])
+    positives = [SparseInstance(1.0, ((1, 1.0),)), SparseInstance(1.0, ((0, 0.0), (2, 1.0)))]
+    negatives = unpack(negative_sample(positives, space, item_field=1, k=2, seed=0))
+    assert sorted(n.entries[-1][0] for n in negatives[:2]) == [2, 3]
+    assert sorted(n.entries[-1][0] for n in negatives[2:]) == [1, 3]
+
+
 @pytest.mark.parametrize("items,k", [(40, 2), (6, 2), (3, 4)])   # rejection, pool, short
 def test_negative_sampling_matches_per_instance_reference(items, k):
     rng = np.random.default_rng(items + k)
@@ -628,6 +638,55 @@ def test_negative_sampling_draws_candidates_in_blocks(monkeypatch):
     rejected = len(reference) - len(expected)
     assert rejected > 0    # some row needed a second block
     assert len(blocked) <= 1 + rejected
+
+
+def test_negative_sampling_finishes_refused_rows_one_candidate_at_a_time(monkeypatch):
+    # 24 items and k = 2: a context with up to 8 clicks rejection-samples, so
+    # up to a third of the candidates are refused; every row is a rejection row
+    rng = np.random.default_rng(5)
+    space = FeatureSpace.from_cardinalities(["user", "item"], [40, 24])
+    positives = [_click(user, 40 + int(item)) for user in range(40)
+                 for item in rng.choice(24, size=int(rng.integers(1, 9)), replace=False)]
+    positives = [positives[i] for i in rng.permutation(len(positives))]
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_CountingGenerator(seed, real)) or made[-1])
+    expected, short = negative_sample_reference(positives, space, 1, 2, seed=1)
+    got = negative_sample(positives, space, item_field=1, k=2, seed=1)
+    assert unpack(got) == expected and not short
+    reference, blocked = made[0].sizes, made[1].sizes
+    assert sum(blocked) == len(reference)
+    rejected = len(reference) - len(expected)
+    assert len(blocked) <= 1 + rejected
+    assert len(blocked) >= 4    # refills happen only while a row is finished one by one
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.integers(1, 4), items=st.integers(1, 40), seed=st.integers(0, 2**32),
+       contexts=st.lists(st.dictionaries(st.integers(0, 4),
+                                         st.sampled_from([1.0, 0.5, 0.0, -0.0]), max_size=4),
+                         min_size=1, max_size=5),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 39)), max_size=80))
+def test_negative_sampling_matches_the_reference_fuzz(k, items, seed, contexts, picks):
+    # a few contexts of any length (empty included) shared by many rows, so
+    # pool, rejection and short rows interleave; 0.0 and -0.0 key one context.
+    # Context slots 0-2 are the user field, before the items; 3-4 the ctx field
+    space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [3, items, 2])
+    positives = []
+    for which, item in picks:
+        entries = {slot if slot < 3 else slot + items: value
+                   for slot, value in contexts[which % len(contexts)].items()}
+        entries[3 + item % items] = 1.0
+        positives.append(SparseInstance(1.0, tuple(sorted(entries.items()))))
+    expected, short = negative_sample_reference(positives, space, 1, k, seed=seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = negative_sample(positives, space, item_field=1, k=k, seed=seed)
+    assert unpack(got) == expected
+    assert [str(w.message) for w in caught] == (
+        [f"negative_sample: {short} positives had fewer than {k} eligible items"]
+        if short else [])
 
 
 @pytest.mark.parametrize("span", [7, 1000, 2**31, 2**33, 2**62])
