@@ -111,9 +111,6 @@ def format_libfm_line(instance: SparseInstance) -> str:
 
 # rows save_libfm spells per write: bounds its token matrix
 _CHUNK_ROWS = 8192
-# the fewest rows in a row that refuse no candidate before negative_sample
-# checks rejection candidates a window at a time
-_CALM_ROWS = 16
 # characters load_libfm reads per chunk, completed to a whole line
 _CHUNK_CHARS = 1 << 18
 # the ASCII bytes str.split() splits on: space, \t \n \v \f \r and \x1c-\x1f
@@ -494,8 +491,10 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     RuntimeWarning reports how many positives came up short.
 
     A positive with at least 8k eligible items draws candidates until k are
-    new (rejection sampling, _rejection_run); one with fewer draws from its
-    pool of eligible items with ``rng.choice``.
+    new (rejection sampling), in blocks of the draws certain to be made before
+    the next pool draw; one with fewer draws from its pool of eligible items
+    with ``rng.choice``. The rows after a rejection row drawn a candidate at a
+    time are checked a window at a time, up to the first that refuses one.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
@@ -509,40 +508,60 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
         raise ConfigError(f"positive {bad[0]} has {per_row[bad[0]]} active features in the "
                           f"item field; exactly one is required")
     item_at = np.flatnonzero(in_item)   # one entry per row, in row order
-    # a context is the row's other entries; one int64 key row holds their number,
-    # indices and value bits (+ 0.0 turns -0.0 into 0.0, which compare equal)
+    # a context is the row's other entries; one int64 key row holds their indices
+    # + 1 (0 pads) and value bits (+ 0.0 turns -0.0 into 0.0, which compare equal)
     lengths = np.diff(packed.indptr) - 1
-    keys = np.zeros((len(packed), 1 + 2 * int(lengths.max(initial=0))), dtype=np.int64)
-    keys[:, 0] = lengths
+    keys = np.zeros((len(packed), 2 * int(lengths.max(initial=1))), dtype=np.int64)
     at = np.arange(lengths.sum()) + np.repeat(
-        np.arange(len(packed)) * (keys.shape[1] + 1) + 1 - packed.indptr[:-1], lengths)
-    keys.ravel()[at] = packed.indices[~in_item]
+        np.arange(len(packed)) * (keys.shape[1] + 1) - packed.indptr[:-1], lengths)
+    keys.ravel()[at] = packed.indices[~in_item] + 1
     values = packed.values[~in_item].astype(np.float64) + 0.0
     keys.ravel()[at + keys.shape[1] // 2] = values.view(np.int64)
     ids: dict[bytes, int] = {}
     context = np.array([ids.setdefault(key, len(ids)) for key in
                         keys.view(f"V{8 * keys.shape[1]}").ravel().tolist()], dtype=np.int64)
-    # the distinct items clicked with row r's context, sorted, are
-    # clicked[lo[r]:hi[r]]; a spare entry keeps every search position in range
-    order = np.lexsort((packed.indices[item_at], context))
-    by_context, clicked = context[order], packed.indices[item_at][order]
-    new = (np.diff(by_context, prepend=-1) != 0) | (np.diff(clicked, prepend=-1) != 0)
-    seg = np.r_[0, np.cumsum(np.bincount(by_context[new], minlength=len(packed)))]
-    clicked, lo, hi = np.r_[clicked[new], 0], seg[context], seg[context + 1]
-    eligible = (end - start) - (hi - lo)
+    # the distinct (context, item) pairs as sorted keys context * vocab + item - start,
+    # and a last key above them all that keeps every search position in range
+    vocab = end - start
+    pairs = np.r_[np.unique(context * vocab + packed.indices[item_at] - start), 2**63 - 1]
+    seg = pairs.searchsorted(np.arange(len(packed) + 1) * vocab)
+    eligible = vocab - np.diff(seg)[context]
     takes, pool = np.minimum(k, eligible), eligible < 8 * k
     rows = np.flatnonzero(takes > 0)
-    drawn = [np.empty(0, dtype=np.int64)]
-    # each piece: a pool row (but at the start) and the rejection rows after it
-    for piece in np.split(rows, np.flatnonzero(pool[rows])):
-        if piece.size and pool[piece[0]]:
-            free = np.ones(end - start, dtype=bool)
-            free[clicked[lo[piece[0]]:hi[piece[0]]] - start] = False
-            drawn.append(rng.choice(np.flatnonzero(free) + start, size=takes[piece[0]],
+    base, pools = context[rows] * vocab - start, np.flatnonzero(pool[rows])
+    # rows[i:ends[i]] need the draws certain to be made before the next pool draw;
+    # refusals[j] is about how many candidates the rows before rows[j] refuse
+    ends = np.r_[pools, rows.size][pools.searchsorted(np.arange(rows.size))]
+    refusals = np.r_[0, np.cumsum(k * (vocab - eligible[rows] + k) / vocab)]
+    drawn, block, pos, i = [], np.empty(0, dtype=np.int64), 0, 0
+    while i < rows.size:
+        if pool[rows[i]]:
+            free = np.ones(vocab, dtype=bool)
+            free[pairs[seg[context[rows[i]]]:seg[context[rows[i]] + 1]] % vocab] = False
+            drawn.append(rng.choice(np.flatnonzero(free) + start, size=takes[rows[i]],
                                     replace=False))
-            piece = piece[1:]
-        if piece.size:
-            drawn.append(_rejection_run(rng, start, end, k, lo[piece], hi[piece], clicked))
+            i += 1
+            continue
+        at, draws = int(base[i]), []    # a candidate at a time
+        while len(draws) < k:
+            if pos == block.size:
+                block, pos = rng.integers(start, end, size=(ends[i] - i) * k - len(draws)), 0
+            item, pos = int(block[pos]), pos + 1
+            if item not in draws and pairs[pairs.searchsorted(at + item)] != at + item:
+                draws.append(item)
+        drawn.append(draws)
+        i += 1
+        # the candidates the block holds (it ends with its run) for the rows
+        # expected to refuse two between them, checked at once
+        last = min(int(refusals.searchsorted(refusals[i] + 2)), i + (block.size - pos) // k)
+        window = block[pos:pos + (last - i) * k].reshape(-1, k)
+        wanted = base[i:last, None] + window
+        refused = pairs[pairs.searchsorted(wanted)] == wanted
+        for lag in range(1, k):    # a repeat within its row
+            refused[:, lag:] |= window[:, lag:] == window[:, :-lag]
+        kept = int(np.count_nonzero(np.cumsum(refused.any(axis=1)) == 0))    # refuse none
+        drawn.append(window[:kept].ravel())
+        pos, i = pos + kept * k, i + kept
     short = int(np.count_nonzero(takes < k))
     if short:
         warnings.warn(f"negative_sample: {short} positives had fewer than {k} eligible items",
@@ -552,72 +571,8 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     rows_taken = np.repeat(np.arange(len(packed)), takes)
     out = packed.take(rows_taken)
     offsets = (item_at - packed.indptr[:-1])[rows_taken]
-    out.indices[out.indptr[:-1] + offsets] = np.concatenate(drawn)
+    out.indices[out.indptr[:-1] + offsets] = np.concatenate(drawn or [[]])
     return PackedInstances(np.zeros(len(out)), out.indptr, out.indices, out.values)
-
-
-def _rejection_run(rng, low: int, high: int, k: int, lo: np.ndarray, hi: np.ndarray,
-                   clicked: np.ndarray) -> np.ndarray:
-    """k distinct items of [low, high) for each row r, none in the sorted
-    ``clicked[lo[r]:hi[r]]``: the first such candidates of the generator's
-    stream, drawn in blocks of the draws still certain to be made.
-
-    Rows draw a candidate at a time until ``need`` rows in a row refuse none.
-    Then the candidates of the next ``span`` rows are checked at once; the
-    rows before the first refused candidate keep theirs, and that row goes
-    back to drawing a candidate at a time.
-    """
-    out = np.empty((lo.size, k), dtype=np.int64)
-    block, pos, row, calm = rng.integers(low, high, size=out.size), 0, 0, 0
-    stream, starts, stops = block.tolist(), lo.tolist(), hi.tolist()
-    span = need = _CALM_ROWS
-    taken: dict[int, set[int]] = {}    # the clicked items of a row's context, by lo
-    while True:
-        done = []
-        for r in range(row, lo.size if calm < need else row):
-            if starts[r] not in taken:
-                taken[starts[r]] = set(clicked[starts[r]:stops[r]].tolist())
-            draws = []
-            calm += 1
-            while len(draws) < k:
-                if pos == len(stream):
-                    block = rng.integers(low, high, size=(lo.size - r) * k - len(draws))
-                    stream, pos = block.tolist(), 0
-                candidate = stream[pos]
-                pos += 1
-                if candidate in taken[starts[r]] or candidate in draws:
-                    calm = 0
-                else:
-                    draws.append(candidate)
-            done.append(draws)
-            if calm == need:
-                break
-        if done:
-            out[row:row + len(done)] = done
-            row += len(done)
-        if row == lo.size:
-            return out.ravel()
-        held = row + (block.size - pos) // k    # rows whose draws the block holds in full
-        last = min(row + span, held)
-        window = block[pos:pos + (last - row) * k].reshape(-1, k)
-        # a binary search for each candidate in its row's clicked items
-        first, end = lo[row:last, None], hi[row:last, None]
-        for _ in range(int((end - first).max(initial=0)).bit_length()):
-            mid = (first + end) // 2
-            below = (first < end) & (clicked[mid] < window)
-            first, end = np.where(below, mid + 1, first), np.where(below, end, mid)
-        refused = (first < hi[row:last, None]) & (clicked[first] == window)
-        for lag in range(1, k):    # a repeat within its row
-            refused[:, lag:] |= window[:, lag:] == window[:, :-lag]
-        kept = row + int(refused.any(axis=1).argmax()) if refused.any() else last
-        out[row:kept] = window[:kept - row]
-        pos += (kept - row) * k
-        if kept < last:    # a window that kept fewer than _CALM_ROWS rows did not pay
-            need = _CALM_ROWS if kept - row >= _CALM_ROWS else 2 * need
-        span = 2 * (span if kept == last else max(kept - row, need))
-        # the next window at once if this one refused nothing and the block holds more
-        calm = need if kept == last < held else 0
-        row = kept
 
 
 @dataclass(frozen=True, eq=False)
