@@ -19,6 +19,7 @@ by line through it, so each error names its file and line as it always has.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,9 +114,6 @@ def format_libfm_line(instance: SparseInstance) -> str:
 _CHUNK_ROWS = 8192
 # characters load_libfm reads per chunk, completed to a whole line
 _CHUNK_CHARS = 1 << 18
-# the ASCII bytes str.split() splits on: space, \t \n \v \f \r and \x1c-\x1f
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[32, 9, 10, 11, 12, 13, 28, 29, 30, 31]] = True
 # a longer label or value sends its chunk to the line-by-line parser
 _MAX_NUMBER_CHARS = 32
 
@@ -164,11 +162,12 @@ def _parse_lines(lines, lineno: int, path) -> PackedInstances:
 
 
 def ascii_tokens(buf: np.ndarray):
-    """Start and end of every token of the ASCII bytes ``buf``, split as
-    str.split() splits each of its lines, and whether each token is the first
-    of its line (``buf`` starts at the start of a line)."""
-    edges = np.diff(np.r_[True, _SPACE[buf], True].view(np.int8))
-    starts, ends = np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
+    """Start and end of every token of the ASCII bytes ``buf``, split where
+    str.split() splits (bytes 9-13, 28-31 and 32), and whether each token is
+    the first of its line (``buf`` starts at the start of a line)."""
+    space = (buf == 32) | (buf - 9 < 5) | (buf - 28 < 4)    # bytes below 9, 28 wrap
+    edges = np.flatnonzero(np.diff(np.r_[True, space, True]))    # start, end, start, ...
+    starts, ends = edges[0::2], edges[1::2]
     first = np.zeros(starts.size + 1, dtype=bool)
     first[np.searchsorted(starts, np.flatnonzero(buf == 10))] = True
     first[0] = True
@@ -183,38 +182,39 @@ def blank_comments(buf: np.ndarray) -> np.ndarray:
 
 
 def parse_indices(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
-    """parse_index over the spans [starts, ends) of ``buf`` at once: the int64
-    each spells in 1 to MAX_INDEX_DIGITS ASCII digits, or None if any does not."""
+    """parse_index over the spans [starts, ends) of ``buf``, place by place (0 before a span):
+    the int64 each spells in 1 to MAX_INDEX_DIGITS ASCII digits, or None if any does not."""
     lengths = ends - starts
     width = int(lengths.max(initial=0))
     if width > MAX_INDEX_DIGITS or lengths.min(initial=1) < 1:
         return None
     value = np.zeros(starts.size, dtype=np.int64)
     for back in range(width, 0, -1):    # the digit ``back`` places before the end
-        pos = ends - back
-        digit = buf[np.maximum(pos, 0)] - np.uint8(48)    # wraps below '0' to > 9
-        inside = pos >= starts
-        if np.any(inside & (digit > 9)):
+        digit = np.where(lengths >= back, buf.take(ends - back, mode="clip") - 48, 0)
+        if digit.max(initial=0) > 9:    # a byte below '0' wraps to > 9
             return None
-        value = np.where(inside, value * 10 + digit, value)
+        value = value * 10 + digit
     return value
 
 
 def _parse_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """float() of each span of ``buf``, called once per distinct spelling so
-    the bits are Python's; None if a span is too long or float() rejects it."""
-    width = int((ends - starts).max(initial=1))
+    the bits are Python's; None if a span is too long or float() rejects it.
+    Spellings are grouped as NUL-padded rows of 8k bytes, a uint64 if k = 1."""
+    lengths = ends - starts
+    width = int(lengths.max(initial=1))
     if width > _MAX_NUMBER_CHARS:
         return None
-    pos = starts[:, None] + np.arange(width)
-    text = np.where(pos < ends[:, None], buf[np.minimum(pos, buf.size - 1)], 0)
-    keys = text.view(f"S{width}").ravel()
-    spellings = np.unique(keys)
+    text = np.zeros((starts.size, -(-width // 8) * 8), dtype=np.uint8)
+    for column in range(width):
+        text[:, column] = np.where(column < lengths, buf.take(starts + column, mode="clip"), 0)
+    keys = text.view(f"S{text.shape[1]}").ravel()
+    spellings, where = np.unique(keys.view(np.uint64) if width <= 8 else keys, return_inverse=True)
     try:
-        table = np.array([float(s) for s in spellings.tolist()], dtype=np.float64)
+        table = np.array([float(s) for s in spellings.view(keys.dtype).tolist()], dtype=np.float64)
     except ValueError:
         return None
-    return table[np.searchsorted(spellings, keys)]
+    return table[where]
 
 
 def _parse_chunk(text: str) -> PackedInstances | None:
@@ -235,8 +235,8 @@ def _parse_chunk(text: str) -> PackedInstances | None:
             (colons <= entry_starts) | (colons >= entry_ends - 1)):
         return None
     indices = parse_indices(buf, entry_starts, colons)
-    numbers = _parse_floats(buf, np.r_[starts[label], colons + 1],
-                            np.r_[ends[label], entry_ends])
+    numbers = _parse_floats(buf, np.concatenate([starts[label], colons + 1]),
+                            np.concatenate([ends[label], entry_ends]))
     if indices is None or numbers is None or not np.isfinite(numbers).all():
         return None
     num_rows = int(label.sum())
@@ -496,8 +496,8 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     with ``rng.choice``. The rows after a rejection row drawn a candidate at a
     time are checked a window at a time, up to the first that refuses one.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ConfigError(f"k must be >= 1 and an integer, got {k!r}")
     rng = seeded_rng(seed)
     start, end = space.field_range(item_field)
     packed = PackedInstances.from_instances(positives)

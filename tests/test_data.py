@@ -13,7 +13,7 @@ from gemfm import (DataFormatError, FeatureSpace, GemfmError, SparseInstance,
                    format_field_map, format_libfm_line, load_field_map,
                    load_libfm, negative_sample, parse_libfm_line, save_libfm,
                    split_dataset)
-from gemfm.data import PackedInstances, _largest_remainder_sizes
+from gemfm.data import PackedInstances, _largest_remainder_sizes, ascii_tokens
 from oracles import (load_libfm_reference, negative_sample_reference, packed_equal,
                      save_libfm_reference, unpack)
 
@@ -195,17 +195,18 @@ def test_load_rejects_non_utf8_bytes(tmp_path):
         load_libfm(path)
 
 
+def _count_line_parses(monkeypatch):
+    """The line numbers parse_libfm_line is called with from now on."""
+    calls, parse = [], parse_libfm_line
+    monkeypatch.setattr("gemfm.data.parse_libfm_line",
+                        lambda text, lineno=None: calls.append(lineno) or parse(text, lineno))
+    return calls
+
+
 def test_bulk_reader_re_reads_only_a_faulty_chunk(tmp_path, monkeypatch):
     # time-free work counter: a valid file is parsed without a per-line call,
     # and a bad line costs a line-by-line re-read of its own chunk only
-    calls = []
-    parse = parse_libfm_line
-
-    def counted(text, lineno=None):
-        calls.append(lineno)
-        return parse(text, lineno)
-
-    monkeypatch.setattr("gemfm.data.parse_libfm_line", counted)
+    calls = _count_line_parses(monkeypatch)
     monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 25)   # 10-character lines: 3 a chunk
     # separated by every ASCII byte str.split() splits on
     lines = [f"1{sep}{k}:1 9:1" for k, sep in enumerate(" \t\v\f\x1c\x1d\x1e\x1f ")]
@@ -226,15 +227,17 @@ def test_bulk_reader_re_reads_only_a_faulty_chunk(tmp_path, monkeypatch):
 
 
 def _assert_loads_like_reference(path):
-    # the same arrays, dtypes included, or the same error message
+    """The same arrays, dtypes included, or the same error message; whether
+    the file is valid."""
     try:
         expected = load_libfm_reference(path)
     except DataFormatError as exc:
         with pytest.raises(DataFormatError) as raised:
             load_libfm(path)
         assert str(raised.value) == str(exc)
-    else:
-        assert packed_equal(load_libfm(path), expected)
+        return False
+    assert packed_equal(load_libfm(path), expected)
+    return True
 
 
 _READER_CASES = {
@@ -273,6 +276,45 @@ def test_load_matches_the_line_by_line_reader(tmp_path, monkeypatch, case, chunk
     path = tmp_path / f"{case}.libfm"
     path.write_bytes(_READER_CASES[case].encode("utf-8"))
     _assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("byte", range(128))
+def test_load_splits_where_str_split_does(tmp_path, monkeypatch, byte):
+    # the byte between tokens, around them and alone on a line: only the
+    # bytes str.split() splits on (and '#') leave the lines valid
+    c = chr(byte)
+    text = f"1{c}0:1{c}2:1\n{c}0 3:1{c}\n{c}\n"
+    starts, ends, first = ascii_tokens(np.frombuffer(text.encode("ascii"), dtype=np.uint8))
+    assert [(text[a:b], f) for a, b, f in zip(starts.tolist(), ends.tolist(), first.tolist())] \
+        == [(token, k == 0) for line in text.split("\n") for k, token in enumerate(line.split())]
+    path = tmp_path / "data.libfm"
+    path.write_bytes(text.encode("ascii"))
+    calls = _count_line_parses(monkeypatch)
+    if _assert_loads_like_reference(path):
+        assert calls == []    # read in bulk
+
+
+def _spelled(width: int, first: str, last: str) -> str:
+    """A decimal number spelled in exactly ``width`` characters (``first``
+    alone when 1), from ``first`` to its last digit ``last``."""
+    return first if width == 1 else (first + "." + "0123456789" * 4)[:width - 1] + last
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 32, 33])
+def test_load_reads_numbers_at_the_key_widths(tmp_path, monkeypatch, width):
+    # labels and values spelled at the edges of the 8-byte key columns, some
+    # apart only in their last digit; equal numbers spelled apart; indices
+    # with leading zeros next to 18 digits
+    lines = [f"{_spelled(width, str(k % 10), str(k % 3))} {k}:{_spelled(width, '3', str(k % 10))} "
+             f"{'9' * 18}:{_spelled(width, '-1' if width > 1 else '5', str(k % 7))}"
+             for k in range(40)]
+    lines += ["1 007:1 8:1.0 9:1.00 010:0.0 11:-0.0 000000000000000012:-1",
+              "1.0 0:0.0 1:-0.0 2:1 3:1.00 4:1.0", "-0.0", "0.0 5:0"]
+    path = tmp_path / "data.libfm"
+    path.write_text("\n".join(lines) + "\n")
+    calls = _count_line_parses(monkeypatch)
+    assert _assert_loads_like_reference(path)
+    assert (calls == []) == (width <= 32)    # longer numbers go line by line
 
 
 @pytest.mark.parametrize("fault_line", [1, 50, 100])

@@ -31,6 +31,9 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     lambda: SPACE.field_range(-1),
     lambda: negative_sample(ROWS, SPACE, item_field=9, k=1),
     lambda: negative_sample(ROWS, SPACE, item_field=-1, k=1),
+    # a draw count that is not an integer
+    lambda: negative_sample(ROWS, SPACE, item_field=1, k=2.5),
+    lambda: negative_sample(ROWS, SPACE, item_field=1, k="2"),
     # a seed that is not a non-negative integer, refused where the generator is made
     lambda: negative_sample(ROWS, SPACE, item_field=1, k=1, seed=-1),
     lambda: negative_sample(ROWS, SPACE, item_field=1, k=1, seed=1.5),
@@ -52,7 +55,8 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
 ], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse",
         "dim_0", "no_features", "dim_negative", "empty_table", "train_dim_0",
         "field_range_9", "field_range_negative", "negative_sample_item_9",
-        "negative_sample_item_negative", "negative_sample_seed_negative",
+        "negative_sample_item_negative", "negative_sample_k_float", "negative_sample_k_str",
+        "negative_sample_seed_negative",
         "negative_sample_seed_float", "split_seed_negative", "split_seed_float",
         "sample_neighbors_seed_negative", "sample_neighbors_seed_float",
         "initialize_seed_negative", "dropout_seed_negative",
@@ -70,7 +74,7 @@ def test_numpy_integers_and_floats_are_accepted():
     assert config.batch_size == 8
     assert np.array_equal(split_dataset(ROWS, seed=np.int64(4)).test.indices,
                           split_dataset(ROWS, seed=4).test.indices)
-    same = negative_sample(ROWS, SPACE, item_field=1, k=1, seed=np.uint32(2))
+    same = negative_sample(ROWS, SPACE, item_field=1, k=np.int64(1), seed=np.uint32(2))
     assert np.array_equal(same.indices, negative_sample(ROWS, SPACE, 1, 1, seed=2).indices)
     assert np.array_equal(sample_neighbors(GRAPH, 0.5, seed=np.int16(1)).edges,
                           sample_neighbors(GRAPH, 0.5, seed=1).edges)

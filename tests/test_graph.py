@@ -181,6 +181,30 @@ def test_graph_load_reads_comments_in_bulk(tmp_path, monkeypatch):
     np.testing.assert_array_equal(g.edges, [[0, 5], [1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("byte", range(128))
+def test_graph_load_splits_where_str_split_does(tmp_path, monkeypatch, byte):
+    # the byte between tokens, around them and alone on a line: a file the
+    # line reader reads is read in bulk to the same graph, any other fails alike
+    c = chr(byte)
+    path = tmp_path / "graph.txt"
+    path.write_bytes(f"nodes{c}5\n{c}0{c}1\n2 3{c}\n{c}\n4 1\n".encode("ascii"))
+    lines = path.read_text(encoding="utf-8").split("\n")    # newlines as load reads them
+    calls = []
+    monkeypatch.setattr("gemfm.graph._edge_lines",
+                        lambda *args: calls.append(args) or _edge_lines(*args))
+    try:
+        header, pairs = _edge_lines(lines, path)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as raised:
+            FeatureGraph.load(path)
+        assert str(raised.value) == str(exc)
+    else:
+        g = FeatureGraph.load(path)
+        assert calls == []
+        assert g.num_nodes == header
+        np.testing.assert_array_equal(g.edges, sorted(pairs.tolist()))
+
+
 def test_graph_load_canonicalizes(tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text("nodes 4\n# comment\n3 1\n0 2\n")
