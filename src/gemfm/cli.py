@@ -11,13 +11,16 @@ success; errors print to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
 import sys
 import warnings
 
 import numpy as np
 
-from .data import (DatasetSplit, PackedInstances, load_field_map, load_libfm,
+from . import model
+from .data import (DatasetSplit, PackedInstances, load_field_map, load_libfm, read_libfm,
                    split_dataset)
 from .errors import ConfigError, DataFormatError, GemfmError
 from .graph import FeatureGraph, build_graph, normalize
@@ -243,32 +246,65 @@ def _load_model_and_graph(opts):
     return params, norm
 
 
-def _scored_rows(path) -> PackedInstances:
-    """The rows evaluate and predict score: a file with none is an error."""
-    rows = load_libfm(path)
-    if not len(rows):
+def _scored_blocks(path, params, norm):
+    """(labels, predictions) of a data file's rows, read a chunk at a time and
+    scored in predict_batch's own blocks of _PREDICT_CHUNK rows, so the bits
+    are those of one call over the file. A file with no rows is an error."""
+    rows, size, scored = PackedInstances.from_instances([]), model._PREDICT_CHUNK, 0
+    for part in read_libfm(path):
+        rows += part
+        full = len(rows) - len(rows) % size
+        if full:
+            yield rows.labels[:full], predict_batch(rows.row_range(0, full), params, norm)
+            rows, scored = rows.row_range(full, len(rows)), scored + full
+    if len(rows):
+        yield rows.labels, predict_batch(rows, params, norm)
+    elif not scored:
         raise DataFormatError(f"{path}: no instances")
-    return rows
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path):
+    """A text file that takes the place of ``path`` when the block ends
+    without error and is removed when it raises. open() makes it, so it has
+    the mode open(path, "w") gives a new file."""
+    target = os.path.realpath(path)    # through a symlink, as open() goes
+    if os.path.exists(target) and not (os.path.isfile(target) and os.access(target, os.W_OK)):
+        # a device, a pipe, a directory or a read-only file: open() writes or refuses it
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = os.path.join(os.path.dirname(target), f"gemfm-{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:    # named after path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_evaluate(opts) -> int:
     params, norm = _load_model_and_graph(opts)
-    instances = _scored_rows(_require(opts, "data"))
-    preds = predict_batch(instances, params, norm)
-    rep = metric_report(preds, instances.labels, count_params(params),
-                        clip_to_unit=opts.clip == "1")
+    labels, preds = map(np.concatenate,
+                        zip(*_scored_blocks(_require(opts, "data"), params, norm)))
+    rep = metric_report(preds, labels, count_params(params), clip_to_unit=opts.clip == "1")
     print(format_report(rep))
     return 0
 
 
 def cmd_predict(opts) -> int:
     params, norm = _load_model_and_graph(opts)
-    # the packed rows are freed once scored, before the output text is built
-    preds = predict_batch(_scored_rows(_require(opts, "data")), params, norm)
-    out = _require(opts, "out")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(map(repr, preds.tolist())) + "\n")
-    print(f"wrote {len(preds)} predictions to {out}")
+    data, out, written = _require(opts, "data"), _require(opts, "out"), 0
+    with _replaced_on_success(out) as fh:
+        for _, preds in _scored_blocks(data, params, norm):
+            fh.write("\n".join(map(repr, preds.tolist())) + "\n")
+            written += len(preds)
+    print(f"wrote {written} predictions to {out}")
     return 0
 
 

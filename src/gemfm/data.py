@@ -10,17 +10,20 @@ reading, generating, splitting, negative sampling, graph building and the
 model all produce and take it. A SparseInstance is one parsed or formatted
 line; lists of them are accepted wherever instances are, and packed once.
 
-Files are read in chunks of whole lines, each parsed with array operations
-straight into CSR arrays. parse_libfm_line is the one-line parser and the
-one diagnosis of errors: a chunk that fails a bulk check is read again line
-by line through it, so each error names its file and line as it always has.
+Files are read a chunk of whole lines at a time (read_libfm), each parsed
+with array operations straight into CSR arrays. parse_libfm_line is the
+one-line parser and the one diagnosis of errors: a chunk that fails a bulk
+check is read again line by line through it, so each error names its file
+and line as it always has.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,32 +122,38 @@ _MAX_NUMBER_CHARS = 32
 
 
 def load_libfm(path) -> PackedInstances:
-    """Read a libFM text file, skipping blank and comment-only lines.
+    """Read a libFM text file, skipping blank and comment-only lines: the
+    chunks of read_libfm, concatenated."""
+    return _concat([_pack_rows([]), *read_libfm(path)])
 
-    A chunk of whole lines at a time is parsed with array operations straight
-    into CSR arrays. A chunk that fails any check (or holds a NUL or a
-    non-ASCII character) is re-read line by line through parse_libfm_line,
-    which raises the error naming the file and line, or parses it if valid.
+
+def read_libfm(path) -> Iterator[PackedInstances]:
+    """The rows of a libFM text file, one chunk of whole lines at a time, so
+    a caller that keeps only what it needs of each holds one chunk.
+
+    Each chunk is parsed with array operations straight into CSR arrays. A
+    chunk that fails any check (or holds a NUL or a non-ASCII character) is
+    re-read line by line through parse_libfm_line, which raises the error
+    naming the file and line, or parses it if valid.
     """
+    lineno = 1    # the first line not yet yielded
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            parts, lineno = [], 1
             while chunk := fh.read(_CHUNK_CHARS):
                 if not chunk.endswith("\n"):
                     chunk += fh.readline()
                 packed = _parse_chunk(chunk)
-                if packed is None:
-                    packed = _parse_lines(chunk.split("\n"), lineno, path)
-                parts.append(packed)
+                yield _parse_lines(chunk.split("\n"), lineno, path) if packed is None else packed
                 lineno += chunk.count("\n")
-        return _concat(parts) if parts else _pack_rows([])
+        return
     except UnicodeDecodeError:
         pass
-    # read again line by line: a faulty line in a block decoded before the
-    # undecodable bytes is reported first, as the decoder meets them
+    # go on line by line from there (the lines before it are valid): a faulty
+    # line in a block decoded before the undecodable bytes is reported first,
+    # as the decoder meets them
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _parse_lines(fh, 1, path)
+            yield _parse_lines(itertools.islice(fh, lineno - 1, None), lineno, path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

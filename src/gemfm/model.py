@@ -195,6 +195,8 @@ def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingVi
     """
     if params.num_layers < 1:
         raise ConfigError("gcn_embed requires a model with num_layers >= 1")
+    if not sparse.issparse(norm):
+        raise ConfigError(f"norm must be a scipy sparse matrix, got {type(norm).__name__}")
     if norm.shape[0] != params.num_features:
         raise ConfigError(f"adjacency over {norm.shape[0]} nodes does not match "
                           f"{params.num_features} features")

@@ -3,6 +3,7 @@ still resolve, and be looked up where the benchmark expects, or a traced
 run breaks or its in-call clock calibration silently stops."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -110,3 +111,23 @@ def test_setup_calls_work_on_a_tiny_config(bench, tmp_path):
     np.testing.assert_array_equal(fx.graph.edges, graph.edges)
     workload.export(fx)
     assert packed_equal(load_libfm(fx.paths.data), data.test)
+
+
+def test_committed_bench_files_name_their_run_and_hold_every_gated_metric():
+    # BENCH_<sha>.json at the repo root is what benchmarks/spread.py --out writes
+    spec = json.loads((BENCHMARKS.parent / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    files = sorted(BENCHMARKS.parent.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        bench = json.loads(path.read_text())
+        env = bench["env"]
+        assert env["git_sha"].startswith(path.stem[len("BENCH_"):]), path.name
+        assert env["cores"] >= 1 and env["numpy"] and env["scipy"]
+        assert set(env["blas_threads"].values()) == {"1"}, path.name
+        assert bench["workloads"] and set(bench["workloads"]) <= workloads, path.name
+        for workload, metrics in bench["workloads"].items():
+            for metric in spec["end_to_end"]:
+                entry = metrics[metric["name"]]
+                assert len(entry["values"]) == len(bench["seeds"]), (path.name, workload)
+                assert entry["q1"] <= entry["median"] <= entry["q3"], (path.name, workload)

@@ -2,8 +2,10 @@
 
 import dataclasses
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfm import (FeatureGraph, FeatureSpace, GemfmError, ModelParams, SparseInstance,
-                   build_graph, count_params, format_report, load_libfm,
-                   TrainConfig, metric_report, normalize, predict_batch, save_libfm)
+from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, GemfmError, ModelParams,
+                   SparseInstance, build_graph, count_params, format_libfm_line, format_report,
+                   load_libfm, TrainConfig, metric_report, normalize, predict_batch, save_libfm)
+from gemfm.datagen import ClickDataConfig, click_benchmark
 from gemfm.cli import _OPTIONS, _settings, _train_config, build_parser, main
 
 
@@ -581,3 +584,170 @@ def test_flat_and_convolved_agree_on_an_edgeless_graph(workspace, capsys):
         outputs[label] = preds.read_bytes()
     capsys.readouterr()
     assert outputs["flat"] == outputs["conv"]
+
+
+# -- predict and evaluate read and score a file a chunk at a time ------------
+
+def _served(tmp_path):
+    """A GEM L=1 checkpoint and its graph file over the workspace's 9 features."""
+    model, graph = tmp_path / "gem.bin", tmp_path / "gem-graph.txt"
+    ModelParams.initialize(9, 3, num_layers=1, seed=5).save(model)
+    FeatureGraph(9, np.array([[0, 4], [0, 8], [1, 5], [2, 6], [3, 7], [4, 5]])).save(graph)
+    return model, graph
+
+
+def _scoring_args(command, data, model, graph, out):
+    args = [command, "--data", str(data), "--model", str(model), "--graph", str(graph)]
+    return args + ["--out", str(out)] if command == "predict" else args
+
+
+def _one_call(data, model, graph):
+    """The rows of ``data`` and their scores from one in-memory call."""
+    rows = load_libfm(data)
+    params = ModelParams.load(model)
+    return rows, params, predict_batch(rows, params, normalize(FeatureGraph.load(graph)))
+
+
+@pytest.mark.parametrize("chunk_chars, block", [(40, 3), (64, 8), (200, 16), (1 << 18, 8192)])
+def test_streamed_predict_and_evaluate_match_one_call(workspace, capsys, monkeypatch,
+                                                      chunk_chars, block):
+    tmp_path, _, _, instances = workspace
+    # comments, blank lines, CRLF, a non-ASCII comment and a 40-character
+    # value: those last two send their chunks to the line-by-line parser
+    lines = [format_libfm_line(inst) for inst in instances]
+    lines[3] += " # café"
+    lines[30] = lines[30].replace(":1.0", ":1." + "0" * 38, 1)
+    lines[50:50] = ["# a comment line", "", "   "]
+    data = tmp_path / "mixed.libfm"
+    data.write_bytes(("# header\r\n" + "\r\n".join(lines[:40]) + "\r\n"
+                      + "\n".join(lines[40:]) + "\n").encode("utf-8"))
+    model, graph = _served(tmp_path)
+    rows, params, expected = _one_call(data, model, graph)
+    assert len(rows) == 80
+    report = format_report(metric_report(expected, rows.labels, count_params(params)))
+
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", chunk_chars)
+    monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", block)
+    out = tmp_path / "preds.txt"
+    assert main(_scoring_args("predict", data, model, graph, out)) == 0
+    assert out.read_text() == "".join(f"{v!r}\n" for v in expected.tolist())
+    assert main(_scoring_args("evaluate", data, model, graph, out)) == 0
+    assert capsys.readouterr().out == f"wrote 80 predictions to {out}\n{report}\n"
+
+
+def _faulty_file(path, fault):
+    """3,000 rows over 9 features, about 36 kB, with one fault: a bad entry
+    on the first, a middle or the last line, or a byte that is not UTF-8
+    past the decoder's first 8 kB."""
+    lines = [f"{k % 2} {k % 4}:1 {4 + k % 5}:0.5" for k in range(3000)]
+    at = {"first": 0, "middle": 1500, "last": 2999, "undecodable": 2900}[fault]
+    lines[at] += " # caf\udce9" if fault == "undecodable" else " x:2"
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("fault", ["first", "middle", "last", "undecodable"])
+def test_a_fault_in_any_chunk_leaves_no_output(tmp_path, capsys, monkeypatch, fault,
+                                               existing):
+    data = tmp_path / "data.libfm"
+    _faulty_file(data, fault)
+    with pytest.raises(DataFormatError) as raised:
+        load_libfm(data)
+    model, graph = _served(tmp_path)
+    out = tmp_path / "preds.txt"
+    if existing:
+        out.write_bytes(b"earlier predictions\n")
+    before = sorted(tmp_path.iterdir())
+    # chunks of about 340 rows, scored in blocks of 100: blocks are written
+    # before a fault in a later chunk is met
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 4096)
+    monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 100)
+    for command in ("predict", "evaluate"):
+        assert main(_scoring_args(command, data, model, graph, out)) == 1
+        assert capsys.readouterr() == ("", f"error: {raised.value}\n")
+        assert sorted(tmp_path.iterdir()) == before
+    assert out.exists() == existing
+    assert not existing or out.read_bytes() == b"earlier predictions\n"
+
+
+def test_predictions_get_the_mode_open_gives(workspace, capsys):
+    tmp_path, data, _, _ = workspace
+    model, graph = _served(tmp_path)
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference.txt", "w"):
+            pass
+        assert main(_scoring_args("predict", data, model, graph, tmp_path / "preds.txt")) == 0
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "preds.txt").st_mode
+    assert mode == os.stat(tmp_path / "reference.txt").st_mode
+    assert stat.S_IMODE(mode) == 0o640
+
+
+def test_an_unwritable_out_is_named_in_the_error(workspace, capsys):
+    tmp_path, data, _, _ = workspace
+    model, graph = _served(tmp_path)
+    for out in (tmp_path / "missing" / "preds.txt", tmp_path):
+        try:
+            open(out, "w")
+        except OSError as exc:
+            expected = f"error: {exc}\n"
+        before = sorted(tmp_path.iterdir())
+        assert main(_scoring_args("predict", data, model, graph, out)) == 1
+        assert capsys.readouterr() == ("", expected)
+        assert sorted(tmp_path.iterdir()) == before
+
+
+def test_predictions_go_through_a_symlink_and_into_a_pipe(workspace, capsys):
+    tmp_path, data, _, instances = workspace
+    model, graph = _served(tmp_path)
+    expected = "".join(f"{v!r}\n" for v in _one_call(data, model, graph)[2].tolist())
+    (tmp_path / "elsewhere").mkdir()
+    link = tmp_path / "link.txt"
+    link.symlink_to(tmp_path / "elsewhere" / "preds.txt")
+    assert main(_scoring_args("predict", data, model, graph, link)) == 0
+    assert link.is_symlink() and link.read_text() == expected
+
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert main(_scoring_args("predict", data, model, graph, pipe)) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive() and read == [expected]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("gemfm-")) == []
+
+
+def _peak_kb_of_predict(tmp_path, rows, model, graph) -> int:
+    """VmHWM, the resident high-water mark, of a child process that runs
+    `gemfm predict` over ``rows``. Unlike getrusage's ru_maxrss, it starts
+    afresh at exec, so the forking process's own peak does not show."""
+    data = tmp_path / f"{len(rows)}.libfm"
+    save_libfm(rows, data)
+    code = ("import sys\nfrom gemfm.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(next(line for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')).split()[1])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code,
+                           *_scoring_args("predict", data, model, graph, tmp_path / "out.txt")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_predict_memory_does_not_grow_with_the_file(tmp_path):
+    bench = click_benchmark(ClickDataConfig(seed=3))
+    rows = bench.train + bench.validation + bench.test
+    model, graph = tmp_path / "model.bin", tmp_path / "graph.txt"
+    ModelParams.initialize(bench.space.num_features, 16, num_layers=1).save(model)
+    build_graph(bench.train_positives, bench.space, included_fields=("user", "item")).save(graph)
+    small = _peak_kb_of_predict(tmp_path, rows.take(np.arange(20_000)), model, graph)
+    large = _peak_kb_of_predict(tmp_path, rows.take(np.arange(80_000)), model, graph)
+    assert large - small < 5 * 1024, (small, large)

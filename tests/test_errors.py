@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gemfm import (ConfigError, FeatureSpace, GemfmError, ModelParams, SparseInstance,
-                   TrainConfig, build_graph, loss_and_grads, negative_sample, rmse,
-                   sample_neighbors, split_dataset, train)
+                   TrainConfig, build_graph, loss_and_grads, negative_sample, predict_batch,
+                   rmse, sample_neighbors, split_dataset, train)
 
 SPACE = FeatureSpace.from_cardinalities(["u", "i"], [3, 4])
 ROWS = [SparseInstance(1.0, ((u, 1.0), (3 + i, 1.0))) for u in range(3) for i in range(4)]
@@ -52,6 +52,8 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     lambda: TrainConfig(l2_lambda=None),
     lambda: TrainConfig(dropout_ratio="0.1"),
     lambda: TrainConfig(sampling_ratio=0.5j),
+    # a graph where its normalized adjacency belongs
+    lambda: predict_batch(ROWS, ModelParams.initialize(7, 2, num_layers=1), GRAPH),
 ], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse",
         "dim_0", "no_features", "dim_negative", "empty_table", "train_dim_0",
         "field_range_9", "field_range_negative", "negative_sample_item_9",
@@ -61,7 +63,8 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
         "sample_neighbors_seed_negative", "sample_neighbors_seed_float",
         "initialize_seed_negative", "dropout_seed_negative",
         "batch_size_float", "max_epochs_float", "patience_str", "learning_rate_str",
-        "l2_lambda_none", "dropout_ratio_str", "sampling_ratio_complex"])
+        "l2_lambda_none", "dropout_ratio_str", "sampling_ratio_complex",
+        "predict_batch_graph_as_norm"])
 def test_refused_arguments_raise_config_error(call):
     with pytest.raises(ValueError) as info:
         call()
