@@ -635,18 +635,27 @@ def test_streamed_predict_and_evaluate_match_one_call(workspace, capsys, monkeyp
     assert capsys.readouterr().out == f"wrote 80 predictions to {out}\n{report}\n"
 
 
+# line index: what is appended to it
+_FAULTS = {"first": {0: " x:2"}, "middle": {1500: " x:2"}, "last": {2999: " x:2"},
+           "undecodable": {2900: " # caf\udce9"},
+           # the bad entry sits in the decoder block before the byte's, and in
+           # the 4 kB chunk whose read meets that byte: the line-by-line read
+           # that takes over reports the entry, numbered from its own line
+           "both": {1899: " x:2", 2299: " # caf\udce9"}}
+
+
 def _faulty_file(path, fault):
-    """3,000 rows over 9 features, about 36 kB, with one fault: a bad entry
-    on the first, a middle or the last line, or a byte that is not UTF-8
-    past the decoder's first 8 kB."""
+    """3,000 rows over 9 features, 12 bytes a line, with the faults of
+    _FAULTS[fault]; a byte that is not UTF-8 lies past the decoder's first
+    8 kB."""
     lines = [f"{k % 2} {k % 4}:1 {4 + k % 5}:0.5" for k in range(3000)]
-    at = {"first": 0, "middle": 1500, "last": 2999, "undecodable": 2900}[fault]
-    lines[at] += " # caf\udce9" if fault == "undecodable" else " x:2"
+    for at, tail in _FAULTS[fault].items():
+        lines[at] += tail
     path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
 
 
 @pytest.mark.parametrize("existing", [False, True])
-@pytest.mark.parametrize("fault", ["first", "middle", "last", "undecodable"])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_a_fault_in_any_chunk_leaves_no_output(tmp_path, capsys, monkeypatch, fault,
                                                existing):
     data = tmp_path / "data.libfm"
@@ -689,13 +698,11 @@ def test_an_unwritable_out_is_named_in_the_error(workspace, capsys):
     tmp_path, data, _, _ = workspace
     model, graph = _served(tmp_path)
     for out in (tmp_path / "missing" / "preds.txt", tmp_path):
-        try:
+        with pytest.raises(OSError) as refused:
             open(out, "w")
-        except OSError as exc:
-            expected = f"error: {exc}\n"
         before = sorted(tmp_path.iterdir())
         assert main(_scoring_args("predict", data, model, graph, out)) == 1
-        assert capsys.readouterr() == ("", expected)
+        assert capsys.readouterr() == ("", f"error: {refused.value}\n")
         assert sorted(tmp_path.iterdir()) == before
 
 
