@@ -4,8 +4,8 @@
 
 from .data import (DatasetSplit, FeatureSpace, PackedInstances, SparseInstance,
                    format_field_map, format_libfm_line, load_field_map,
-                   load_libfm, negative_sample, parse_libfm_line, read_libfm,
-                   save_libfm, split_dataset)
+                   load_libfm, negative_sample, parse_libfm_line, save_libfm,
+                   split_dataset)
 from .errors import (CheckpointError, ConfigError, DataFormatError, GemfmError,
                      GraphFormatError, TrainingDivergedError)
 from .graph import FeatureGraph, build_graph, normalize, sample_neighbors
@@ -28,6 +28,6 @@ __all__ = [
     "format_field_map", "format_libfm_line", "format_report", "gcn_embed",
     "load_field_map", "load_libfm", "lookup_embed", "loss_and_grads", "mae",
     "metric_report", "negative_sample", "normalize", "optimizer_step",
-    "parse_libfm_line", "predict_batch", "read_libfm", "rmse", "sample_neighbors",
+    "parse_libfm_line", "predict_batch", "rmse", "sample_neighbors",
     "save_libfm", "split_dataset", "train",
 ]

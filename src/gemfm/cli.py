@@ -11,9 +11,7 @@ success; errors print to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import os
 import sys
 import warnings
 
@@ -263,31 +261,6 @@ def _scored_blocks(path, params, norm):
         raise DataFormatError(f"{path}: no instances")
 
 
-@contextlib.contextmanager
-def _replaced_on_success(path):
-    """A text file that takes the place of ``path`` when the block ends
-    without error and is removed when it raises. open() makes it, so it has
-    the mode open(path, "w") gives a new file."""
-    target = os.path.realpath(path)    # through a symlink, as open() goes
-    if os.path.exists(target) and not (os.path.isfile(target) and os.access(target, os.W_OK)):
-        # a device, a pipe, a directory or a read-only file: open() writes or refuses it
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = os.path.join(os.path.dirname(target), f"gemfm-{os.urandom(8).hex()}.tmp")
-    try:
-        fh = open(tmp, "x", encoding="utf-8")
-    except OSError as exc:    # named after path, not the temporary file
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def cmd_evaluate(opts) -> int:
     params, norm = _load_model_and_graph(opts)
     labels, preds = map(np.concatenate,
@@ -299,12 +272,14 @@ def cmd_evaluate(opts) -> int:
 
 def cmd_predict(opts) -> int:
     params, norm = _load_model_and_graph(opts)
-    data, out, written = _require(opts, "data"), _require(opts, "out"), 0
-    with _replaced_on_success(out) as fh:
-        for _, preds in _scored_blocks(data, params, norm):
-            fh.write("\n".join(map(repr, preds.tolist())) + "\n")
-            written += len(preds)
-    print(f"wrote {written} predictions to {out}")
+    data, out, size = _require(opts, "data"), _require(opts, "out"), model._PREDICT_CHUNK
+    # every row parses and scores before --out is opened, so a faulty file
+    # writes nothing; of the rows, only their predictions are held
+    preds = np.concatenate([p for _, p in _scored_blocks(data, params, norm)])
+    with open(out, "w", encoding="utf-8") as fh:
+        for lo in range(0, len(preds), size):
+            fh.write("\n".join(map(repr, preds[lo:lo + size].tolist())) + "\n")
+    print(f"wrote {len(preds)} predictions to {out}")
     return 0
 
 

@@ -679,6 +679,27 @@ def test_a_fault_in_any_chunk_leaves_no_output(tmp_path, capsys, monkeypatch, fa
     assert not existing or out.read_bytes() == b"earlier predictions\n"
 
 
+def test_an_index_past_the_model_is_reported_from_the_first_block_holding_one(
+        tmp_path, capsys, monkeypatch):
+    # rows meet the model a block at a time, in file order: the first block
+    # with an index past it is reported, naming that block's largest index,
+    # before a larger index or a faulty line further on is read
+    data = tmp_path / "data.libfm"
+    lines = [f"{k % 2} {k % 4}:1 {4 + k % 5}:0.5" for k in range(3000)]
+    for at, tail in {150: " 11:1", 160: " 10:1", 1500: " 12:1", 2999: " x:2"}.items():
+        lines[at] += tail
+    data.write_text("\n".join(lines) + "\n")
+    model, graph = _served(tmp_path)
+    out = tmp_path / "preds.txt"
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 4096)
+    monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 100)
+    for command in ("predict", "evaluate"):
+        assert main(_scoring_args(command, data, model, graph, out)) == 1
+        assert capsys.readouterr() == ("", "error: feature index 11 outside [0, 9)\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+
 def test_predictions_get_the_mode_open_gives(workspace, capsys):
     tmp_path, data, _, _ = workspace
     model, graph = _served(tmp_path)
@@ -692,6 +713,10 @@ def test_predictions_get_the_mode_open_gives(workspace, capsys):
     mode = os.stat(tmp_path / "preds.txt").st_mode
     assert mode == os.stat(tmp_path / "reference.txt").st_mode
     assert stat.S_IMODE(mode) == 0o640
+    # an existing --out is written in place: it keeps its stricter mode
+    os.chmod(tmp_path / "preds.txt", 0o600)
+    assert main(_scoring_args("predict", data, model, graph, tmp_path / "preds.txt")) == 0
+    assert stat.S_IMODE(os.stat(tmp_path / "preds.txt").st_mode) == 0o600
 
 
 def test_an_unwritable_out_is_named_in_the_error(workspace, capsys):
@@ -725,7 +750,6 @@ def test_predictions_go_through_a_symlink_and_into_a_pipe(workspace, capsys):
     reader.join(timeout=60)
     assert not reader.is_alive() and read == [expected]
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
-    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("gemfm-")) == []
 
 
 def _peak_kb_of_predict(tmp_path, rows, model, graph) -> int:
