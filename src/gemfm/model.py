@@ -6,6 +6,7 @@ num_layers rounds of graph convolution over the normalized co-occurrence
 adjacency. The pairwise sum is evaluated through the squared-sum identity
 0.5 * (||sum_i x_i e_i||^2 - sum_i x_i^2 ||e_i||^2), whose square term needs
 one number per node, so scoring stays linear in the number of active features.
+predict_batch convolves each distinct node of its input once per call (nodes x d floats).
 """
 
 from __future__ import annotations
@@ -263,16 +264,23 @@ def scores_from_design(params: ModelParams, nodes: np.ndarray,
 
 def predict_batch(instances, params: ModelParams,
                   norm: sparse.csr_array | None = None) -> np.ndarray:
-    """Deterministic batch scoring (dropout never applies here).
+    """Deterministic batch scoring (dropout never applies here) of a PackedInstances or a list.
 
-    ``norm`` must be given exactly when the model has convolution layers.
-    Accepts a PackedInstances or a list of instances.
-    """
+    Rows are scored _PREDICT_CHUNK at a time. With convolution layers, each distinct node of the
+    input is embedded once per call, into a table of distinct nodes x d floats that the chunks
+    read. ``norm`` must be given exactly when the model has convolution layers."""
     packed = PackedInstances.from_instances(instances, params.num_features)
+    low = packed.indices.min(initial=0)
+    if low < 0:   # refused before any row is scored
+        raise DataFormatError(f"negative feature index {int(low)}")
+    table = None
+    if params.num_layers and len(packed) > _PREDICT_CHUNK:   # embed the chunks' nodes once
+        table_nodes, position = node_set(packed.indices, params.num_features)
+        table = embed(params, norm, table_nodes).rows
     out = np.empty(len(packed), dtype=np.float64)
     for lo in range(0, len(packed), _PREDICT_CHUNK):
         chunk = packed.row_range(lo, lo + _PREDICT_CHUNK)
         nodes, x, x2 = batch_design(chunk)
-        rows = embed(params, norm, nodes).rows
+        rows = embed(params, norm, nodes).rows if table is None else table[position[nodes]]
         out[lo:lo + len(chunk)] = scores_from_design(params, nodes, x, x2, rows)[0]
     return out

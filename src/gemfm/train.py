@@ -72,6 +72,7 @@ class TrainConfig:
             raise ConfigError("sampling_ratio must lie in [0, 1]")
         if self.metric_for_stopping not in STOPPING_METRICS:
             raise ConfigError(f"unknown stopping metric {self.metric_for_stopping!r}")
+        seeded_rng(self.seed)   # refuses a seed that is not a non-negative integer
 
 
 @dataclass(eq=False)
@@ -171,7 +172,8 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
         lam2 = 2.0 * l2_lambda
         d_w0 += lam2 * params.w0
         d_w += lam2 * params.w[nodes]
-        d_table += lam2 * params.weights[0][touched_rows]
+        decay = params.weights[0][touched_rows]
+        d_table += np.multiply(decay, lam2, out=decay)
         for W, dW in zip(params.weights[1:], d_deep):
             dW += lam2 * W
     return value, GradientSet(d_w0, d_w, [d_table, *d_deep], nodes, touched_rows)
@@ -316,7 +318,6 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
 
     n = len(tr)
     best_metric = math.inf
-    best_params = params.copy()
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         if num_layers >= 1 and config.sampling_ratio < 1.0:

@@ -42,6 +42,8 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     lambda: sample_neighbors(GRAPH, 0.5, seed=-1),
     lambda: sample_neighbors(GRAPH, 1.0, seed=1.5),
     lambda: ModelParams.initialize(7, 2, seed=-1),
+    lambda: TrainConfig(seed=-1),
+    lambda: TrainConfig(seed=2.5),
     lambda: loss_and_grads(ROWS, ModelParams.initialize(7, 2), dropout_ratio=0.5,
                            dropout_seed=-1),
     # loop sizes that are not integers, rates that are not real numbers
@@ -61,7 +63,8 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
         "negative_sample_seed_negative",
         "negative_sample_seed_float", "split_seed_negative", "split_seed_float",
         "sample_neighbors_seed_negative", "sample_neighbors_seed_float",
-        "initialize_seed_negative", "dropout_seed_negative",
+        "initialize_seed_negative", "train_config_seed_negative", "train_config_seed_float",
+        "dropout_seed_negative",
         "batch_size_float", "max_epochs_float", "patience_str", "learning_rate_str",
         "l2_lambda_none", "dropout_ratio_str", "sampling_ratio_complex",
         "predict_batch_graph_as_norm"])

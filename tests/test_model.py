@@ -185,21 +185,78 @@ def test_predict_batch_matches_per_instance_scores():
 
 def test_predict_batch_chunking_changes_nothing(monkeypatch):
     rng = np.random.default_rng(7)
-    m = 15
-    instances = [_random_instance(rng, m) for _ in range(23)]
+    m = 16
+    instances = [_random_instance(rng, m - 1) for _ in range(23)]
     # in chunks of 4: rows of 1 and 6 entries meet where chunk 0 ends, and
-    # empty rows end chunk 1 and start chunk 2
+    # empty rows end chunk 1 and start chunk 2; node m - 1 first appears in
+    # the last chunk
     instances[3] = SparseInstance(0.5, ((2, 1.5),))
     instances[4] = SparseInstance(-0.5, tuple((i, 0.25 * i - 1.0) for i in range(0, 12, 2)))
     instances[7] = instances[8] = SparseInstance(1.0, ())
+    instances[21] = SparseInstance(0.0, ((1, 0.5), (m - 1, 2.0)))
     norm = normalize(_random_graph(rng, m))
-    for layers in (0, 2):
+    for layers in (0, 1, 2):
         params = ModelParams.initialize(m, 3, layers, seed=5, scale=0.2)
         graph = norm if layers else None
         monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 8192)
         whole = predict_batch(instances, params, graph)
         monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
-        assert predict_batch(instances, params, graph).tobytes() == whole.tobytes()
+        chunked = predict_batch(instances, params, graph)
+        assert chunked.tobytes() == whole.tobytes()
+        alone = np.concatenate([predict_batch([inst], params, graph) for inst in instances])
+        assert alone.tobytes() == chunked.tobytes()
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_predict_batch_embeds_once_per_call(monkeypatch, num_layers):
+    import gemfm.model as model
+    rng = np.random.default_rng(8)
+    m = 12
+    instances = [_random_instance(rng, m) for _ in range(10)]
+    params = ModelParams.initialize(m, 3, num_layers, seed=2, scale=0.2)
+    norm = normalize(_random_graph(rng, m))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return gcn_embed(*args)
+
+    monkeypatch.setattr(model, "_PREDICT_CHUNK", 4)
+    monkeypatch.setattr(model, "gcn_embed", counting)
+    predict_batch(instances, params, norm)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.unique([i for inst in instances
+                                                        for i, _ in inst.entries]))
+
+
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+def test_predict_batch_of_nothing_is_empty(num_layers):
+    m = 6
+    params = ModelParams.initialize(m, 3, num_layers, seed=1)
+    norm = normalize(FeatureGraph(m, np.array([[0, 1], [1, 2]]))) if num_layers else None
+    for empty in ([], PackedInstances.from_instances([])):
+        out = predict_batch(empty, params, norm)
+        assert out.shape == (0,) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+@pytest.mark.parametrize("bad", [-1, -7, -100])   # -7 and -100 lie below -m
+def test_predict_batch_refuses_negative_index_before_embedding(monkeypatch, num_layers, bad):
+    import gemfm.model as model
+    m = 6
+    params = ModelParams.initialize(m, 3, num_layers, seed=1)
+    norm = normalize(FeatureGraph(m, np.array([[0, 1], [1, 2]]))) if num_layers else None
+    packed = PackedInstances(np.zeros(2), np.array([0, 1, 3]), np.array([2, bad, 4]),
+                             np.ones(3))
+
+    def never(*args):
+        raise AssertionError("embedded before the indices were checked")
+
+    monkeypatch.setattr(model, "embed", never)
+    for chunk in (8192, 1):   # one chunk, and one embedding over several
+        monkeypatch.setattr(model, "_PREDICT_CHUNK", chunk)
+        with pytest.raises(DataFormatError, match=f"negative feature index {bad}"):
+            predict_batch(packed, params, norm)
 
 
 def test_predict_batch_norm_contract():
