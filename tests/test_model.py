@@ -209,7 +209,6 @@ def test_predict_batch_chunking_changes_nothing(monkeypatch):
 
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_predict_batch_embeds_once_per_call(monkeypatch, num_layers):
-    import gemfm.model as model
     rng = np.random.default_rng(8)
     m = 12
     instances = [_random_instance(rng, m) for _ in range(10)]
@@ -221,8 +220,8 @@ def test_predict_batch_embeds_once_per_call(monkeypatch, num_layers):
         calls.append(args[2])
         return gcn_embed(*args)
 
-    monkeypatch.setattr(model, "_PREDICT_CHUNK", 4)
-    monkeypatch.setattr(model, "gcn_embed", counting)
+    monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
+    monkeypatch.setattr("gemfm.model.gcn_embed", counting)
     predict_batch(instances, params, norm)
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0], np.unique([i for inst in instances
@@ -242,7 +241,6 @@ def test_predict_batch_of_nothing_is_empty(num_layers):
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
 @pytest.mark.parametrize("bad", [-1, -7, -100])   # -7 and -100 lie below -m
 def test_predict_batch_refuses_negative_index_before_embedding(monkeypatch, num_layers, bad):
-    import gemfm.model as model
     m = 6
     params = ModelParams.initialize(m, 3, num_layers, seed=1)
     norm = normalize(FeatureGraph(m, np.array([[0, 1], [1, 2]]))) if num_layers else None
@@ -252,9 +250,9 @@ def test_predict_batch_refuses_negative_index_before_embedding(monkeypatch, num_
     def never(*args):
         raise AssertionError("embedded before the indices were checked")
 
-    monkeypatch.setattr(model, "embed", never)
+    monkeypatch.setattr("gemfm.model.embed", never)
     for chunk in (8192, 1):   # one chunk, and one embedding over several
-        monkeypatch.setattr(model, "_PREDICT_CHUNK", chunk)
+        monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", chunk)
         with pytest.raises(DataFormatError, match=f"negative feature index {bad}"):
             predict_batch(packed, params, norm)
 
