@@ -217,15 +217,15 @@ def cmd_train(opts) -> int:
         else:
             raise ConfigError("layers >= 1 needs --graph or --graph-fields/--graph-pairs")
 
+    norm = normalize(graph) if graph is not None else None
     params, report = train(split.train, split.validation, space, train_config,
                            dim=opts.dim, num_layers=opts.layers,
-                           activation=opts.activation, graph=graph)
+                           activation=opts.activation, graph=graph, norm=norm)
     if opts.model:
         params.save(opts.model)
     if opts.report:
         report.save(opts.report)
 
-    norm = normalize(graph) if opts.layers >= 1 else None
     for name, part in (("validation", split.validation), ("test", split.test)):
         if not part:
             continue

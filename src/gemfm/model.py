@@ -90,6 +90,8 @@ class ModelParams:
         """Gaussian(0, scale) weight matrices, zero biases."""
         if num_features < 1 or dim < 1:
             raise ConfigError(f"num_features and dim must be >= 1, got {num_features} and {dim}")
+        if not (np.isfinite(scale) and scale >= 0):
+            raise ConfigError(f"scale must be finite and non-negative, got {scale}")
         rng = seeded_rng(seed)
         weights = [rng.normal(0.0, scale, size=(num_features, dim))]
         for _ in range(max(0, num_layers - 1)):

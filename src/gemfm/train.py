@@ -128,12 +128,45 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
     The weight decay gradient covers only the rows the batch activated (the
     lazy decay training uses); on every other row of w and the table the
     gradient of the reported loss is 2 * l2_lambda times the parameter.
+
+    Memory: scores, dropout mask and interaction temporaries end with _forward.
+    The backward holds one gradient in flight and the caches still to undo, each
+    dropped (deepest first) once its gradients exist; the decay reads _ROW_BLOCK rows.
     """
     if not 0.0 <= dropout_ratio < 1.0:
         raise ConfigError(f"dropout ratio must lie in [0, 1), got {dropout_ratio}")
+    if not (math.isfinite(l2_lambda) and l2_lambda >= 0):
+        raise ConfigError(f"l2_lambda must be finite and non-negative, got {l2_lambda}")
     packed = PackedInstances.from_instances(batch, params.num_features)
     if len(packed) == 0:
         raise ConfigError("loss of an empty batch is undefined")
+    value, d_w0, d_w, d_rows, nodes, layers = _forward(params, norm, packed,
+                                                       dropout_ratio, dropout_seed)
+    if l2_lambda:
+        value += l2_lambda * _full_l2(params)
+
+    d_deep, touched_rows = [], nodes   # d_rows ends at the touched table rows
+    for W in params.weights[:0:-1]:
+        dW, d_rows, adj = _deep_backward(layers.pop(), W, d_rows, params.activation)
+        d_deep.insert(0, dW)
+        d_rows = adj.T @ d_rows
+    if layers:   # layer 1: table rows reached through its adjacency, in local ids
+        touched_rows, adj = local_columns(layers[0].adj)
+        d_rows = adj.T @ _relu_masked(layers.pop(), d_rows, params.activation)
+
+    if l2_lambda:
+        lam2 = 2.0 * l2_lambda
+        d_w0 += lam2 * params.w0
+        d_w += lam2 * params.w[nodes]
+        for lo in range(0, touched_rows.size, _ROW_BLOCK):
+            d_rows[lo:lo + _ROW_BLOCK] += lam2 * params.weights[0][touched_rows[lo:lo + _ROW_BLOCK]]
+        for W, dW in zip(params.weights[1:], d_deep):
+            dW += lam2 * W
+    return value, GradientSet(d_w0, d_w, [d_rows, *d_deep], nodes, touched_rows)
+
+
+def _forward(params, norm, packed, dropout_ratio, dropout_seed):
+    """(squared error, d_w0, d_w, gradient at the embedding rows, nodes, layer caches)."""
     nodes, x, x2 = batch_design(packed)
     view = embed(params, norm, nodes)
     rows, scale = view.rows, None
@@ -143,40 +176,25 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
         rows = rows * scale
     scores, summed = scores_from_design(params, nodes, x, x2, rows)
     err = scores - packed.labels
-    value = float(err @ err)
-    if l2_lambda:
-        value += l2_lambda * _full_l2(params)
-
     g = 2.0 * err
-    d_w0 = float(np.sum(g))
-    d_w = x.T @ g
     # interaction gradient wrt the (possibly dropped) embedding rows
-    d_rows = x.T @ (g[:, None] * summed) - rows * (x2.T @ g)[:, None]
+    summed *= g[:, None]
+    d_rows = x.T @ summed
+    del summed
+    d_rows -= rows * (x2.T @ g)[:, None]
     if scale is not None:
-        d_rows = d_rows * scale
+        d_rows *= scale
+    return float(err @ err), float(np.sum(g)), x.T @ g, d_rows, nodes, list(view.layers)
 
-    relu = params.activation == "relu"
-    d_table = d_out = d_rows
-    d_deep, touched_rows = [], nodes
-    if view.layers:
-        first, *deep = view.layers
-        for cache, W in zip(deep[::-1], params.weights[:0:-1]):
-            d_pre = d_out * (cache.pre > 0.0) if relu else d_out
-            d_deep.insert(0, cache.prop_in.T @ d_pre)
-            d_out = cache.adj.T @ (d_pre @ W.T)
-        # layer 1: table rows reached through its adjacency, in local ids
-        touched_rows, adj = local_columns(first.adj)
-        d_table = adj.T @ (d_out * (first.pre > 0.0) if relu else d_out)
 
-    if l2_lambda:
-        lam2 = 2.0 * l2_lambda
-        d_w0 += lam2 * params.w0
-        d_w += lam2 * params.w[nodes]
-        decay = params.weights[0][touched_rows]
-        d_table += np.multiply(decay, lam2, out=decay)
-        for W, dW in zip(params.weights[1:], d_deep):
-            dW += lam2 * W
-    return value, GradientSet(d_w0, d_w, [d_table, *d_deep], nodes, touched_rows)
+def _deep_backward(cache, W, d_out, activation):
+    """A deeper layer's weight gradient, d_out carried back through W, and its adjacency."""
+    d_pre = _relu_masked(cache, d_out, activation)
+    return cache.prop_in.T @ d_pre, d_pre @ W.T, cache.adj
+
+
+def _relu_masked(cache, d_out, activation):
+    return d_out * (cache.pre > 0.0) if activation == "relu" else d_out
 
 
 def optimizer_step(params: ModelParams, state: OptimizerState,
@@ -268,14 +286,14 @@ class RunReport:
 
 def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
           num_layers: int = 0, activation: str = "identity",
-          graph: FeatureGraph | None = None,
+          graph: FeatureGraph | None = None, norm: sparse.csr_array | None = None,
           init_params: ModelParams | None = None) -> tuple[ModelParams, RunReport]:
     """Fit by mini-batch gradient descent with validation early stopping.
 
     Stops after ``config.patience`` consecutive epochs without strict
     improvement of the stopping metric and returns the parameters of the
-    best epoch. Validation always scores on the full graph with dropout off.
-    Neighbor sampling (when enabled) is redrawn once per epoch.
+    best epoch. Validation scores on the full graph (``norm``, if given, must be
+    ``normalize(graph)``) with dropout off. Sampling is redrawn once per epoch.
 
     Raises TrainingDivergedError as soon as a batch loss or a validation
     metric goes non-finite.
@@ -284,7 +302,7 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         raise ConfigError("train and validation sets must be non-empty")
     if num_layers >= 1 and graph is None:
         raise ConfigError("num_layers >= 1 requires a co-occurrence graph")
-    if num_layers == 0 and graph is not None:
+    if num_layers == 0 and (graph is not None or norm is not None):
         raise ConfigError("graph given but the model has no convolution layers")
     m = space.num_features
     tr = PackedInstances.from_instances(train_set, m)
@@ -300,7 +318,7 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     else:
         params = ModelParams.initialize(m, dim, num_layers, activation,
                                         seed=derive_seed(config.seed, "init"))
-    full_norm = normalize(graph) if num_layers >= 1 else None
+    full_norm = normalize(graph) if norm is None and num_layers >= 1 else norm
     state = OptimizerState.create(params, config.optimizer)
 
     meta = {key: str(value) for key, value in asdict(config).items()}

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against small on-disk fixtures."""
 
 import dataclasses
+import importlib
 import os
 import stat
 import subprocess
@@ -113,6 +114,25 @@ def test_train_presplit_with_prebuilt_graph(workspace, capsys):
     assert rc == 0
     assert "test rmse=" in captured.out
     assert ModelParams.load(tmp_path / "gem.bin").num_layers == 1
+
+
+def test_train_normalizes_the_full_graph_once(workspace, capsys, monkeypatch):
+    # train() validates and the CLI scores the validation and test parts
+    # through one normalized matrix
+    tmp_path, data, fmap, _ = workspace
+    normalized = []
+
+    def counted(graph):
+        normalized.append(graph.num_edges)
+        return normalize(graph)
+
+    for module in ("gemfm.graph", "gemfm.train", "gemfm.cli"):
+        monkeypatch.setattr(importlib.import_module(module), "normalize", counted)
+    rc = main(_train_args(data, fmap, tmp_path, "--layers", "1",
+                          "--graph-fields", "user,item"))
+    assert rc == 0
+    assert "test rmse=" in capsys.readouterr().out
+    assert len(normalized) == 1 and normalized[0] > 0
 
 
 def test_train_input_source_is_exclusive(workspace, capsys):

@@ -56,6 +56,11 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     lambda: TrainConfig(sampling_ratio=0.5j),
     # a graph where its normalized adjacency belongs
     lambda: predict_batch(ROWS, ModelParams.initialize(7, 2, num_layers=1), GRAPH),
+    # a negative or NaN weight decay and initial scale
+    lambda: loss_and_grads(ROWS, ModelParams.initialize(7, 2), l2_lambda=-1.0),
+    lambda: loss_and_grads(ROWS, ModelParams.initialize(7, 2), l2_lambda=float("nan")),
+    lambda: ModelParams.initialize(7, 2, scale=-1.0),
+    lambda: ModelParams.initialize(7, 2, scale=float("nan")),
 ], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse",
         "dim_0", "no_features", "dim_negative", "empty_table", "train_dim_0",
         "field_range_9", "field_range_negative", "negative_sample_item_9",
@@ -67,7 +72,8 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
         "dropout_seed_negative",
         "batch_size_float", "max_epochs_float", "patience_str", "learning_rate_str",
         "l2_lambda_none", "dropout_ratio_str", "sampling_ratio_complex",
-        "predict_batch_graph_as_norm"])
+        "predict_batch_graph_as_norm", "l2_lambda_negative", "l2_lambda_nan",
+        "initialize_scale_negative", "initialize_scale_nan"])
 def test_refused_arguments_raise_config_error(call):
     with pytest.raises(ValueError) as info:
         call()

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -579,12 +580,16 @@ def _param_digest(params):
 # rows were recorded again when the score's square term came to sum each
 # row's squared norm before the sparse product (a new reduction order: the
 # parameters and losses of the old digests agree with these to 5e-16 in norm).
+# The L = 2 weight-decay row was recorded before the backward pass began to
+# drop each layer's cache once used, a change that kept every bit.
 PINNED_STREAMS = [
     # (layers, optimizer, activation, dropout, l2, sampling ratio, digest)
     (0, "adam", "identity", 0.3, 0.0, 1.0, "7e6e5728f3be7e1bdefe2086d9def22c"),
     (1, "adam", "identity", 0.3, 1e-3, 1.0, "415b23840acb8c9677b7b7f32774f5f7"),
     (2, "adagrad", "relu", 0.0, 0.0, 0.5, "59430ecf228a832f24920ffbe59221b3"),
     (3, "adam", "relu", 0.3, 1e-3, 1.0, "d6b6511cbd422b20d40602b3f20d71bd"),
+    # the scale benchmark's setting: L = 2, weight decay, sampling
+    (2, "adagrad", "identity", 0.0, 1e-4, 0.5, "23adb82a7013ff6d15bf512da0675946"),
 ]
 
 
@@ -636,6 +641,35 @@ def test_training_step_dedups_at_most_once(monkeypatch, small_clicks, layers):
     np.testing.assert_array_equal(grads.touched_rows, reached)
     assert grads.d_w.shape == (len(grads.touched_features),)
     assert grads.d_weights[0].shape == (len(grads.touched_rows), d)
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+@pytest.mark.parametrize("layers", [2, 3])
+def test_backward_drops_each_deeper_cache_before_layer_one(monkeypatch, small_clicks,
+                                                           layers, activation):
+    # reference counting frees a cache as soon as the backward lets go of it, so
+    # weak references tell which caches live when layer 1's backward begins
+    bench, graph = small_clicks
+    module = importlib.import_module("gemfm.train")
+    embed, local_columns = module.embed, module.local_columns
+    caches, alive = [], []
+
+    def watched_embed(*args):
+        view = embed(*args)
+        caches.extend(weakref.ref(cache) for cache in view.layers)
+        return view
+
+    def layer_one_columns(block):   # gcn_embed looks local_columns up in gemfm.model
+        alive.append([ref() is not None for ref in caches])
+        return local_columns(block)
+
+    monkeypatch.setattr(module, "embed", watched_embed)
+    monkeypatch.setattr(module, "local_columns", layer_one_columns)
+    params = ModelParams.initialize(bench.space.num_features, 8, layers, activation, seed=1)
+    loss_and_grads(bench.train.take(np.arange(64)), params, normalize(graph),
+                   l2_lambda=1e-3, dropout_ratio=0.3, dropout_seed=2)
+    assert alive == [[True] + [False] * (layers - 1)]
+    assert all(ref() is None for ref in caches)
 
 
 @pytest.mark.parametrize("kwargs", [
