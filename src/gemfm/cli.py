@@ -20,7 +20,7 @@ import numpy as np
 from . import model
 from .data import (DatasetSplit, PackedInstances, load_field_map, load_libfm, read_libfm,
                    split_dataset)
-from .errors import ConfigError, DataFormatError, GemfmError
+from .errors import ConfigError, DataFormatError, GemfmError, check
 from .graph import FeatureGraph, build_graph, normalize
 from .metrics import count_params, format_report, metric_report
 from .model import ACTIVATIONS, ModelParams, predict_batch
@@ -114,8 +114,7 @@ def _settings(given: dict) -> argparse.Namespace:
         settings.update(_read_config_file(given.pop("config")))
     settings.update(given)
     for key, least in (("dim", 1), ("layers", 0)):    # checked before any data is read
-        if settings[key] < least:
-            raise ConfigError(f"--{key} must be >= {least}, got {settings[key]}")
+        check(f"--{key}", settings[key], int, least)
     return argparse.Namespace(**settings)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, check
 from .seeding import seeded_rng
 
 # digits an index may have: 10**18 - 1 still fits int64
@@ -396,9 +395,7 @@ class FeatureSpace:
                 return self.field_names.index(field)
             except ValueError:
                 raise DataFormatError(f"unknown field {field!r}") from None
-        if not 0 <= field < self.num_fields:
-            raise ConfigError(f"field id {field} outside [0, {self.num_fields})")
-        return int(field)
+        return int(check("field id", field, int, 0, below=self.num_fields))
 
     def field_range(self, field_id: int) -> tuple[int, int]:
         return self.field_bounds[self.field_id(field_id)]
@@ -505,8 +502,7 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
     with ``rng.choice``. The rows after a rejection row drawn a candidate at a
     time are checked a window at a time, up to the first that refuses one.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ConfigError(f"k must be >= 1 and an integer, got {k!r}")
+    check("k", k, int, 1)
     rng = seeded_rng(seed)
     start, end = space.field_range(item_field)
     packed = PackedInstances.from_instances(positives)
@@ -605,13 +601,15 @@ class PackedInstances:
     @classmethod
     def from_instances(cls, instances, num_features: int | None = None) -> "PackedInstances":
         """Pack a sequence of SparseInstance; a PackedInstances is returned
-        as it is. With ``num_features``, an index at or past it raises
-        DataFormatError."""
+        as it is. With ``num_features``, an index outside [0, num_features)
+        raises DataFormatError."""
         packed = instances if isinstance(instances, PackedInstances) else _pack_rows(instances)
         if num_features is not None and packed.indices.size:
-            top = int(packed.indices.max())
+            top, low = int(packed.indices.max()), int(packed.indices.min())
             if top >= num_features:
                 raise DataFormatError(f"feature index {top} outside [0, {num_features})")
+            if low < 0:
+                raise DataFormatError(f"negative feature index {low}")
         return packed
 
     def row_range(self, lo: int, hi: int) -> "PackedInstances":

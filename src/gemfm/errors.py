@@ -1,4 +1,7 @@
-"""Exception types raised by this package."""
+"""Exception types raised by this package, and the one check of scalar arguments."""
+
+import math
+import numbers
 
 
 class GemfmError(Exception):
@@ -23,3 +26,25 @@ class ConfigError(GemfmError, ValueError):
 
 class TrainingDivergedError(GemfmError):
     """Training loss became NaN or infinite."""
+
+
+def check(name, value, kind, low=None, high=None, *, above=None, below=None):
+    """Return ``value`` if it is one of the tuple ``kind``, or an integer (``kind`` int) or
+    finite real number (``kind`` float) within the bounds given: [low, high], [low, below),
+    >= low or > above. Otherwise raise a ConfigError that names it."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"unknown {name} {value!r}")
+    elif kind is int and not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    elif kind is float and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    elif below is not None and not low <= value < below:
+        raise ConfigError(f"{name} {value!r} outside [{low}, {below})")
+    elif high is not None and not low <= value <= high:
+        raise ConfigError(f"{name} {value!r} outside [{low}, {high}]")
+    elif low is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+    elif above is not None and value <= above:
+        raise ConfigError(f"{name} must be > {above}, got {value!r}")
+    return value

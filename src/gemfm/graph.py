@@ -15,7 +15,7 @@ from scipy import sparse
 
 from .data import (FeatureSpace, PackedInstances, ascii_tokens, blank_comments, parse_index,
                    parse_indices, spell_integers)
-from .errors import ConfigError, GraphFormatError
+from .errors import ConfigError, GraphFormatError, check
 from .seeding import seeded_rng
 
 # edges FeatureGraph.save spells per write
@@ -266,8 +266,7 @@ def sample_neighbors(graph: FeatureGraph, ratio: float, seed: int = 0) -> Featur
     ratio 1 returns the input graph unchanged; ratio 0 drops every edge.
     Deterministic for a given (graph, ratio, seed).
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ConfigError(f"sampling ratio must lie in [0, 1], got {ratio}")
+    check("sampling ratio", ratio, float, 0, 1)
     rng = seeded_rng(seed)
     if ratio == 1.0:
         return graph

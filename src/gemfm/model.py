@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import PackedInstances
-from .errors import CheckpointError, ConfigError, DataFormatError
+from .errors import CheckpointError, ConfigError, DataFormatError, check
 from .graph import local_columns, node_set
 from .seeding import seeded_rng
 
@@ -55,10 +55,8 @@ class ModelParams:
         self.w0 = float(self.w0)
         self.w = np.asarray(self.w, dtype=np.float64)
         self.weights = [np.asarray(W, dtype=np.float64) for W in self.weights]
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.num_layers < 0:
-            raise ConfigError(f"num_layers must be >= 0, got {self.num_layers}")
+        check("activation", self.activation, ACTIVATIONS)
+        check("num_layers", self.num_layers, int, 0)
         if len(self.weights) != max(1, self.num_layers):
             raise ConfigError(
                 f"expected {max(1, self.num_layers)} weight matrices for "
@@ -74,6 +72,8 @@ class ModelParams:
         for layer, W in enumerate(self.weights[1:], start=2):
             if W.shape != (d, d):
                 raise ConfigError(f"layer {layer} weight must be ({d}, {d}), got {W.shape}")
+        if not all(np.isfinite(block).all() for block in [self.w0, self.w, *self.weights]):
+            raise ConfigError("w0, w and every weight matrix must be finite")
 
     @property
     def num_features(self) -> int:
@@ -88,13 +88,13 @@ class ModelParams:
                    activation: str = "identity", seed: int = 0,
                    scale: float = 0.01) -> "ModelParams":
         """Gaussian(0, scale) weight matrices, zero biases."""
-        if num_features < 1 or dim < 1:
-            raise ConfigError(f"num_features and dim must be >= 1, got {num_features} and {dim}")
-        if not (np.isfinite(scale) and scale >= 0):
-            raise ConfigError(f"scale must be finite and non-negative, got {scale}")
+        check("num_features", num_features, int, 1)
+        check("dim", dim, int, 1)
+        check("num_layers", num_layers, int, 0)
+        check("scale", scale, float, 0)
         rng = seeded_rng(seed)
         weights = [rng.normal(0.0, scale, size=(num_features, dim))]
-        for _ in range(max(0, num_layers - 1)):
+        for _ in range(1, num_layers):
             weights.append(rng.normal(0.0, scale, size=(dim, dim)))
         return cls(0.0, np.zeros(num_features), weights, activation, num_layers)
 
@@ -272,9 +272,6 @@ def predict_batch(instances, params: ModelParams,
     input is embedded once per call, into a table of distinct nodes x d floats that the chunks
     read. ``norm`` must be given exactly when the model has convolution layers."""
     packed = PackedInstances.from_instances(instances, params.num_features)
-    low = packed.indices.min(initial=0)
-    if low < 0:   # refused before any row is scored
-        raise DataFormatError(f"negative feature index {int(low)}")
     table = None
     if params.num_layers and len(packed) > _PREDICT_CHUNK:   # embed the chunks' nodes once
         table_nodes, position = node_set(packed.indices, params.num_features)

@@ -6,11 +6,10 @@ run seed through named sub-seeds, so no stream perturbs another.
 """
 
 import hashlib
-import numbers
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check
 
 
 def derive_seed(seed: int, *names) -> int:
@@ -27,6 +26,4 @@ def derive_rng(seed: int, *names) -> np.random.Generator:
 
 def seeded_rng(seed) -> np.random.Generator:
     """A fresh Generator for ``seed``, which must be a non-negative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check("seed", seed, int, 0))

@@ -10,7 +10,6 @@ rows the batch touched, and every row of the deeper layers' weights.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import PackedInstances
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, check
 from .graph import FeatureGraph, local_columns, normalize, sample_neighbors
 from .metrics import mae, rmse
 from .model import ModelParams, batch_design, embed, predict_batch, scores_from_design
@@ -52,27 +51,15 @@ class TrainConfig:
     metric_for_stopping: str = "rmse"
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        for key in ("learning_rate", "l2_lambda", "dropout_ratio", "sampling_ratio"):
-            if not isinstance(getattr(self, key), numbers.Real):
-                raise ConfigError(f"{key} must be a real number, got {getattr(self, key)!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("learning_rate must be finite and positive")
-        if not (math.isfinite(self.l2_lambda) and self.l2_lambda >= 0):
-            raise ConfigError("l2_lambda must be finite and non-negative")
-        if not 0.0 <= self.dropout_ratio < 1.0:
-            raise ConfigError("dropout_ratio must lie in [0, 1)")
+        check("optimizer", self.optimizer, OPTIMIZERS)
+        check("learning_rate", self.learning_rate, float, above=0)
+        check("l2_lambda", self.l2_lambda, float, 0)
+        check("dropout_ratio", self.dropout_ratio, float, 0, below=1)
         for key in ("batch_size", "max_epochs", "patience"):
-            if not isinstance(getattr(self, key), numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not 0.0 <= self.sampling_ratio <= 1.0:
-            raise ConfigError("sampling_ratio must lie in [0, 1]")
-        if self.metric_for_stopping not in STOPPING_METRICS:
-            raise ConfigError(f"unknown stopping metric {self.metric_for_stopping!r}")
-        seeded_rng(self.seed)   # refuses a seed that is not a non-negative integer
+            check(key, getattr(self, key), int, 1)
+        check("sampling_ratio", self.sampling_ratio, float, 0, 1)
+        check("stopping metric", self.metric_for_stopping, STOPPING_METRICS)
+        check("seed", self.seed, int, 0)
 
 
 @dataclass(eq=False)
@@ -87,8 +74,7 @@ class OptimizerState:
 
     @classmethod
     def create(cls, params: ModelParams, kind: str) -> "OptimizerState":
-        if kind not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {kind!r}")
+        check("optimizer", kind, OPTIMIZERS)
         blocks = [np.array([params.w0]), params.w, *params.weights]
         momentum = [np.zeros_like(b) for b in blocks] if kind == "adam" else None
         return cls([np.zeros_like(b) for b in blocks], momentum)
@@ -133,10 +119,8 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
     The backward holds one gradient in flight and the caches still to undo, each
     dropped (deepest first) once its gradients exist; the decay reads _ROW_BLOCK rows.
     """
-    if not 0.0 <= dropout_ratio < 1.0:
-        raise ConfigError(f"dropout ratio must lie in [0, 1), got {dropout_ratio}")
-    if not (math.isfinite(l2_lambda) and l2_lambda >= 0):
-        raise ConfigError(f"l2_lambda must be finite and non-negative, got {l2_lambda}")
+    check("dropout_ratio", dropout_ratio, float, 0, below=1)
+    check("l2_lambda", l2_lambda, float, 0)
     packed = PackedInstances.from_instances(batch, params.num_features)
     if len(packed) == 0:
         raise ConfigError("loss of an empty batch is undefined")

@@ -61,6 +61,19 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     lambda: loss_and_grads(ROWS, ModelParams.initialize(7, 2), l2_lambda=float("nan")),
     lambda: ModelParams.initialize(7, 2, scale=-1.0),
     lambda: ModelParams.initialize(7, 2, scale=float("nan")),
+    # a field id, a layer count, a size or a rate of the wrong type
+    lambda: SPACE.field_range(1.5),
+    lambda: negative_sample(ROWS, SPACE, item_field=1.5, k=1),
+    lambda: ModelParams(0.0, np.zeros(2), [np.zeros((2, 2))], num_layers=1.0),
+    lambda: ModelParams.initialize(7, 2.5),
+    lambda: ModelParams.initialize(7, 2, 1.5),
+    lambda: train(ROWS, ROWS, SPACE, TrainConfig(max_epochs=2), dim=2.5),
+    lambda: sample_neighbors(GRAPH, "0.5"),
+    lambda: loss_and_grads(ROWS, ModelParams.initialize(7, 2), dropout_ratio="0.1"),
+    # parameters that are not finite
+    lambda: ModelParams(0.0, np.array([np.nan, 0.0]), [np.zeros((2, 2))]),
+    lambda: ModelParams(float("inf"), np.zeros(2), [np.zeros((2, 2))]),
+    lambda: ModelParams(0.0, np.zeros(2), [np.full((2, 2), -np.inf)]),
 ], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse",
         "dim_0", "no_features", "dim_negative", "empty_table", "train_dim_0",
         "field_range_9", "field_range_negative", "negative_sample_item_9",
@@ -73,7 +86,11 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
         "batch_size_float", "max_epochs_float", "patience_str", "learning_rate_str",
         "l2_lambda_none", "dropout_ratio_str", "sampling_ratio_complex",
         "predict_batch_graph_as_norm", "l2_lambda_negative", "l2_lambda_nan",
-        "initialize_scale_negative", "initialize_scale_nan"])
+        "initialize_scale_negative", "initialize_scale_nan",
+        "field_range_float", "negative_sample_item_float", "model_params_layers_float",
+        "initialize_dim_float", "initialize_layers_float", "train_dim_float",
+        "sample_neighbors_ratio_str", "dropout_ratio_str_in_loss", "model_params_nan_w",
+        "model_params_inf_w0", "model_params_inf_table"])
 def test_refused_arguments_raise_config_error(call):
     with pytest.raises(ValueError) as info:
         call()
@@ -90,3 +107,29 @@ def test_numpy_integers_and_floats_are_accepted():
     assert np.array_equal(same.indices, negative_sample(ROWS, SPACE, 1, 1, seed=2).indices)
     assert np.array_equal(sample_neighbors(GRAPH, 0.5, seed=np.int16(1)).edges,
                           sample_neighbors(GRAPH, 0.5, seed=1).edges)
+    params = ModelParams.initialize(np.int64(7), np.int32(2), np.uint8(2), seed=np.int64(1),
+                                    scale=np.float32(0.1))
+    assert (params.num_features, params.dim, params.num_layers) == (7, 2, 2)
+    assert len(ModelParams.initialize(7, 2, np.uint8(0)).weights) == 1   # no 0 - 1 wrap-around
+    assert ModelParams(0.0, np.zeros(2), [np.zeros((2, 2))], num_layers=np.int64(1)).num_layers == 1
+    assert SPACE.field_range(np.int64(1)) == SPACE.field_range(1) == (3, 7)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: negative_sample(ROWS, SPACE, item_field=1, k=0), "k must be >= 1, got 0"),
+    (lambda: TrainConfig(learning_rate=0.0), "learning_rate must be > 0, got 0.0"),
+    (lambda: sample_neighbors(GRAPH, 1.5), "sampling ratio 1.5 outside [0, 1]"),
+    (lambda: SPACE.field_range(2), "field id 2 outside [0, 2)"),
+    (lambda: ModelParams.initialize(7, 2.5), "dim must be an integer, got 2.5"),
+    (lambda: loss_and_grads(ROWS, ModelParams.initialize(7, 2), dropout_ratio="0.1"),
+     "dropout_ratio must be a real number, got '0.1'"),
+    (lambda: TrainConfig(l2_lambda=float("inf")), "l2_lambda must be a real number, got inf"),
+    (lambda: TrainConfig(optimizer="sgd"), "unknown optimizer 'sgd'"),
+    (lambda: ModelParams(0.0, np.array([np.nan, 0.0]), [np.zeros((2, 2))]),
+     "w0, w and every weight matrix must be finite"),
+], ids=["at_least", "above", "closed_range", "half_open_range", "integer", "real_number",
+        "real_number_inf", "unknown_choice", "non_finite_parameters"])
+def test_refusal_messages_name_the_argument(call, message):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message

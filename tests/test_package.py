@@ -1,4 +1,5 @@
-"""Package hygiene: the public names resolve, and the source keeps its line width."""
+"""Package hygiene: the public names resolve, the source keeps its line width, and scalar
+arguments are checked in one place."""
 
 from pathlib import Path
 
@@ -20,3 +21,12 @@ def test_no_source_line_is_wider_than_the_convention():
             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > MAX_COLUMNS]
     assert wide == []
+
+
+def test_scalar_arguments_are_checked_only_by_errors_check():
+    # an argument check written by hand names numbers.Integral or numbers.Real;
+    # errors.check is the one function that may
+    by_hand = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+               and any(kind in path.read_text(encoding="utf-8")
+                       for kind in ("numbers.Integral", "numbers.Real"))]
+    assert by_hand == []

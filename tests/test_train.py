@@ -515,16 +515,17 @@ def test_row_updates_match_the_unfused_formulas(touched):
 
 
 def test_non_finite_validation_metric_raises():
-    # feature 13 never occurs in training, so its NaN bias leaves every batch
-    # loss finite while every validation score with it is NaN; a NaN metric
-    # must not pass for "no improvement" and return the initial parameters
+    # feature 13 never occurs in training, so its huge bias leaves every batch
+    # loss finite while every validation error with it squares to inf; a
+    # non-finite metric must not pass for "no improvement" and return the
+    # initial parameters (ModelParams refuses a NaN bias itself)
     m = 14
     train_set = [inst for inst in _regression_data(0, 120)
                  if inst.entries[-1][0] != 13]
     val = _regression_data(1, 40)
     assert any(inst.entries[-1][0] == 13 for inst in val)
     w = np.zeros(m)
-    w[13] = np.nan
+    w[13] = 1e300
     init = ModelParams(0.0, w, [np.zeros((m, 4))])
     config = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=3,
                          patience=3, seed=0)
@@ -548,6 +549,21 @@ def test_train_input_validation():
     with_empty = data + [SparseInstance(1.0, ())]
     with pytest.raises(ValueError, match="at least one active"):
         train(with_empty, data, _space(), config, dim=4)
+
+
+@pytest.mark.parametrize("part", ["train", "validation"])
+def test_train_refuses_a_negative_index_before_any_step(monkeypatch, part):
+    def never(*args, **kwargs):
+        raise AssertionError("a step ran before the indices were checked")
+
+    monkeypatch.setattr(importlib.import_module("gemfm.train"), "loss_and_grads", never)
+    data = PackedInstances.from_instances(_regression_data(0, 20))
+    indices = data.indices.copy()
+    indices[0] = -3    # row 0 becomes (-3, item)
+    bad = PackedInstances(data.labels, data.indptr, indices, data.values)
+    sets = (bad, data) if part == "train" else (data, bad)
+    with pytest.raises(DataFormatError, match="negative feature index -3"):
+        train(*sets, _space(), TrainConfig(max_epochs=1), dim=4)
 
 
 # --- the training stream, pinned bit for bit ---
