@@ -18,8 +18,8 @@ import warnings
 import numpy as np
 
 from . import model
-from .data import (DatasetSplit, PackedInstances, load_field_map, load_libfm, read_libfm,
-                   split_dataset)
+from .data import (DatasetSplit, PackedInstances, content_lines, load_field_map, load_libfm,
+                   read_libfm, split_dataset)
 from .errors import ConfigError, DataFormatError, GemfmError, check
 from .graph import FeatureGraph, build_graph, normalize
 from .metrics import count_params, format_report, metric_report
@@ -86,10 +86,7 @@ def _read_config_file(path) -> dict:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in content_lines(lines):
         key, sep, value = body.partition("=")
         key, value = key.strip().replace("-", "_"), value.strip()
         if not sep or not key:

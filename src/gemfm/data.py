@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sized
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,15 +157,21 @@ def read_libfm(path) -> Iterator[PackedInstances]:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def content_lines(lines, start: int = 1) -> Iterator[tuple[int, str]]:
+    """(number from ``start``, text before any '#', stripped) of each line with such text."""
+    for lineno, line in enumerate(lines, start=start):
+        if body := line.split("#", 1)[0].strip():
+            yield lineno, body
+
+
 def _parse_lines(lines, lineno: int, path) -> PackedInstances:
     """The rows of ``lines`` (numbered from ``lineno``) through parse_libfm_line."""
     rows = []
-    for lineno, line in enumerate(lines, start=lineno):
-        if line.split("#", 1)[0].strip():
-            try:
-                rows.append(parse_libfm_line(line, lineno))
-            except DataFormatError as exc:
-                raise DataFormatError(f"{path}: {exc}") from None
+    for lineno, body in content_lines(lines, lineno):
+        try:
+            rows.append(parse_libfm_line(body, lineno))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
     return _pack_rows(rows)
 
 
@@ -412,10 +418,7 @@ def load_field_map(text: str) -> FeatureSpace:
     and out-of-order ranges raise DataFormatError.
     """
     names, bounds = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in content_lines(text.splitlines()):
         parts = body.split("\t")
         if len(parts) != 3:
             raise DataFormatError(
@@ -470,8 +473,10 @@ def split_dataset(instances, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSp
     are rounded by largest remainder, train first, so the parts always cover
     every instance exactly once.
     """
-    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
+    if not isinstance(ratios, Sized) or len(ratios) != 3:
         raise ConfigError(f"need three positive finite ratios, got {ratios!r}")
+    for ratio in ratios:
+        check("each of three positive finite ratios", ratio, float, above=0)
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got {sum(ratios)!r}")
     packed = PackedInstances.from_instances(instances)

@@ -1,7 +1,7 @@
 """Exception types raised by this package, and the one check of scalar arguments."""
 
-import math
 import numbers
+from sys import float_info
 
 
 class GemfmError(Exception):
@@ -37,7 +37,7 @@ def check(name, value, kind, low=None, high=None, *, above=None, below=None):
             raise ConfigError(f"unknown {name} {value!r}")
     elif kind is int and not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    elif kind is float and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+    elif kind is float and not (isinstance(value, numbers.Real) and abs(value) <= float_info.max):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     elif below is not None and not low <= value < below:
         raise ConfigError(f"{name} {value!r} outside [{low}, {below})")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import (FeatureSpace, PackedInstances, ascii_tokens, blank_comments, parse_index,
-                   parse_indices, spell_integers)
+from .data import (FeatureSpace, PackedInstances, ascii_tokens, blank_comments, content_lines,
+                   parse_index, parse_indices, spell_integers)
 from .errors import ConfigError, GraphFormatError, check
 from .seeding import seeded_rng
 
@@ -124,10 +124,7 @@ def _edge_lines(lines, path):
     faulty line."""
     header = None
     pairs = []
-    for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in content_lines(lines):
         parts = body.split()
         if header is None:
             if len(parts) != 2 or parts[0] != "nodes" or parse_index(parts[1]) is None:

@@ -168,19 +168,17 @@ class GcnLayerCache:
 
 @dataclass(eq=False)
 class EmbeddingView:
-    """Embedding rows for the sorted, distinct nodes asked for, plus per-layer caches."""
+    """Embedding rows for the nodes asked for, in the order asked, plus per-layer caches."""
 
     rows: np.ndarray
     layers: tuple[GcnLayerCache, ...] = ()
 
 
 def _as_node_array(nodes, num_features: int) -> np.ndarray:
-    arr = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes, dtype=np.int64)
-    if arr.ndim != 1 or np.any(arr[1:] <= arr[:-1]):  # not yet sorted and distinct
-        arr = np.unique(arr)
-    if arr.size and (arr[0] < 0 or arr[-1] >= num_features):
-        bad = int(arr[0]) if arr[0] < 0 else int(arr[-1])
-        raise DataFormatError(f"node index {bad} outside [0, {num_features})")
+    arr = np.asarray(nodes, dtype=np.int64).ravel()
+    bad = arr[(arr < 0) | (arr >= num_features)]
+    if bad.size:
+        raise DataFormatError(f"node index {int(bad[0])} outside [0, {num_features})")
     return arr
 
 

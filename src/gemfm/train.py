@@ -186,56 +186,47 @@ def optimizer_step(params: ModelParams, state: OptimizerState,
     """One in-place update; rows outside the touched sets stay untouched,
     including their accumulators (lazy sparse updates). Raises
     TrainingDivergedError naming a block the update would leave non-finite."""
-    lr = config.learning_rate
     blocks = [np.array([params.w0]), params.w, *params.weights]   # w0 as a one-row block
-    steps = zip(blocks, [np.array([grads.d_w0]), grads.d_w, *grads.d_weights],
-                [np.array([0]), grads.touched_features, grads.touched_rows,
-                 *(np.arange(W.shape[0]) for W in params.weights[1:])],
-                ["w0", "w", *(f"weights[{l}]" for l in range(len(params.weights)))])
     state.step_count += 1
-    if state.momentum is None:
-        for (param, grad, rows, block), accum in zip(steps, state.accum):
-            _adagrad_rows(param, accum, grad, rows, lr, block)
-    else:    # adam: global step count, bias-corrected moments, lazy rows
-        c1 = 1.0 - ADAM_BETA1 ** state.step_count
-        c2 = 1.0 - ADAM_BETA2 ** state.step_count
-        for (param, grad, rows, block), mom, accum in zip(steps, state.momentum, state.accum):
-            _adam_rows(param, mom, accum, grad, rows, lr, c1, c2, block)
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count    # Adam's bias corrections
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
+    for param, mom, accum, grad, rows, block in zip(
+            blocks, state.momentum or [None] * len(blocks), state.accum,
+            [np.array([grads.d_w0]), grads.d_w, *grads.d_weights],
+            [np.array([0]), grads.touched_features, grads.touched_rows,
+             *(np.arange(W.shape[0]) for W in params.weights[1:])],
+            ["w0", "w", *(f"weights[{l}]" for l in range(len(params.weights)))]):
+        _update_rows(param, mom, accum, grad, rows, config.learning_rate, c1, c2, block)
     params.w0 = float(blocks[0][0])
 
 
-def _adagrad_rows(param, accum, grad, rows, lr, block):
+def _update_rows(param, mom, accum, grad, rows, lr, c1, c2, block):
+    """Adam on the touched ``rows`` of one block when ``mom`` holds its first
+    moments, Adagrad otherwise, gathered and scattered _ROW_BLOCK rows at a time."""
     for lo in range(0, rows.size, _ROW_BLOCK):
         at, g = rows[lo:lo + _ROW_BLOCK], grad[lo:lo + _ROW_BLOCK]
         acc = accum[at]
-        acc += g * g
-        accum[at] = acc
-        step = lr * g
-        step /= np.sqrt(np.add(acc, EPSILON, out=acc), out=acc)
-        _write_rows(param, at, step, block)
-
-
-def _adam_rows(param, mom, accum, grad, rows, lr, c1, c2, block):
-    for lo in range(0, rows.size, _ROW_BLOCK):
-        at, g = rows[lo:lo + _ROW_BLOCK], grad[lo:lo + _ROW_BLOCK]
-        m, v = mom[at], accum[at]
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * (g * g)
-        mom[at], accum[at] = m, v
-        step = lr * (m / c1)
-        v /= c2
-        step /= np.add(np.sqrt(v, out=v), EPSILON, out=v)
-        _write_rows(param, at, step, block)
-
-
-def _write_rows(param, at, step, block):
-    rows = param[at]
-    rows -= step
-    if not np.isfinite(rows).all():
-        raise TrainingDivergedError(f"non-finite {block} after the optimizer step")
-    param[at] = rows
+        if mom is None:
+            acc += g * g
+            accum[at] = acc
+            step = lr * g
+            step /= np.sqrt(np.add(acc, EPSILON, out=acc), out=acc)
+        else:
+            m = mom[at]
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            acc *= ADAM_BETA2
+            acc += (1 - ADAM_BETA2) * (g * g)
+            mom[at], accum[at] = m, acc
+            step = lr * (m / c1)
+            acc /= c2
+            step /= np.add(np.sqrt(acc, out=acc), EPSILON, out=acc)
+        updated = param[at]
+        updated -= step
+        if not np.isfinite(updated).all():
+            raise TrainingDivergedError(f"non-finite {block} after the optimizer step")
+        param[at] = updated
+        del updated    # freed now, so the next block's gathers can reuse its cached memory
 
 
 @dataclass

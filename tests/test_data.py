@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfm import (DataFormatError, FeatureSpace, GemfmError, SparseInstance,
+from gemfm import (ConfigError, DataFormatError, FeatureSpace, GemfmError, SparseInstance,
                    format_field_map, format_libfm_line, load_field_map,
                    load_libfm, negative_sample, parse_libfm_line, save_libfm,
                    split_dataset)
@@ -499,6 +499,11 @@ def test_split_rejects_bad_input():
     # NaN passed both checks, then failed inside math.floor
     with pytest.raises(ValueError, match="finite"):
         split_dataset(_tiny_instances(3), (float("nan"), 0.5, 0.5))
+    # a ratio that is no number and ratios that are no sequence were TypeErrors
+    with pytest.raises(ConfigError, match="three positive finite"):
+        split_dataset(_tiny_instances(3), ("0.8", 0.1, 0.1))
+    with pytest.raises(ConfigError, match="three positive finite"):
+        split_dataset(_tiny_instances(3), 0.5)
 
 
 # --- negative sampling ---

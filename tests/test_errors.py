@@ -74,6 +74,11 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     lambda: ModelParams(0.0, np.array([np.nan, 0.0]), [np.zeros((2, 2))]),
     lambda: ModelParams(float("inf"), np.zeros(2), [np.zeros((2, 2))]),
     lambda: ModelParams(0.0, np.zeros(2), [np.full((2, 2), -np.inf)]),
+    # an integer beyond float range, once an OverflowError from math.isfinite
+    lambda: TrainConfig(learning_rate=10**400),
+    # ratios of the wrong type, once a TypeError
+    lambda: split_dataset(ROWS, ("0.8", 0.1, 0.1)),
+    lambda: split_dataset(ROWS, 0.5),
 ], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse",
         "dim_0", "no_features", "dim_negative", "empty_table", "train_dim_0",
         "field_range_9", "field_range_negative", "negative_sample_item_9",
@@ -90,7 +95,8 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
         "field_range_float", "negative_sample_item_float", "model_params_layers_float",
         "initialize_dim_float", "initialize_layers_float", "train_dim_float",
         "sample_neighbors_ratio_str", "dropout_ratio_str_in_loss", "model_params_nan_w",
-        "model_params_inf_w0", "model_params_inf_table"])
+        "model_params_inf_w0", "model_params_inf_table", "learning_rate_beyond_float",
+        "split_ratio_str", "split_ratios_scalar"])
 def test_refused_arguments_raise_config_error(call):
     with pytest.raises(ValueError) as info:
         call()

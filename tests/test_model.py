@@ -96,6 +96,23 @@ def test_convolved_scores_match_dense_oracle():
             assert _score(inst, params, norm) == pytest.approx(expected, rel=1e-10)
 
 
+def test_embeddings_follow_the_order_of_the_ids_asked_for():
+    # unsorted ids with a repeat give the sorted call's rows, in the order asked
+    rng = np.random.default_rng(6)
+    m = 12
+    norm = normalize(_random_graph(rng, m))
+    asked = [7, 2, 9, 2, 0]
+    nodes = np.unique(asked)
+    at = np.searchsorted(nodes, asked)
+    flat = ModelParams.initialize(m, 3, seed=4)
+    np.testing.assert_array_equal(lookup_embed(flat, asked).rows,
+                                  lookup_embed(flat, nodes).rows[at])
+    for num_layers in (1, 2, 3):
+        params = ModelParams.initialize(m, 3, num_layers, "relu", seed=4, scale=0.5)
+        np.testing.assert_array_equal(gcn_embed(norm, params, asked).rows,
+                                      gcn_embed(norm, params, nodes).rows[at])
+
+
 def test_gcn_embed_touches_only_the_reachable_neighborhood():
     # nodes 0-2 form a triangle; nodes 3-4 are a separate edge.  Asking for
     # node 0 must never materialize the other component in any frontier.

@@ -1,5 +1,5 @@
 """Package hygiene: the public names resolve, the source keeps its line width, and scalar
-arguments are checked in one place."""
+arguments and '#' comments are each handled in one place."""
 
 from pathlib import Path
 
@@ -29,4 +29,11 @@ def test_scalar_arguments_are_checked_only_by_errors_check():
     by_hand = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
                and any(kind in path.read_text(encoding="utf-8")
                        for kind in ("numbers.Integral", "numbers.Real"))]
+    assert by_hand == []
+
+
+def test_comments_are_stripped_only_by_data():
+    # data.content_lines is the one comment and blank-line rule of the line readers
+    by_hand = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "data.py"
+               and 'split("#"' in path.read_text(encoding="utf-8")]
     assert by_hand == []

@@ -17,7 +17,7 @@ from gemfm.datagen import ClickDataConfig, click_benchmark
 from gemfm.metrics import rmse
 from gemfm.model import gcn_embed
 from gemfm.train import (ADAM_BETA1, ADAM_BETA2, EPSILON, EpochRecord, GradientSet,
-                         OptimizerState, RunReport, _adagrad_rows, _adam_rows, _full_l2,
+                         OptimizerState, RunReport, _full_l2, _update_rows,
                          optimizer_step)
 from oracles import (adagrad_rows_reference, adam_rows_reference, decayed_dense_gradients,
                      dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
@@ -493,8 +493,8 @@ def test_train_names_the_step_whose_update_diverged(monkeypatch):
 
 @pytest.mark.parametrize("touched", [0, 1, 511, 512, 513, 1500])
 def test_row_updates_match_the_unfused_formulas(touched):
-    # the fused updates walk the rows in blocks; every bit must match the
-    # whole-array formulas on either side of each block boundary
+    # the fused update walks the rows in blocks under either optimizer; every bit
+    # must match the whole-array formulas on either side of each block boundary
     rng = np.random.default_rng(touched)
     m = 1600
     rows = np.sort(rng.choice(m, size=touched, replace=False))
@@ -502,13 +502,13 @@ def test_row_updates_match_the_unfused_formulas(touched):
         param, mom, accum = rng.normal(size=shape), rng.normal(size=shape), rng.random(shape)
         grad = rng.normal(size=(touched, *shape[1:]))
         got, want = [param.copy(), accum.copy()], [param.copy(), accum.copy()]
-        _adagrad_rows(*got, grad, rows, 0.01, "w")
+        _update_rows(got[0], None, got[1], grad, rows, 0.01, 1.0, 1.0, "w")
         adagrad_rows_reference(*want, grad, rows, 0.01)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         c1, c2 = 1.0 - ADAM_BETA1 ** 3, 1.0 - ADAM_BETA2 ** 3
         got, want = [param.copy(), mom.copy(), accum.copy()], [param.copy(), mom.copy(), accum.copy()]
-        _adam_rows(*got, grad, rows, 0.01, c1, c2, "w")
+        _update_rows(*got, grad, rows, 0.01, c1, c2, "w")
         adam_rows_reference(*want, grad, rows, 0.01, c1, c2)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
