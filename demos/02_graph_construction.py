@@ -7,15 +7,16 @@ import warnings
 
 import numpy as np
 
-from gemfm import (FeatureGraph, FeatureSpace, SparseInstance, build_graph,
-                   normalize, sample_neighbors)
+from gemfm import (FeatureGraph, FeatureSpace, PackedInstances, build_graph, normalize,
+                   sample_neighbors)
 
 
 def main():
     # four tiny transactions over user/item fields
     space = FeatureSpace.from_cardinalities(["user", "item"], [3, 4])
     rows = [(0, 3), (0, 4), (1, 4), (2, 6)]
-    transactions = [SparseInstance(1.0, ((u, 1.0), (i, 1.0))) for u, i in rows]
+    transactions = PackedInstances(np.ones(4), np.arange(0, 9, 2), np.array(rows).ravel(),
+                                   np.ones(8))
     with warnings.catch_warnings():
         # toy fields of 3 and 4 features draw the low-cardinality warning
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gemfm import SparseInstance, format_field_map, save_libfm
+from gemfm import PackedInstances, format_field_map, save_libfm
 from gemfm.data import FeatureSpace
 
 
@@ -30,17 +30,20 @@ def main():
     rng = np.random.default_rng(0)
     space = FeatureSpace.from_cardinalities(["user", "item"], [25, 40])
     truth = rng.normal(size=space.num_features)
-    instances = []
+    labels, indices = [], []
     for _ in range(600):
         u = int(rng.integers(0, 25))
         i = 25 + int(rng.integers(0, 40))
-        label = truth[u] + truth[i] + 0.5 * truth[u] * truth[i] + 0.1 * rng.normal()
-        instances.append(SparseInstance(float(label), ((u, 1.0), (i, 1.0))))
+        labels.append(truth[u] + truth[i] + 0.5 * truth[u] * truth[i] + 0.1 * rng.normal())
+        indices += [u, i]
+    instances = PackedInstances(np.array(labels), np.arange(0, 1201, 2), np.array(indices),
+                                np.ones(1200))
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         # pre-split files: the graph sees the training rows only
-        parts = {"train": instances[:480], "val": instances[480:540], "test": instances[540:]}
+        parts = {"train": instances.row_range(0, 480), "val": instances.row_range(480, 540),
+                 "test": instances.row_range(540, 600)}
         files = {name: root / f"{name}.libfm" for name in parts}
         for name, rows in parts.items():
             save_libfm(rows, files[name])

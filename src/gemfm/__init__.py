@@ -2,10 +2,9 @@
 
 ``gemfm.train`` is the function; its module is ``importlib.import_module("gemfm.train")``."""
 
-from .data import (DatasetSplit, FeatureSpace, PackedInstances, SparseInstance,
-                   format_field_map, format_libfm_line, load_field_map,
-                   load_libfm, negative_sample, parse_libfm_line, save_libfm,
-                   split_dataset)
+from .data import (DatasetSplit, FeatureSpace, PackedInstances, format_field_map,
+                   load_field_map, load_libfm, negative_sample, parse_libfm_line,
+                   save_libfm, split_dataset)
 from .errors import (CheckpointError, ConfigError, DataFormatError, GemfmError,
                      GraphFormatError, TrainingDivergedError)
 from .graph import FeatureGraph, build_graph, normalize, sample_neighbors
@@ -23,9 +22,9 @@ __all__ = [
     "EmbeddingView", "EpochRecord", "FeatureGraph", "FeatureSpace",
     "GemfmError", "GradientSet", "GraphFormatError", "MetricReport",
     "ModelParams", "OptimizerState", "PackedInstances",
-    "RunReport", "SparseInstance", "TrainConfig", "TrainingDivergedError",
+    "RunReport", "TrainConfig", "TrainingDivergedError",
     "build_graph", "count_params", "derive_rng", "derive_seed",
-    "format_field_map", "format_libfm_line", "format_report", "gcn_embed",
+    "format_field_map", "format_report", "gcn_embed",
     "load_field_map", "load_libfm", "lookup_embed", "loss_and_grads", "mae",
     "metric_report", "negative_sample", "normalize", "optimizer_step",
     "parse_libfm_line", "predict_batch", "rmse", "sample_neighbors",

@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 
 from . import model
-from .data import (DatasetSplit, PackedInstances, content_lines, load_field_map, load_libfm,
+from .data import (DatasetSplit, _no_rows, content_lines, load_field_map, load_libfm,
                    read_libfm, split_dataset)
 from .errors import ConfigError, DataFormatError, GemfmError, check
 from .graph import FeatureGraph, build_graph, normalize
@@ -244,7 +244,7 @@ def _scored_blocks(path, params, norm):
     """(labels, predictions) of a data file's rows, read a chunk at a time and
     scored in predict_batch's own blocks of _PREDICT_CHUNK rows, so the bits
     are those of one call over the file. A file with no rows is an error."""
-    rows, size, scored = PackedInstances.from_instances([]), model._PREDICT_CHUNK, 0
+    rows, size, scored = _no_rows(), model._PREDICT_CHUNK, 0
     for part in read_libfm(path):
         rows += part
         full = len(rows) - len(rows) % size

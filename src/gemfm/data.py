@@ -7,8 +7,8 @@ what graph construction and negative sampling key on.
 
 In memory, any number of instances is one PackedInstances (CSR arrays):
 reading, generating, splitting, negative sampling, graph building and the
-model all produce and take it. A SparseInstance is one parsed or formatted
-line; lists of them are accepted wherever instances are, and packed once.
+model all produce and take it, and nothing else. Each pack checks its own
+rows when it is made, so every pack can be saved and read back.
 
 Files are read a chunk of whole lines at a time (read_libfm), each parsed
 with array operations straight into CSR arrays. parse_libfm_line is the
@@ -35,29 +35,6 @@ from .seeding import seeded_rng
 MAX_INDEX_DIGITS = 18
 
 
-@dataclass(frozen=True)
-class SparseInstance:
-    """One labeled transaction: (feature index, value) pairs sorted by index."""
-
-    label: float
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        prev = -1
-        for idx, value in self.entries:
-            if idx <= prev:
-                raise DataFormatError(
-                    f"duplicate feature index {idx}" if idx == prev else
-                    f"feature indices must be strictly increasing and non-negative, "
-                    f"got {idx} after {prev}"
-                )
-            if not math.isfinite(value):
-                raise DataFormatError(f"non-finite value for feature {idx}")
-            prev = idx
-        if not math.isfinite(self.label):
-            raise DataFormatError("non-finite label")
-
-
 def parse_index(text: str) -> int | None:
     """The integer ``text`` spells in at most MAX_INDEX_DIGITS ASCII digits, or
     None (int() also takes signs, underscores, spaces and digits such as '٣')."""
@@ -66,12 +43,12 @@ def parse_index(text: str) -> int | None:
     return None
 
 
-def parse_libfm_line(text: str, lineno: int | None = None) -> SparseInstance:
-    """Parse one ``label idx:value ...`` line.
+def parse_libfm_line(text: str, lineno: int | None = None) -> PackedInstances:
+    """Parse one ``label idx:value ...`` line into a one-row PackedInstances.
 
-    Entries are sorted by index; duplicate indices, malformed tokens, and
-    non-finite numbers raise DataFormatError naming the offending token or
-    index (and the line number when given).
+    Entries are sorted by index. Malformed tokens raise DataFormatError naming
+    the token, and the pack's own checks refuse duplicate indices and
+    non-finite numbers; each message ends with the line number when given.
     """
     where = f" (line {lineno})" if lineno is not None else ""
     body = text.split("#", 1)[0].strip()
@@ -99,17 +76,12 @@ def parse_libfm_line(text: str, lineno: int | None = None) -> SparseInstance:
         except ValueError:
             raise DataFormatError(f"non-numeric value in {tok!r}{where}") from None
     entries.sort()
-    try:   # the instance rejects duplicate indices and non-finite numbers
-        return SparseInstance(label, tuple(entries))
+    try:
+        return PackedInstances(np.array([label]), np.array([0, len(entries)], dtype=np.int64),
+                               np.array([i for i, _ in entries], dtype=np.int64),
+                               np.array([v for _, v in entries], dtype=np.float64))
     except DataFormatError as exc:
         raise DataFormatError(f"{exc}{where}") from None
-
-
-def format_libfm_line(instance: SparseInstance) -> str:
-    """Serialize an instance so that parse_libfm_line round-trips it exactly."""
-    parts = [repr(float(instance.label))]
-    parts += [f"{i}:{float(v)!r}" for i, v in instance.entries]
-    return " ".join(parts)
 
 
 # rows save_libfm spells per write: bounds its token matrix
@@ -123,7 +95,7 @@ _MAX_NUMBER_CHARS = 32
 def load_libfm(path) -> PackedInstances:
     """Read a libFM text file, skipping blank and comment-only lines: the
     chunks of read_libfm, concatenated."""
-    return _concat([_pack_rows([]), *read_libfm(path)])
+    return _concat([_no_rows(), *read_libfm(path)])
 
 
 def read_libfm(path) -> Iterator[PackedInstances]:
@@ -172,7 +144,7 @@ def _parse_lines(lines, lineno: int, path) -> PackedInstances:
             rows.append(parse_libfm_line(body, lineno))
         except DataFormatError as exc:
             raise DataFormatError(f"{path}: {exc}") from None
-    return _pack_rows(rows)
+    return _concat([_no_rows(), *rows])
 
 
 def ascii_tokens(buf: np.ndarray):
@@ -251,29 +223,30 @@ def _parse_chunk(text: str) -> PackedInstances | None:
     indices = parse_indices(buf, entry_starts, colons)
     numbers = _parse_floats(buf, np.concatenate([starts[label], colons + 1]),
                             np.concatenate([ends[label], entry_ends]))
-    if indices is None or numbers is None or not np.isfinite(numbers).all():
+    if indices is None or numbers is None:
         return None
     num_rows = int(label.sum())
     entry_rows = (np.cumsum(label) - 1)[entry]
     values = numbers[num_rows:]
-    same_row = entry_rows[1:] == entry_rows[:-1]
-    if np.any(same_row & (indices[1:] <= indices[:-1])):
+    if np.any((entry_rows[1:] == entry_rows[:-1]) & (indices[1:] <= indices[:-1])):
         order = np.lexsort((indices, entry_rows))
         indices, values = indices[order], values[order]
-        if np.any(same_row & (indices[1:] == indices[:-1])):
-            return None
     indptr = np.r_[0, np.cumsum(np.bincount(entry_rows, minlength=num_rows))]
-    return PackedInstances(numbers[:num_rows], indptr, indices, values)
+    try:    # the pack refuses duplicate indices and non-finite numbers
+        return PackedInstances(numbers[:num_rows], indptr, indices, values)
+    except DataFormatError:
+        return None
 
 
-def save_libfm(instances, path) -> None:
-    """Write instances (packed or a list) one line each, the bytes
-    format_libfm_line gives, a chunk of rows per write.
+def save_libfm(instances: PackedInstances, path) -> None:
+    """Write a pack one row per line, ``label idx:value ...`` with every
+    number spelled by ``repr`` (so load_libfm reads back the same bits), a
+    chunk of rows per write.
 
     Each chunk is one uint8 matrix with a row per token (a label, or an
     ``index:value`` entry), NUL-padded: index digits by column arithmetic,
     labels and values spelled by ``repr`` once per distinct float64 bit
-    pattern (so -0.0, nan, inf and subnormals keep Python's spelling), each
+    pattern (so -0.0 and subnormals keep Python's spelling), each
     token ended by a space or, last in its line, a newline. Dropping the NULs
     leaves the chunk's text.
     """
@@ -308,25 +281,20 @@ def _libfm_bytes(rows: PackedInstances) -> bytes:
 
 
 def spell_integers(numbers: np.ndarray) -> np.ndarray:
-    """The decimal spelling of each integer, as ``str()`` gives it, in the
-    rows of a uint8 matrix: right-aligned, NUL-padded on the left."""
-    numbers = np.asarray(numbers, dtype=np.int64)
-    # magnitudes in uint64, where -(-2**63) still fits
-    rest = np.where(numbers < 0, np.uint64(0) - numbers.view(np.uint64),
-                    numbers.view(np.uint64))
+    """The decimal spelling of each non-negative integer, as ``str()`` gives
+    it, in the rows of a uint8 matrix: right-aligned, NUL-padded on the left."""
+    rest = numbers = np.asarray(numbers, dtype=np.int64)
     places = len(str(int(rest.max(initial=0))))
     if places < 10:    # below 2**32: a narrower division is faster
         rest = rest.astype(np.uint32)
     ten = rest.dtype.type(10)
-    text = np.zeros((numbers.size, places + 1), dtype=np.uint8)   # room for a sign
-    for column in range(places, 0, -1):
+    text = np.zeros((numbers.size, places), dtype=np.uint8)
+    for column in range(places - 1, -1, -1):
         quotient = rest // ten
         digit = (rest - quotient * ten).astype(np.uint8) + np.uint8(48)
         text[:, column] = np.where(rest > 0, digit, np.uint8(0))
         rest = quotient
-    text[numbers == 0, places] = ord("0")
-    negative = np.flatnonzero(numbers < 0)
-    text[negative, places - np.count_nonzero(text[negative], axis=1)] = ord("-")
+    text[numbers == 0, -1] = ord("0")
     return text
 
 
@@ -588,41 +556,72 @@ def negative_sample(positives, space: FeatureSpace, item_field: int, k: int,
 @dataclass(frozen=True, eq=False)
 class PackedInstances:
     """Instances in CSR form: row r has label ``labels[r]`` and the entries
-    ``indices[indptr[r]:indptr[r + 1]]`` (strictly increasing) with their
-    ``values``. The one in-memory form of any number of instances."""
+    ``indices[indptr[r]:indptr[r + 1]]`` with their ``values``; the one
+    in-memory form of any number of instances. Making one checks its rows
+    (DataFormatError): 1-d float64 labels and values, int64 indptr and indices;
+    indptr rises from 0 to the number of indices and values, one entry per row
+    plus one; each row's indices increase strictly within [0, 10**18); all finite."""
 
     labels: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        arrays = (self.labels, self.indptr, self.indices, self.values)
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == kind for a, kind
+                   in zip(arrays, (np.float64, np.int64, np.int64, np.float64))):
+            raise DataFormatError("need 1-d float64 labels and values, int64 indptr and indices")
+        labels, indptr, indices, values = arrays
+        n = indices.size
+        if (indptr.size != labels.size + 1 or indptr[0] != 0 or indptr[-1] != n
+                or values.size != n or np.any(indptr[1:] < indptr[:-1])):
+            raise DataFormatError(f"indptr must rise from 0 to the {n} indices and values, "
+                                  f"in one entry per row plus one")
+        first = np.zeros(n + 1, dtype=bool)    # where a row starts
+        first[indptr] = True
+        limit = 10**MAX_INDEX_DIGITS    # a longer index would not read back
+        wrong = indices.view(np.uint64) >= limit    # a negative index wraps past it
+        wrong[1:] |= (indices[1:] <= indices[:-1]) & ~first[1:-1]
+        wrong |= ~np.isfinite(values)
+        if wrong.any():
+            at = int(wrong.argmax())
+            index, before = int(indices[at]), -1 if first[at] else int(indices[at - 1])
+            raise DataFormatError(
+                f"negative feature index {index}" if index < 0 else
+                f"feature index {index} over {MAX_INDEX_DIGITS} digits" if index >= limit else
+                f"duplicate feature index {index}" if index == before else
+                f"unsorted feature index {index} after {before}" if index < before else
+                f"non-finite value for feature {index}")
+        if not np.isfinite(labels).all():
+            raise DataFormatError("non-finite label")
+
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __add__(self, other) -> "PackedInstances":
-        """The rows of ``self`` followed by the rows of ``other`` (packed or a list)."""
+    def __add__(self, other: PackedInstances) -> PackedInstances:
+        """The rows of ``self`` followed by the rows of the pack ``other``."""
         return _concat([self, PackedInstances.from_instances(other)])
 
     @classmethod
-    def from_instances(cls, instances, num_features: int | None = None) -> "PackedInstances":
-        """Pack a sequence of SparseInstance; a PackedInstances is returned
-        as it is. With ``num_features``, an index outside [0, num_features)
-        raises DataFormatError."""
-        packed = instances if isinstance(instances, PackedInstances) else _pack_rows(instances)
-        if num_features is not None and packed.indices.size:
-            top, low = int(packed.indices.max()), int(packed.indices.min())
+    def from_instances(cls, instances, num_features: int | None = None) -> PackedInstances:
+        """``instances`` as it is, if it is a PackedInstances (else ConfigError) with,
+        given ``num_features``, no index past ``num_features - 1`` (else DataFormatError)."""
+        if not isinstance(instances, PackedInstances):
+            raise ConfigError(f"instances must be a PackedInstances, got "
+                              f"{type(instances).__name__}")
+        if num_features is not None and instances.indices.size:
+            top = int(instances.indices.max())
             if top >= num_features:
                 raise DataFormatError(f"feature index {top} outside [0, {num_features})")
-            if low < 0:
-                raise DataFormatError(f"negative feature index {low}")
-        return packed
+        return instances
 
     def row_range(self, lo: int, hi: int) -> "PackedInstances":
         """Rows lo up to hi (clipped to the last), as views of these arrays
         but for the rebased indptr."""
         indptr = self.indptr[lo:hi + 1]
         a, b = indptr[0], indptr[-1]
-        return PackedInstances(self.labels[lo:hi], indptr - a, self.indices[a:b], self.values[a:b])
+        return _taken(self.labels[lo:hi], indptr - a, self.indices[a:b], self.values[a:b])
 
     def take(self, selection) -> "PackedInstances":
         """Sub-pack holding the given instance rows, in the given order."""
@@ -631,22 +630,23 @@ class PackedInstances:
         out_indptr = np.r_[0, np.cumsum(out_lengths)]
         source = np.arange(out_indptr[-1]) + np.repeat(self.indptr[sel] - out_indptr[:-1],
                                                        out_lengths)
-        return PackedInstances(self.labels[sel], out_indptr, self.indices[source],
-                               self.values[source])
+        return _taken(self.labels[sel], out_indptr, self.indices[source], self.values[source])
 
 
-def _pack_rows(instances) -> PackedInstances:
-    lengths = np.fromiter((len(p.entries) for p in instances), dtype=np.int64,
-                          count=len(instances))
-    indptr = np.r_[0, np.cumsum(lengths)]
-    indices = np.array([i for p in instances for i, _ in p.entries], dtype=np.int64)
-    values = np.array([v for p in instances for _, v in p.entries], dtype=np.float64)
-    labels = np.array([p.label for p in instances], dtype=np.float64)
-    return PackedInstances(labels, indptr, indices, values)
+def _no_rows() -> PackedInstances:
+    return PackedInstances(np.zeros(0), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                           np.zeros(0))
 
 
 def _concat(parts: list[PackedInstances]) -> PackedInstances:
     lengths = np.concatenate([np.diff(p.indptr) for p in parts])
-    return PackedInstances(np.concatenate([p.labels for p in parts]), np.r_[0, np.cumsum(lengths)],
-                           np.concatenate([p.indices for p in parts]),
-                           np.concatenate([p.values for p in parts]))
+    return _taken(np.concatenate([p.labels for p in parts]), np.r_[0, np.cumsum(lengths)],
+                  np.concatenate([p.indices for p in parts]),
+                  np.concatenate([p.values for p in parts]))
+
+
+def _taken(labels, indptr, indices, values) -> PackedInstances:
+    """A pack of whole rows of packs checked when made, so not checked again."""
+    packed = object.__new__(PackedInstances)
+    packed.__dict__.update(labels=labels, indptr=indptr, indices=indices, values=values)
+    return packed

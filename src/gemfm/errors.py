@@ -30,14 +30,15 @@ class TrainingDivergedError(GemfmError):
 
 def check(name, value, kind, low=None, high=None, *, above=None, below=None):
     """Return ``value`` if it is one of the tuple ``kind``, or an integer (``kind`` int) or
-    finite real number (``kind`` float) within the bounds given: [low, high], [low, below),
-    >= low or > above. Otherwise raise a ConfigError that names it."""
+    finite real number (``kind`` float), not a bool, within the bounds given: [low, high],
+    [low, below), >= low or > above. Otherwise raise a ConfigError that names it."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"unknown {name} {value!r}")
-    elif kind is int and not isinstance(value, numbers.Integral):
+    elif kind is int and not (number and isinstance(value, numbers.Integral)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    elif kind is float and not (isinstance(value, numbers.Real) and abs(value) <= float_info.max):
+    elif kind is float and not (number and abs(value) <= float_info.max):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     elif below is not None and not low <= value < below:
         raise ConfigError(f"{name} {value!r} outside [{low}, {below})")

@@ -192,7 +192,7 @@ def build_graph(instances, space: FeatureSpace, included_fields=None,
 
     packed = PackedInstances.from_instances(instances)
     idx = packed.indices
-    outside = np.flatnonzero((idx < 0) | (idx >= m))
+    outside = np.flatnonzero(idx >= m)
     if outside.size:
         pos = int(np.searchsorted(packed.indptr, outside[0], side="right")) - 1
         raise GraphFormatError(

@@ -240,8 +240,6 @@ def batch_design(packed: PackedInstances) -> tuple[np.ndarray, sparse.csr_array,
     is the one place a batch's node set is computed.
     """
     indices = packed.indices
-    if indices.size and indices.min() < 0:
-        raise DataFormatError(f"negative feature index {int(indices.min())}")
     nodes, local = node_set(indices, int(indices.max(initial=-1)) + 1)
     local = local[indices]
     shape = (len(packed), nodes.size)
@@ -264,7 +262,7 @@ def scores_from_design(params: ModelParams, nodes: np.ndarray,
 
 def predict_batch(instances, params: ModelParams,
                   norm: sparse.csr_array | None = None) -> np.ndarray:
-    """Deterministic batch scoring (dropout never applies here) of a PackedInstances or a list.
+    """Deterministic batch scoring (dropout never applies here) of a PackedInstances.
 
     Rows are scored _PREDICT_CHUNK at a time. With convolution layers, each distinct node of the
     input is embedded once per call, into a table of distinct nodes x d floats that the chunks

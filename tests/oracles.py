@@ -7,7 +7,7 @@ shortcut.
 
 import numpy as np
 
-from gemfm import DataFormatError, PackedInstances, SparseInstance, parse_libfm_line
+from gemfm import DataFormatError, PackedInstances, parse_libfm_line
 from gemfm.train import ADAM_BETA1, ADAM_BETA2, EPSILON
 
 
@@ -22,11 +22,12 @@ def pairwise_interaction(values, rows):
 
 
 def pairwise_score(instance, embedding_rows, w, w0):
-    """Full model score with the naive pairwise sum."""
-    idx = [i for i, _ in instance.entries]
-    vals = [v for _, v in instance.entries]
+    """Full model score of a (label, entries) row with the naive pairwise sum."""
+    _, entries = instance
+    idx = [i for i, _ in entries]
+    vals = [v for _, v in entries]
     rows = [embedding_rows[i] for i in idx]
-    linear = w0 + sum(w[i] * v for i, v in instance.entries)
+    linear = w0 + sum(w[i] * v for i, v in entries)
     return linear + pairwise_interaction(vals, rows)
 
 
@@ -179,17 +180,27 @@ def adam_rows_reference(param, mom, accum, grad, rows, lr, c1, c2):
     param[rows] = param[rows] - lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
 
 
+def packed_rows(rows):
+    """A PackedInstances straight from (label, [(index, value), ...]) rows."""
+    rows = list(rows)
+    entries = [entry for _, row in rows for entry in row]
+    return PackedInstances(np.array([label for label, _ in rows], dtype=np.float64),
+                           np.cumsum([0] + [len(row) for _, row in rows], dtype=np.int64),
+                           np.array([i for i, _ in entries], dtype=np.int64),
+                           np.array([v for _, v in entries], dtype=np.float64))
+
+
 def unpack(packed):
-    """The rows of a PackedInstances as SparseInstance objects, in order."""
+    """The rows of a PackedInstances as (label, ((index, value), ...)) tuples, in order."""
     bounds = packed.indptr.tolist()
     indices, values = packed.indices.tolist(), packed.values.tolist()
-    return [SparseInstance(label, tuple(zip(indices[a:b], values[a:b])))
+    return [(label, tuple(zip(indices[a:b], values[a:b])))
             for label, a, b in zip(packed.labels.tolist(), bounds, bounds[1:])]
 
 
 def load_libfm_reference(path):
     """The line-by-line libFM reader: parse_libfm_line on every line that is
-    not blank or a comment, then one PackedInstances.from_instances."""
+    not blank or a comment, then one pack of all their rows."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -197,12 +208,12 @@ def load_libfm_reference(path):
                 if not line.split("#", 1)[0].strip():
                     continue
                 try:
-                    rows.append(parse_libfm_line(line, lineno))
+                    rows += unpack(parse_libfm_line(line, lineno))
                 except DataFormatError as exc:
                     raise DataFormatError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return PackedInstances.from_instances(rows)
+    return packed_rows(rows)
 
 
 def packed_equal(a, b):
@@ -213,16 +224,16 @@ def packed_equal(a, b):
 
 
 def negative_sample_reference(positives, space, item_field, k, seed=0):
-    """Per-instance negative sampling over a list of SparseInstance: keys each
-    context by its tuple of (index, value) entries, draws with the same RNG
-    calls in the same order, and builds each negative as a sorted tuple.
-    Returns (negatives, number of positives that came up short)."""
+    """Per-instance negative sampling over a list of (label, entries) rows:
+    keys each context by its tuple of (index, value) entries, draws with the
+    same RNG calls in the same order, and builds each negative as a row of
+    sorted entries. Returns (negatives, number of positives that came up short)."""
     start, end = space.field_range(item_field)
     contexts, clicked = [], {}
-    for inst in positives:
-        (item,) = [i for i, _ in inst.entries if start <= i < end]
-        context = tuple(e for e in inst.entries if not start <= e[0] < end)
-        item_value = next(v for i, v in inst.entries if i == item)
+    for _, entries in positives:
+        (item,) = [i for i, _ in entries if start <= i < end]
+        context = tuple(e for e in entries if not start <= e[0] < end)
+        item_value = next(v for i, v in entries if i == item)
         contexts.append((context, item_value))
         clicked.setdefault(context, set()).add(item)
     rng = np.random.default_rng(seed)
@@ -245,13 +256,13 @@ def negative_sample_reference(positives, space, item_field, k, seed=0):
                                 np.array(sorted(taken), dtype=np.int64))
             draws = [int(d) for d in rng.choice(pool, size=take, replace=False)]
         for drawn in draws:
-            negatives.append(SparseInstance(0.0, tuple(sorted(context + ((drawn, item_value),)))))
+            negatives.append((0.0, tuple(sorted(context + ((drawn, item_value),)))))
     return negatives, short
 
 
 def save_libfm_reference(instances, path):
-    """The line-at-a-time libFM writer: one format_libfm_line string per row,
-    built from Python numbers."""
+    """The line-at-a-time libFM writer: one ``label idx:value ...`` string per
+    row, each number spelled by repr of a Python float."""
     packed = PackedInstances.from_instances(instances)
     bounds = packed.indptr.tolist()
     entries = list(zip(packed.indices.tolist(), packed.values.tolist()))

@@ -12,16 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from gemfm import (FeatureGraph, FeatureSpace, ModelParams, SparseInstance,
-                   TrainConfig, build_graph, count_params, loss_and_grads, mae,
-                   normalize, parse_libfm_line, format_libfm_line,
-                   predict_batch, rmse, sample_neighbors, train)
+from gemfm import (FeatureGraph, FeatureSpace, ModelParams, TrainConfig, build_graph,
+                   count_params, loss_and_grads, mae, normalize, parse_libfm_line,
+                   predict_batch, rmse, sample_neighbors, save_libfm, train)
 from gemfm.data import PackedInstances
 from gemfm.datagen import ClickDataConfig, click_benchmark, click_space
 from gemfm.model import gcn_embed
 from oracles import (decayed_dense_gradients, dense_gcn_rows, dense_gradients,
                      dense_normalized_adjacency, finite_difference_gradients,
-                     gradient_agreement, pairwise_score)
+                     gradient_agreement, packed_rows, pairwise_score, unpack)
 
 
 def _random_graph(rng, m, density=0.1):
@@ -33,7 +32,7 @@ def _random_graph(rng, m, density=0.1):
 def _random_instance(rng, m, max_active, lo=-2.0, hi=2.0):
     k = int(rng.integers(1, min(max_active, m) + 1))
     idx = np.sort(rng.choice(m, size=k, replace=False))
-    return SparseInstance(
+    return (
         float(rng.normal()),
         tuple((int(i), float(rng.uniform(lo, hi))) for i in idx),
     )
@@ -66,11 +65,11 @@ def test_criterion_1_scoring_matches_pairwise_oracle():
         for _ in range(20):
             inst = _random_instance(rng, m, max_active=20)
             want_flat = pairwise_score(inst, table, params.w, params.w0)
-            got_flat = predict_batch([inst], flat)[0]
+            got_flat = predict_batch(packed_rows([inst]), flat)[0]
             # 1e-6 relative, with a 1e-9 guard for near-cancelled oracles
             assert got_flat == pytest.approx(want_flat, rel=1e-6, abs=1e-9)
             want_conv = pairwise_score(inst, conv_rows, params.w, params.w0)
-            got_conv = predict_batch([inst], params, norm)[0]
+            got_conv = predict_batch(packed_rows([inst]), params, norm)[0]
             assert got_conv == pytest.approx(want_conv, rel=1e-6, abs=1e-9)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -97,7 +96,7 @@ def test_criterion_2_gradients_match_finite_differences():
         graph = _random_graph(rng, m, density=0.3)
         norm = normalize(graph) if layers else None
         batch = PackedInstances.from_instances(
-            [_random_instance(rng, m, max_active=4) for _ in range(4)], m)
+            packed_rows(_random_instance(rng, m, max_active=4) for _ in range(4)), m)
 
         for attempt in range(60):
             params = ModelParams.initialize(
@@ -149,11 +148,12 @@ def test_criterion_3_convolution_degrades_to_plain_fm_bitwise():
     edgeless = FeatureGraph(m, np.zeros((0, 2), dtype=np.int64))
     norm = normalize(edgeless)
     instances = [_random_instance(rng, m, max_active=6) for _ in range(200)]
-    batch = PackedInstances.from_instances(instances, m)
+    batch = PackedInstances.from_instances(packed_rows(instances), m)
 
     # scores, elementwise and batched
     for inst in instances:
-        assert predict_batch([inst], conv, norm)[0] == predict_batch([inst], flat)[0]
+        one = packed_rows([inst])
+        assert predict_batch(one, conv, norm)[0] == predict_batch(one, flat)[0]
     np.testing.assert_array_equal(predict_batch(batch, conv, norm),
                                   predict_batch(batch, flat))
 
@@ -185,10 +185,10 @@ def test_criterion_3_convolution_degrades_to_plain_fm_bitwise():
     zero_ratio = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=1,
                              patience=1, dropout_ratio=0.2, seed=13,
                              sampling_ratio=0.0)
-    val = instances[:40]
-    base, base_report = train(instances, val, space, config, dim=d)
+    val = batch.row_range(0, 40)
+    base, base_report = train(batch, val, space, config, dim=d)
     for graph, cfg in ((edgeless, config), (star, zero_ratio)):
-        got_params, got_report = train(instances, val, space, cfg, dim=d,
+        got_params, got_report = train(batch, val, space, cfg, dim=d,
                                        num_layers=1, graph=graph)
         assert got_params.w0 == base.w0
         np.testing.assert_array_equal(got_params.w, base.w)
@@ -282,13 +282,14 @@ def test_criterion_6_full_sampling_beats_sparse_sampling(desk_scale):
 # 7. Property bundle: the invariants hold with no network access and no
 #    real data (everything above is synthesized in-process too).
 
-def test_criterion_7_property_bundle():
+def test_criterion_7_property_bundle(tmp_path):
     rng = np.random.default_rng(77)
 
     # data round-trip
     for _ in range(200):
         inst = _random_instance(rng, 500, max_active=8, lo=-100.0, hi=100.0)
-        assert parse_libfm_line(format_libfm_line(inst)) == inst
+        save_libfm(packed_rows([inst]), tmp_path / "one.libfm")
+        assert unpack(parse_libfm_line((tmp_path / "one.libfm").read_text())) == [inst]
 
     # normalization: symmetric, matches the dense oracle
     for _ in range(10):
@@ -315,8 +316,8 @@ def test_criterion_7_property_bundle():
             u = int(local.integers(0, 4))
             i = 4 + int(local.integers(0, 6))
             label = truth[u] + truth[i] + 0.5 * truth[u] * truth[i]
-            out.append(SparseInstance(float(label), ((u, 1.0), (i, 1.0))))
-        return out
+            out.append((float(label), ((u, 1.0), (i, 1.0))))
+        return packed_rows(out)
 
     config = TrainConfig(learning_rate=0.4, batch_size=16, max_epochs=80,
                          patience=3, seed=0)

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gemfm import (FeatureSpace, PackedInstances, SparseInstance, TrainConfig, build_graph,
-                   load_libfm, normalize, predict_batch, save_libfm)
+from gemfm import (FeatureSpace, PackedInstances, TrainConfig, build_graph, load_libfm,
+                   normalize, predict_batch, save_libfm)
 from gemfm.datagen import ClickDataConfig, click_benchmark
-from oracles import packed_equal
+from oracles import packed_equal, packed_rows
 
 TINY = ClickDataConfig(num_users=20, num_items=16, num_countries=3, num_cities=6,
                        num_clusters=2, num_transactions=200, seed=1)
@@ -39,9 +39,9 @@ class _CountingKernel:
 
 def _data(seed, n):
     rng = np.random.default_rng(seed)
-    return [SparseInstance(float(rng.normal()),
-                           ((int(rng.integers(0, 5)), 1.0), (5 + int(rng.integers(0, 6)), 1.0)))
-            for _ in range(n)]
+    return packed_rows((float(rng.normal()),
+                        ((int(rng.integers(0, 5)), 1.0), (5 + int(rng.integers(0, 6)), 1.0)))
+                       for _ in range(n))
 
 
 def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path, monkeypatch):

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, GemfmError, ModelParams,
-                   SparseInstance, build_graph, count_params, format_libfm_line, format_report,
-                   load_libfm, TrainConfig, metric_report, normalize, predict_batch, save_libfm)
+                   build_graph, count_params, format_report, load_libfm, TrainConfig,
+                   metric_report, normalize, predict_batch, save_libfm)
 from gemfm.datagen import ClickDataConfig, click_benchmark
 from gemfm.cli import _OPTIONS, _settings, _train_config, build_parser, main
+from oracles import packed_rows, unpack
 
 
 @pytest.fixture()
@@ -30,7 +31,8 @@ def workspace(tmp_path):
         u = int(rng.integers(0, 4))
         i = 4 + int(rng.integers(0, 5))
         label = truth[u] + truth[i] + 0.5 * truth[u] * truth[i] + 0.05 * rng.normal()
-        instances.append(SparseInstance(float(label), ((u, 1.0), (i, 1.0))))
+        instances.append((float(label), ((u, 1.0), (i, 1.0))))
+    instances = packed_rows(instances)
     data = tmp_path / "data.libfm"
     save_libfm(instances, data)
     fmap = tmp_path / "fields.tsv"
@@ -95,12 +97,12 @@ def test_train_is_reproducible_at_the_command_line(workspace, capsys):
 
 def test_train_presplit_with_prebuilt_graph(workspace, capsys):
     tmp_path, data, fmap, instances = workspace
-    for name, chunk in (("tr", instances[:60]), ("va", instances[60:70]),
-                        ("te", instances[70:])):
+    for name, chunk in (("tr", instances.row_range(0, 60)), ("va", instances.row_range(60, 70)),
+                        ("te", instances.row_range(70, 80))):
         save_libfm(chunk, tmp_path / f"{name}.libfm")
     space = FeatureSpace.from_cardinalities(["user", "item"], [4, 5])
     with pytest.warns(RuntimeWarning):
-        graph = build_graph(instances[:60], space)
+        graph = build_graph(instances.row_range(0, 60), space)
     graph.save(tmp_path / "graph.txt")
 
     rc = main(["train", "--train", str(tmp_path / "tr.libfm"),
@@ -167,15 +169,14 @@ def test_evaluate_matches_library_metrics(workspace, capsys):
 
     params = ModelParams.load(tmp_path / "model.bin")
     preds = predict_batch(instances, params)
-    labels = [inst.label for inst in instances]
-    expected = format_report(metric_report(preds, labels, count_params(params)))
+    expected = format_report(metric_report(preds, instances.labels, count_params(params)))
     assert captured.out.strip() == expected
 
 
 def test_evaluate_clip_tightens_binary_errors(workspace, capsys):
     tmp_path, data, fmap, instances = workspace
-    binary = [SparseInstance(float(k % 2), inst.entries)
-              for k, inst in enumerate(instances)]
+    binary = packed_rows((float(k % 2), entries)
+                         for k, (_, entries) in enumerate(unpack(instances)))
     bdata = tmp_path / "binary.libfm"
     save_libfm(binary, bdata)
     main(_train_args(bdata, fmap, tmp_path))
@@ -319,8 +320,8 @@ def test_run_report_config_lines_are_pinned(workspace, capsys):
 def test_graph_pairs_alone_build_the_pair_list_graph(tmp_path, capsys):
     # item-item co-occurrences are linked by default, not by the pair user:item
     space = FeatureSpace.from_cardinalities(["user", "item"], [4, 5])
-    instances = [SparseInstance(1.0, ((u, 1.0), (4 + i, 1.0), (5 + i, 1.0)))
-                 for u in range(4) for i in range(0, 4, 2)]
+    instances = packed_rows((1.0, ((u, 1.0), (4 + i, 1.0), (5 + i, 1.0)))
+                            for u in range(4) for i in range(0, 4, 2))
     data, fmap, out = tmp_path / "data.libfm", tmp_path / "fields.tsv", tmp_path / "graph.txt"
     save_libfm(instances, data)
     fmap.write_text("user\t0\t4\nitem\t4\t9\n")
@@ -460,7 +461,7 @@ def test_too_few_rows_to_train_fail_cleanly(workspace, capsys, presplit):
                   "--test", str(data)]
         sizes = "80 train, 0 validation and 80 test rows"
     else:
-        save_libfm(instances[:3], tmp_path / "three.libfm")
+        save_libfm(instances.row_range(0, 3), tmp_path / "three.libfm")
         source = ["--data", str(tmp_path / "three.libfm")]
         sizes = "3 train, 0 validation and 0 test rows"
     rc = main(["train", *source, "--field-map", str(fmap), "--dim", "2", "--layers", "0",
@@ -631,10 +632,10 @@ def _one_call(data, model, graph):
 @pytest.mark.parametrize("chunk_chars, block", [(40, 3), (64, 8), (200, 16), (1 << 18, 8192)])
 def test_streamed_predict_and_evaluate_match_one_call(workspace, capsys, monkeypatch,
                                                       chunk_chars, block):
-    tmp_path, _, _, instances = workspace
+    tmp_path, saved, _, _ = workspace
     # comments, blank lines, CRLF, a non-ASCII comment and a 40-character
     # value: those last two send their chunks to the line-by-line parser
-    lines = [format_libfm_line(inst) for inst in instances]
+    lines = saved.read_text().splitlines()
     lines[3] += " # café"
     lines[30] = lines[30].replace(":1.0", ":1." + "0" * 38, 1)
     lines[50:50] = ["# a comment line", "", "   "]

@@ -9,37 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfm import (ConfigError, DataFormatError, FeatureSpace, GemfmError, SparseInstance,
-                   format_field_map, format_libfm_line, load_field_map,
-                   load_libfm, negative_sample, parse_libfm_line, save_libfm,
+from gemfm import (ConfigError, DataFormatError, FeatureSpace, GemfmError, format_field_map,
+                   load_field_map, load_libfm, negative_sample, parse_libfm_line, save_libfm,
                    split_dataset)
 from gemfm.data import PackedInstances, _largest_remainder_sizes, ascii_tokens
 from oracles import (load_libfm_reference, negative_sample_reference, packed_equal,
-                     save_libfm_reference, unpack)
+                     packed_rows, save_libfm_reference, unpack)
 
 
 # --- libFM lines ---
 
 def test_parse_basic_line():
-    inst = parse_libfm_line("1.0 0:1 5:0.5 2:2")
-    assert inst.label == 1.0
-    assert inst.entries == ((0, 1.0), (2, 2.0), (5, 0.5))
+    assert unpack(parse_libfm_line("1.0 0:1 5:0.5 2:2")) == [(1.0, ((0, 1.0), (2, 2.0), (5, 0.5)))]
 
 
 def test_parse_sorts_entries():
-    inst = parse_libfm_line("-1 9:1 3:1 7:1")
-    assert [i for i, _ in inst.entries] == [3, 7, 9]
+    assert parse_libfm_line("-1 9:1 3:1 7:1").indices.tolist() == [3, 7, 9]
 
 
 def test_parse_label_only_line():
-    inst = parse_libfm_line("0.25")
-    assert inst.label == 0.25
-    assert inst.entries == ()
+    assert unpack(parse_libfm_line("0.25")) == [(0.25, ())]
 
 
 def test_parse_strips_comments():
-    inst = parse_libfm_line("1 2:3 # trailing note")
-    assert inst.entries == ((2, 3.0),)
+    assert unpack(parse_libfm_line("1 2:3 # trailing note")) == [(1.0, ((2, 3.0),))]
 
 
 @pytest.mark.parametrize("line,fragment", [
@@ -70,25 +63,51 @@ def test_parse_error_carries_line_number():
 
 def test_instance_validates_itself():
     with pytest.raises(DataFormatError):
-        SparseInstance(1.0, ((3, 1.0), (1, 1.0)))
+        packed_rows([(1.0, ((3, 1.0), (1, 1.0)))])
     with pytest.raises(DataFormatError):
-        SparseInstance(1.0, ((-1, 1.0),))
+        packed_rows([(1.0, ((-1, 1.0),))])
     with pytest.raises(DataFormatError):
-        SparseInstance(float("nan"), ())
+        packed_rows([(float("nan"), ())])
 
 
-@given(st.builds(
-    SparseInstance,
-    label=st.floats(-1e6, 1e6, allow_nan=False),
-    entries=st.lists(
-        st.tuples(st.integers(0, 10**6),
-                  st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v == v)),
-        max_size=12, unique_by=lambda e: e[0],
-    ).map(lambda es: tuple(sorted(es))),
-))
-@settings(max_examples=200)
-def test_line_round_trip(inst):
-    assert parse_libfm_line(format_libfm_line(inst)) == inst
+def _pack(labels=(1.0,), indptr=(0, 2), indices=(3, 5), values=(1.0, 1.0)):
+    """A pack of the given sequences as float64 and int64 arrays, unless already arrays."""
+    def array(items, dtype):
+        return items if isinstance(items, np.ndarray) else np.array(items, dtype=dtype)
+    return PackedInstances(array(labels, np.float64), array(indptr, np.int64),
+                           array(indices, np.int64), array(values, np.float64))
+
+
+@pytest.mark.parametrize("kwargs,fragment", [
+    ({"indices": (2, 2)}, "duplicate feature index 2"),
+    ({"indices": (5, 3)}, "unsorted feature index 3 after 5"),
+    ({"indices": (-1, 3)}, "negative feature index -1"),
+    ({"indices": (3, 10**18)}, "feature index 1000000000000000000 over 18 digits"),
+    ({"values": (1.0, math.nan)}, "non-finite value for feature 5"),
+    ({"labels": (math.nan,)}, "non-finite label"),
+    ({"indices": np.array([3.0, 5.0])}, "int64 indptr and indices"),
+    ({"indptr": (0,)}, "indptr"),
+    ({"labels": (1.0, 0.0), "indptr": (0, 2, 1)}, "indptr"),
+    ({"labels": (1.0, 0.0)}, "indptr"),
+    ({"indptr": (1, 2)}, "indptr"),
+    ({"values": (1.0,)}, "indptr"),
+], ids=["duplicate", "decreasing", "negative", "nineteen_digits", "nan_value", "nan_label",
+        "float_indices", "indptr_short", "indptr_decreasing", "rows_disagree",
+        "indptr_not_from_0", "values_short"])
+def test_pack_refuses_rows_it_could_not_save_and_read_back(kwargs, fragment):
+    # each would be scored as if it were data, or saved as a file that
+    # load_libfm refuses or misreads
+    with pytest.raises(DataFormatError, match=fragment):
+        _pack(**kwargs)
+
+
+def test_pack_keeps_its_checks_across_rows():
+    # the same index in consecutive rows, empty rows, and a row that starts
+    # below the one before are all valid
+    packed = _pack((1.0, 0.0, 2.0, 3.0), (0, 2, 2, 3, 5), (3, 5, 5, 0, 9), (1.0,) * 5)
+    assert len(packed) == 4
+    with pytest.raises(DataFormatError, match="duplicate feature index 9"):
+        _pack((1.0, 0.0), (0, 1, 3), (4, 9, 9), (1.0,) * 3)
 
 
 def test_file_round_trip(tmp_path):
@@ -97,41 +116,34 @@ def test_file_round_trip(tmp_path):
     for _ in range(50):
         k = int(rng.integers(0, 8))
         idx = np.sort(rng.choice(1000, size=k, replace=False))
-        instances.append(SparseInstance(
+        instances.append((
             float(rng.normal()),
             tuple((int(i), float(rng.uniform(-2, 2))) for i in idx),
         ))
     path = tmp_path / "data.libfm"
-    save_libfm(instances, path)
+    save_libfm(packed_rows(instances), path)
     loaded = load_libfm(path)
     assert isinstance(loaded, PackedInstances)
     assert unpack(loaded) == instances
-    assert path.read_text() == "".join(format_libfm_line(i) + "\n" for i in instances)
-    # packed rows write the very same text
+    save_libfm_reference(loaded, tmp_path / "want.libfm")
+    assert path.read_bytes() == (tmp_path / "want.libfm").read_bytes()
+    # the rows read back write the very same text
     again = tmp_path / "again.libfm"
     save_libfm(loaded, again)
     assert again.read_bytes() == path.read_bytes()
 
 
-# floats whose spelling a writer could get wrong, and indices of any width
+# floats whose spelling a writer could get wrong, and indices of any width a
+# pack holds; a row's indices are distinct and sorted, as a pack requires
 _WRITER_FLOAT = st.one_of(
-    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16,
-                     1e-5, 1.0, -2.5]),
-    st.floats())
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1.0, -2.5, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
 _WRITER_INDEX = st.one_of(
-    st.integers(0, 40), st.integers(-2**63, 2**63 - 1),
-    st.sampled_from([10**17, 10**18 - 1, -(10**18 - 1), -1, 2**63 - 1, -2**63]))
+    st.integers(0, 40), st.integers(0, 10**18 - 1),
+    st.sampled_from([10**17, 10**18 - 1, 0, 9, 10]))
 _WRITER_ROWS = st.lists(st.tuples(
-    _WRITER_FLOAT, st.lists(st.tuples(_WRITER_INDEX, _WRITER_FLOAT), max_size=5)), max_size=12)
-
-
-def _packed_rows(rows):
-    """PackedInstances straight from (label, [(index, value), ...]) rows."""
-    entries = [entry for _, row in rows for entry in row]
-    return PackedInstances(np.array([label for label, _ in rows], dtype=np.float64),
-                           np.cumsum([0] + [len(row) for _, row in rows], dtype=np.int64),
-                           np.array([i for i, _ in entries], dtype=np.int64),
-                           np.array([v for _, v in entries], dtype=np.float64))
+    _WRITER_FLOAT, st.dictionaries(_WRITER_INDEX, _WRITER_FLOAT, max_size=5).map(
+        lambda entries: sorted(entries.items()))), max_size=12)
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +156,21 @@ def writer_dir(tmp_path_factory):
 def test_save_libfm_writes_the_line_writer_bytes(writer_dir, rows, chunk_rows):
     # empty rows, signed zeros, NaN, infinities, subnormals, 18-digit and
     # negative indices, zero rows; chunks of 1, 3 and 8192 rows
-    packed = _packed_rows(rows)
+    packed = packed_rows(rows)
     save_libfm_reference(packed, writer_dir / "want.libfm")
     with mock.patch("gemfm.data._CHUNK_ROWS", chunk_rows):
         save_libfm(packed, writer_dir / "got.libfm")
     assert (writer_dir / "got.libfm").read_bytes() == (writer_dir / "want.libfm").read_bytes()
+
+
+@given(_WRITER_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_any_pack_survives_save_then_load_bit_for_bit(writer_dir, rows):
+    # zero rows, empty rows, signed zeros, subnormals, the largest float and
+    # 18-digit indices: every pack that constructs reads back as it was
+    packed = packed_rows(rows)
+    save_libfm(packed, writer_dir / "pack.libfm")
+    assert packed_equal(load_libfm(writer_dir / "pack.libfm"), packed)
 
 
 def test_load_packs_chunk_by_chunk(tmp_path, monkeypatch):
@@ -159,12 +181,12 @@ def test_load_packs_chunk_by_chunk(tmp_path, monkeypatch):
              "4 7:1", "5 8:2", "6 0:3"]
     path = tmp_path / "data.libfm"
     path.write_text("\n".join(lines) + "\n")
-    expected = PackedInstances.from_instances(
-        [parse_libfm_line(line) for line in lines if line.split("#")[0].strip()])
+    expected = packed_rows(row for line in lines if line.split("#")[0].strip()
+                           for row in unpack(parse_libfm_line(line)))
     assert packed_equal(load_libfm(path), expected)
     empty = tmp_path / "empty.libfm"
     empty.write_text("# nothing\n")
-    assert packed_equal(load_libfm(empty), PackedInstances.from_instances([]))
+    assert packed_equal(load_libfm(empty), packed_rows([]))
 
 
 def test_load_skips_blank_and_comment_lines(tmp_path):
@@ -463,7 +485,7 @@ def test_remainder_rounding_prefers_train():
 
 
 def _tiny_instances(n):
-    return [SparseInstance(float(i), ((i, 1.0),)) for i in range(n)]
+    return packed_rows((float(i), ((i, 1.0),)) for i in range(n))
 
 
 def test_split_covers_exactly_once():
@@ -484,14 +506,11 @@ def test_split_is_deterministic_and_seed_sensitive():
     c = split_dataset(instances, seed=2)
     assert packed_equal(a.train, b.train) and packed_equal(a.test, b.test)
     assert not packed_equal(a.train, c.train)
-    # a packed input splits into the same rows as its list
-    d = split_dataset(PackedInstances.from_instances(instances), seed=1)
-    assert packed_equal(a.train, d.train) and packed_equal(a.validation, d.validation)
 
 
 def test_split_rejects_bad_input():
     with pytest.raises(ValueError, match="empty"):
-        split_dataset([], (0.8, 0.1, 0.1))
+        split_dataset(packed_rows([]), (0.8, 0.1, 0.1))
     with pytest.raises(ValueError, match="sum to 1"):
         split_dataset(_tiny_instances(3), (0.8, 0.1, 0.2))
     with pytest.raises(ValueError, match="positive"):
@@ -509,46 +528,46 @@ def test_split_rejects_bad_input():
 # --- negative sampling ---
 
 def _click(user, item, label=1.0):
-    return SparseInstance(label, ((user, 1.0), (item, 1.0)))
+    return (label, ((user, 1.0), (item, 1.0)))
 
 
 def test_negative_sampling_exhausts_small_vocab():
     # 2 users, 3 items; one positive for user 0 on item A leaves items B, C
     space = FeatureSpace.from_cardinalities(["user", "item"], [2, 3])
-    positives = [_click(0, 2)]
+    positives = packed_rows([_click(0, 2)])
     negatives = unpack(negative_sample(positives, space, item_field=1, k=2, seed=0))
-    assert sorted(n.entries[1][0] for n in negatives) == [3, 4]
-    assert all(n.label == 0.0 for n in negatives)
-    assert all(n.entries[0] == (0, 1.0) for n in negatives)
+    assert sorted(entries[1][0] for _, entries in negatives) == [3, 4]
+    assert all(label == 0.0 for label, _ in negatives)
+    assert all(entries[0] == (0, 1.0) for _, entries in negatives)
 
 
 def test_negative_sampling_excludes_clicked_under_same_context():
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 4])
-    positives = [_click(0, 1), _click(0, 2), _click(0, 3)]
+    positives = packed_rows([_click(0, 1), _click(0, 2), _click(0, 3)])
     negatives = unpack(negative_sample(positives, space, item_field=1, k=1, seed=3))
-    assert [n.entries[1][0] for n in negatives] == [4, 4, 4]
+    assert [entries[1][0] for _, entries in negatives] == [4, 4, 4]
 
 
 def test_negative_sampling_warns_on_shortfall():
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 2])
-    positives = [_click(0, 1)]
+    positives = packed_rows([_click(0, 1)])
     with pytest.warns(RuntimeWarning, match="fewer than 3"):
         negatives = unpack(negative_sample(positives, space, item_field=1, k=3, seed=0))
-    assert [n.entries[1][0] for n in negatives] == [2]
+    assert [entries[1][0] for _, entries in negatives] == [2]
 
 
 def test_negative_sampling_copies_item_value():
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 3])
-    positives = [SparseInstance(1.0, ((0, 1.0), (1, 0.5)))]
+    positives = packed_rows([(1.0, ((0, 1.0), (1, 0.5)))])
     negatives = unpack(negative_sample(positives, space, item_field=1, k=2, seed=0))
-    assert all(n.entries[1][1] == 0.5 for n in negatives)
+    assert all(entries[1][1] == 0.5 for _, entries in negatives)
 
 
 def test_negative_sampling_is_deterministic():
     rng = np.random.default_rng(11)
     space = FeatureSpace.from_cardinalities(["user", "item"], [10, 50])
-    positives = [_click(int(rng.integers(0, 10)), int(10 + rng.integers(0, 50)))
-                 for _ in range(40)]
+    positives = packed_rows([_click(int(rng.integers(0, 10)), int(10 + rng.integers(0, 50)))
+                             for _ in range(40)])
     a = negative_sample(positives, space, item_field=1, k=2, seed=9)
     b = negative_sample(positives, space, item_field=1, k=2, seed=9)
     assert packed_equal(a, b)
@@ -557,7 +576,7 @@ def test_negative_sampling_is_deterministic():
 
 def test_negative_sampling_is_roughly_uniform():
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 11])
-    positives = [_click(0, 1)]
+    positives = packed_rows([_click(0, 1)])
     counts = np.zeros(11)
     for seed in range(4000):
         for item in negative_sample(positives, space, item_field=1, k=1, seed=seed).indices[1::2]:
@@ -571,43 +590,39 @@ def test_negative_sampling_is_roughly_uniform():
 def test_negative_sampling_keys_contexts_by_entries_and_values():
     # fields user [0, 2), item [2, 6), ctx [6, 8); the item sits mid-row
     space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [2, 4, 2])
-    positives = [
-        SparseInstance(1.0, ((0, 1.0), (2, 1.0), (6, 1.0))),
-        SparseInstance(1.0, ((0, 1.0), (3, 1.0), (6, 2.0))),   # another value
-        SparseInstance(1.0, ((1, 1.0), (4, 0.5))),              # a shorter row
-    ]
+    positives = packed_rows([
+        (1.0, ((0, 1.0), (2, 1.0), (6, 1.0))),
+        (1.0, ((0, 1.0), (3, 1.0), (6, 2.0))),   # another value
+        (1.0, ((1, 1.0), (4, 0.5))),              # a shorter row
+    ])
     negatives = unpack(negative_sample(positives, space, item_field=1, k=3, seed=0))
     by_context = {}
-    for neg in negatives:   # unpack re-checks that every row is sorted
-        assert neg.label == 0.0
-        context = tuple(e for e in neg.entries if not 2 <= e[0] < 6)
-        by_context.setdefault(context, []).append(neg.entries[1])
+    for label, entries in negatives:   # the pack checked that every row is sorted
+        assert label == 0.0
+        context = tuple(e for e in entries if not 2 <= e[0] < 6)
+        by_context.setdefault(context, []).append(entries[1])
     assert sorted(by_context[((0, 1.0), (6, 1.0))]) == [(3, 1.0), (4, 1.0), (5, 1.0)]
     assert sorted(by_context[((0, 1.0), (6, 2.0))]) == [(2, 1.0), (4, 1.0), (5, 1.0)]
     assert sorted(by_context[((1, 1.0),)]) == [(2, 0.5), (3, 0.5), (5, 0.5)]
-    # packed positives give the same negatives as their list
-    packed = negative_sample(PackedInstances.from_instances(positives), space,
-                             item_field=1, k=3, seed=0)
-    assert unpack(packed) == negatives
 
 
 def test_negative_sampling_treats_signed_zeros_as_one_context():
     # (6, 0.0) == (6, -0.0), so both positives share a context and its clicks
     space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [1, 3, 1])
-    positives = [SparseInstance(1.0, ((0, 1.0), (1, 1.0), (4, 0.0))),
-                 SparseInstance(1.0, ((0, 1.0), (2, 1.0), (4, -0.0)))]
+    positives = packed_rows([(1.0, ((0, 1.0), (1, 1.0), (4, 0.0))),
+                             (1.0, ((0, 1.0), (2, 1.0), (4, -0.0)))])
     negatives = unpack(negative_sample(positives, space, item_field=1, k=1, seed=0))
-    assert [n.entries[1][0] for n in negatives] == [3, 3]
+    assert [entries[1][0] for _, entries in negatives] == [3, 3]
 
 
 def test_negative_sampling_tells_an_empty_context_from_zero_valued_entries():
     # (0, 0.0) has all-zero bits, yet it is an entry: the empty context of
     # the first positive is not the context of the second
     space = FeatureSpace.from_cardinalities(["user", "item"], [1, 3])
-    positives = [SparseInstance(1.0, ((1, 1.0),)), SparseInstance(1.0, ((0, 0.0), (2, 1.0)))]
+    positives = packed_rows([(1.0, ((1, 1.0),)), (1.0, ((0, 0.0), (2, 1.0)))])
     negatives = unpack(negative_sample(positives, space, item_field=1, k=2, seed=0))
-    assert sorted(n.entries[-1][0] for n in negatives[:2]) == [2, 3]
-    assert sorted(n.entries[-1][0] for n in negatives[2:]) == [1, 3]
+    assert sorted(entries[-1][0] for _, entries in negatives[:2]) == [2, 3]
+    assert sorted(entries[-1][0] for _, entries in negatives[2:]) == [1, 3]
 
 
 @pytest.mark.parametrize("items,k", [(40, 2), (6, 2), (3, 4)])   # rejection, pool, short
@@ -621,11 +636,11 @@ def test_negative_sampling_matches_per_instance_reference(items, k):
         if rng.random() < 0.6:   # optional context entry, signed zeros included
             entries.append((5 + items + int(rng.integers(0, 3)),
                             float(rng.choice([1.0, 2.0, 0.0, -0.0]))))
-        positives.append(SparseInstance(1.0, tuple(entries)))
+        positives.append((1.0, tuple(entries)))
     expected, short = negative_sample_reference(positives, space, 1, k, seed=3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = negative_sample(positives, space, item_field=1, k=k, seed=3)
+        got = negative_sample(packed_rows(positives), space, item_field=1, k=k, seed=3)
     assert unpack(got) == expected
     assert [str(w.message) for w in caught] == (
         [f"negative_sample: {short} positives had fewer than {k} eligible items"]
@@ -639,15 +654,15 @@ def test_negative_sampling_interleaves_pool_and_rejection_rows(k):
     # odd and even numbers of candidates
     rng = np.random.default_rng(40 + k)
     space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [5, 40, 3])
-    positives = [SparseInstance(1.0, ((0, 1.0), (5 + item, 1.0))) for item in range(36)]
+    positives = [(1.0, ((0, 1.0), (5 + item, 1.0))) for item in range(36)]
     for _ in range(150):
-        positives.append(SparseInstance(1.0, ((int(rng.integers(1, 5)), 1.0),
-                                              (5 + int(rng.integers(0, 40)), 1.0),
-                                              (45 + int(rng.integers(0, 3)), 1.0))))
+        positives.append((1.0, ((int(rng.integers(1, 5)), 1.0),
+                                (5 + int(rng.integers(0, 40)), 1.0),
+                                (45 + int(rng.integers(0, 3)), 1.0))))
     positives = [positives[i] for i in rng.permutation(len(positives))]
     expected, short = negative_sample_reference(positives, space, 1, k, seed=k)
     assert not short
-    got = negative_sample(positives, space, item_field=1, k=k, seed=k)
+    got = negative_sample(packed_rows(positives), space, item_field=1, k=k, seed=k)
     assert unpack(got) == expected
 
 
@@ -677,7 +692,7 @@ def test_negative_sampling_draws_candidates_in_blocks(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(_CountingGenerator(seed, real)) or made[-1])
     expected, _ = negative_sample_reference(positives, space, 1, 2, seed=0)
-    got = negative_sample(positives, space, item_field=1, k=2, seed=0)
+    got = negative_sample(packed_rows(positives), space, item_field=1, k=2, seed=0)
     assert unpack(got) == expected
     reference, blocked = made[0].sizes, made[1].sizes
     assert set(reference) == {1}
@@ -700,7 +715,7 @@ def test_negative_sampling_finishes_refused_rows_one_candidate_at_a_time(monkeyp
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(_CountingGenerator(seed, real)) or made[-1])
     expected, short = negative_sample_reference(positives, space, 1, 2, seed=1)
-    got = negative_sample(positives, space, item_field=1, k=2, seed=1)
+    got = negative_sample(packed_rows(positives), space, item_field=1, k=2, seed=1)
     assert unpack(got) == expected and not short
     reference, blocked = made[0].sizes, made[1].sizes
     assert sum(blocked) == len(reference)
@@ -725,11 +740,11 @@ def test_negative_sampling_matches_the_reference_fuzz(k, items, seed, contexts, 
         entries = {slot if slot < 3 else slot + items: value
                    for slot, value in contexts[which % len(contexts)].items()}
         entries[3 + item % items] = 1.0
-        positives.append(SparseInstance(1.0, tuple(sorted(entries.items()))))
+        positives.append((1.0, tuple(sorted(entries.items()))))
     expected, short = negative_sample_reference(positives, space, 1, k, seed=seed)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = negative_sample(positives, space, item_field=1, k=k, seed=seed)
+        got = negative_sample(packed_rows(positives), space, item_field=1, k=k, seed=seed)
     assert unpack(got) == expected
     assert [str(w.message) for w in caught] == (
         [f"negative_sample: {short} positives had fewer than {k} eligible items"]
@@ -750,27 +765,26 @@ def test_bulk_integers_are_the_scalar_draws(span):
 def test_negative_sampling_rejects_bad_positives():
     space = FeatureSpace.from_cardinalities(["user", "item"], [2, 3])
     with pytest.raises(ValueError, match="k must be >= 1"):
-        negative_sample([_click(0, 2)], space, item_field=1, k=0)
-    two_items = SparseInstance(1.0, ((0, 1.0), (2, 1.0), (3, 1.0)))
+        negative_sample(packed_rows([_click(0, 2)]), space, item_field=1, k=0)
+    two_items = (1.0, ((0, 1.0), (2, 1.0), (3, 1.0)))
     with pytest.raises(ValueError, match="exactly one"):
-        negative_sample([two_items], space, item_field=1, k=1)
-    no_item = SparseInstance(1.0, ((0, 1.0),))
+        negative_sample(packed_rows([two_items]), space, item_field=1, k=1)
+    no_item = (1.0, ((0, 1.0),))
     with pytest.raises(ValueError, match="positive 1 has 0 active features"):
-        negative_sample([_click(0, 2), no_item], space, item_field=1, k=1)
+        negative_sample(packed_rows([_click(0, 2), no_item]), space, item_field=1, k=1)
     with pytest.raises(ValueError, match="positive 0 has 2 active features"):
-        negative_sample(PackedInstances.from_instances([two_items]), space,
-                        item_field=1, k=1)
+        negative_sample(packed_rows([two_items]), space, item_field=1, k=1)
 
 
 # --- packing ---
 
 def test_packed_instances_layout_and_take():
     instances = [
-        SparseInstance(1.0, ((0, 1.0), (4, 2.0))),
-        SparseInstance(0.0, ()),
-        SparseInstance(2.0, ((2, 3.0),)),
+        (1.0, ((0, 1.0), (4, 2.0))),
+        (0.0, ()),
+        (2.0, ((2, 3.0),)),
     ]
-    packed = PackedInstances.from_instances(instances, num_features=5)
+    packed = PackedInstances.from_instances(packed_rows(instances), num_features=5)
     np.testing.assert_array_equal(packed.labels, [1.0, 0.0, 2.0])
     np.testing.assert_array_equal(packed.indptr, [0, 2, 2, 3])
     np.testing.assert_array_equal(packed.indices, [0, 4, 2])
@@ -784,21 +798,20 @@ def test_packed_instances_layout_and_take():
 
 def test_packed_instances_validates_range():
     with pytest.raises(DataFormatError, match="feature index 7"):
-        PackedInstances.from_instances(
-            [SparseInstance(1.0, ((7, 1.0),))], num_features=5)
+        PackedInstances.from_instances(packed_rows([(1.0, ((7, 1.0),))]), num_features=5)
 
 
 def test_packed_instances_concatenate_and_pass_through():
     instances = [
-        SparseInstance(1.0, ((0, 1.0), (4, 2.0))),
-        SparseInstance(0.0, ()),
-        SparseInstance(2.0, ((2, 3.0),)),
+        (1.0, ((0, 1.0), (4, 2.0))),
+        (0.0, ()),
+        (2.0, ((2, 3.0),)),
     ]
-    head = PackedInstances.from_instances(instances[:1])
-    tail = PackedInstances.from_instances(instances[1:])
+    head = packed_rows(instances[:1])
+    tail = packed_rows(instances[1:])
     both = head + tail
-    assert packed_equal(both, PackedInstances.from_instances(instances))
-    assert packed_equal(PackedInstances.from_instances([]) + both, both)
+    assert packed_equal(both, packed_rows(instances))
+    assert packed_equal(packed_rows([]) + both, both)
     # a PackedInstances is taken as it is, after the range check
     assert PackedInstances.from_instances(both) is both
     assert PackedInstances.from_instances(both, num_features=5) is both

@@ -111,17 +111,17 @@ def test_benchmark_negatives_swap_only_the_item():
     lo, hi = space.field_range(item_field)
     train = unpack(bench.train)
     positives_by_context = {}
-    for inst in train:
-        if inst.label != 1.0:
+    for label, entries in train:
+        if label != 1.0:
             continue
-        context = tuple(e for e in inst.entries if not lo <= e[0] < hi)
+        context = tuple(e for e in entries if not lo <= e[0] < hi)
         positives_by_context.setdefault(context, set()).add(
-            next(i for i, _ in inst.entries if lo <= i < hi))
-    for inst in train:
-        if inst.label != 0.0:
+            next(i for i, _ in entries if lo <= i < hi))
+    for label, entries in train:
+        if label != 0.0:
             continue
-        context = tuple(e for e in inst.entries if not lo <= e[0] < hi)
-        item = next(i for i, _ in inst.entries if lo <= i < hi)
+        context = tuple(e for e in entries if not lo <= e[0] < hi)
+        item = next(i for i, _ in entries if lo <= i < hi)
         assert context in positives_by_context
         assert item not in positives_by_context[context]
 

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
-from gemfm import (ConfigError, FeatureSpace, GemfmError, ModelParams, SparseInstance,
-                   TrainConfig, build_graph, loss_and_grads, negative_sample, predict_batch,
-                   rmse, sample_neighbors, split_dataset, train)
+from gemfm import (ConfigError, FeatureSpace, GemfmError, ModelParams, TrainConfig,
+                   build_graph, loss_and_grads, negative_sample, predict_batch, rmse,
+                   sample_neighbors, save_libfm, split_dataset, train)
+from oracles import packed_rows
 
 SPACE = FeatureSpace.from_cardinalities(["u", "i"], [3, 4])
-ROWS = [SparseInstance(1.0, ((u, 1.0), (3 + i, 1.0))) for u in range(3) for i in range(4)]
-LABEL_ONLY = SparseInstance(1.0, ())
+TUPLES = [(1.0, ((u, 1.0), (3 + i, 1.0))) for u in range(3) for i in range(4)]
+ROWS = packed_rows(TUPLES)
 GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
 
 
 @pytest.mark.parametrize("call", [
     lambda: TrainConfig(batch_size=0),
     lambda: build_graph(ROWS, SPACE, included_fields=["u", "u"]),
-    lambda: train(ROWS + [LABEL_ONLY], ROWS, SPACE, TrainConfig(), dim=2),
+    lambda: train(packed_rows(TUPLES + [(1.0, ())]), ROWS, SPACE, TrainConfig(), dim=2),
     lambda: split_dataset(ROWS, (0.5, 0.5)),
     lambda: ModelParams.initialize(SPACE.num_features, 2, num_layers=-1),
     lambda: rmse([], []),
@@ -79,6 +80,11 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     # ratios of the wrong type, once a TypeError
     lambda: split_dataset(ROWS, ("0.8", 0.1, 0.1)),
     lambda: split_dataset(ROWS, 0.5),
+    # a bool is an Integral, yet neither a count nor a rate
+    lambda: TrainConfig(batch_size=True),
+    lambda: TrainConfig(max_epochs=True),
+    lambda: TrainConfig(learning_rate=True),
+    lambda: ModelParams.initialize(True, True),
 ], ids=["train_config", "build_graph", "train", "split_dataset", "model_params", "rmse",
         "dim_0", "no_features", "dim_negative", "empty_table", "train_dim_0",
         "field_range_9", "field_range_negative", "negative_sample_item_9",
@@ -96,11 +102,32 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
         "initialize_dim_float", "initialize_layers_float", "train_dim_float",
         "sample_neighbors_ratio_str", "dropout_ratio_str_in_loss", "model_params_nan_w",
         "model_params_inf_w0", "model_params_inf_table", "learning_rate_beyond_float",
-        "split_ratio_str", "split_ratios_scalar"])
+        "split_ratio_str", "split_ratios_scalar", "batch_size_bool", "max_epochs_bool",
+        "learning_rate_bool", "initialize_bool"])
 def test_refused_arguments_raise_config_error(call):
     with pytest.raises(ValueError) as info:
         call()
     assert isinstance(info.value, ConfigError) and isinstance(info.value, GemfmError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rows, path: train(rows, ROWS, SPACE, TrainConfig(), dim=2),
+    lambda rows, path: train(ROWS, rows, SPACE, TrainConfig(), dim=2),
+    lambda rows, path: predict_batch(rows, ModelParams.initialize(7, 2)),
+    lambda rows, path: loss_and_grads(rows, ModelParams.initialize(7, 2)),
+    lambda rows, path: build_graph(rows, SPACE),
+    lambda rows, path: split_dataset(rows),
+    lambda rows, path: negative_sample(rows, SPACE, item_field=1, k=1),
+    lambda rows, path: save_libfm(rows, path),
+    lambda rows, path: ROWS + rows,
+], ids=["train", "train_validation", "predict_batch", "loss_and_grads", "build_graph",
+        "split_dataset", "negative_sample", "save_libfm", "concatenation"])
+def test_instances_that_are_not_a_pack_are_refused(call, tmp_path):
+    # a list of (label, entries) tuples raised an AttributeError when the
+    # functions still packed lists
+    with pytest.raises(GemfmError, match="must be a PackedInstances, got list"):
+        call(TUPLES, tmp_path / "rows.libfm")
+    assert not (tmp_path / "rows.libfm").exists()
 
 
 def test_numpy_integers_and_floats_are_accepted():

@@ -10,24 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from gemfm import (FeatureGraph, FeatureSpace, GemfmError, GraphFormatError,
-                   SparseInstance, build_graph, normalize, sample_neighbors)
-from gemfm.data import PackedInstances
+from gemfm import (FeatureGraph, FeatureSpace, GemfmError, GraphFormatError, build_graph,
+                   normalize, sample_neighbors)
 from gemfm.graph import (_edge_arrays, _edge_lines, _kept_directed_edges, local_columns,
                          node_set)
-from oracles import dense_normalized_adjacency, graph_save_reference
+from oracles import dense_normalized_adjacency, graph_save_reference, packed_rows
 
 
 def _inst(*indices):
-    return SparseInstance(1.0, tuple((i, 1.0) for i in sorted(indices)))
+    return (1.0, tuple((i, 1.0) for i in sorted(indices)))
 
 
 def _brute_force_pairs(instances, space, fields):
     """All co-occurring index pairs whose fields are both allowed."""
     allowed = set(fields)
     pairs = set()
-    for inst in instances:
-        for (a, _), (b, _) in itertools.combinations(inst.entries, 2):
+    for _, entries in instances:
+        for (a, _), (b, _) in itertools.combinations(entries, 2):
             if set(space.field_of_array(np.array([a, b])).tolist()) <= allowed:
                 pairs.add((min(a, b), max(a, b)))
     return sorted(pairs)
@@ -68,38 +67,37 @@ def test_build_graph_matches_brute_force():
         i = 20 + int(rng.integers(0, 30))
         c = 50 + int(rng.integers(0, 15))
         instances.append(_inst(u, i, c))
-    g = build_graph(instances, space)
+    g = build_graph(packed_rows(instances), space)
     expected = _brute_force_pairs(instances, space, {0, 1, 2})
     np.testing.assert_array_equal(g.edges, expected)
     assert g.num_nodes == space.num_features
 
 
 def test_build_graph_groups_rows_of_any_length():
-    # rows with 0 to 6 selected entries, packed or not; with and without field pairs
+    # rows with 0 to 6 selected entries; with and without field pairs
     rng = np.random.default_rng(4)
     space = FeatureSpace.from_cardinalities(["u", "i", "c"], [9, 12, 6])
     instances = [_inst(*rng.choice(27, size=int(rng.integers(0, 7)), replace=False).tolist())
                  for _ in range(150)]
-    packed = PackedInstances.from_instances(instances)
+    packed = packed_rows(instances)
     for fields in (None, ["u", "c"]):
         expected = _brute_force_pairs(instances, space, {0, 2} if fields else {0, 1, 2})
-        for data in (instances, packed):
-            g = build_graph(data, space, included_fields=fields)
-            np.testing.assert_array_equal(g.edges, np.array(expected).reshape(-1, 2))
+        g = build_graph(packed, space, included_fields=fields)
+        np.testing.assert_array_equal(g.edges, np.array(expected).reshape(-1, 2))
     g = build_graph(packed, space, field_pairs=[("u", "c"), ("i", "i")])
     pairs = {(0, 2), (1, 1)}
     expected = [(a, b) for a, b in _brute_force_pairs(instances, space, {0, 1, 2})
                 if tuple(sorted(space.field_of_array(np.array([a, b])).tolist())) in pairs]
     np.testing.assert_array_equal(g.edges, expected)
     # a pair list no row matches gives no edges
-    g = build_graph([_inst(0, 9)], space, field_pairs=[("u", "c")])
+    g = build_graph(packed_rows([_inst(0, 9)]), space, field_pairs=[("u", "c")])
     assert g.edges.shape == (0, 2)
 
 
 def test_build_graph_field_subset():
     space = FeatureSpace.from_cardinalities(["u", "i", "c"], [20, 30, 15])
     instances = [_inst(0, 25, 55), _inst(1, 25, 60)]
-    g = build_graph(instances, space, included_fields=["u", "i"])
+    g = build_graph(packed_rows(instances), space, included_fields=["u", "i"])
     expected = _brute_force_pairs(instances, space, {0, 1})
     np.testing.assert_array_equal(g.edges, expected)
     assert not any(i >= 50 for edge in g.edges for i in edge)
@@ -108,7 +106,7 @@ def test_build_graph_field_subset():
 def test_build_graph_pair_list_mode():
     space = FeatureSpace.from_cardinalities(["u", "i", "c"], [4, 4, 4])
     instances = [_inst(0, 5, 9), _inst(1, 6, 10)]
-    g = build_graph(instances, space,
+    g = build_graph(packed_rows(instances), space,
                     field_pairs=[("u", "c")])
     np.testing.assert_array_equal(g.edges, [[0, 9], [1, 10]])
 
@@ -117,7 +115,7 @@ def test_build_graph_links_within_a_field_too():
     # multi-hot fields co-occur with themselves; without field pairs those edges stay
     space = FeatureSpace.from_cardinalities(["tags"], [6])
     instances = [_inst(0, 1, 2), _inst(3, 4)]
-    g = build_graph(instances, space)
+    g = build_graph(packed_rows(instances), space)
     np.testing.assert_array_equal(
         g.edges, [[0, 1], [0, 2], [1, 2], [3, 4]])
 
@@ -126,22 +124,22 @@ def test_build_graph_warns_on_low_cardinality_field():
     space = FeatureSpace.from_cardinalities(["u", "flag"], [50, 2])
     instances = [_inst(0, 50), _inst(1, 51)]
     with pytest.warns(RuntimeWarning, match="'flag' has only 2 features"):
-        build_graph(instances, space)
+        build_graph(packed_rows(instances), space)
 
 
 def test_build_graph_rejects_out_of_range_feature():
     space = FeatureSpace.from_cardinalities(["u", "i"], [2, 2])
     with pytest.raises(GraphFormatError, match=r"instance 1: feature index 4"):
-        build_graph([_inst(0, 2), _inst(1, 4)], space)
+        build_graph(packed_rows([_inst(0, 2), _inst(1, 4)]), space)
 
 
 def test_build_graph_rejects_unknown_field():
     from gemfm import DataFormatError
     space = FeatureSpace.from_cardinalities(["u", "i"], [2, 2])
     with pytest.raises(DataFormatError, match="unknown field"):
-        build_graph([_inst(0, 2)], space, included_fields=["bogus"])
+        build_graph(packed_rows([_inst(0, 2)]), space, included_fields=["bogus"])
     with pytest.raises(ValueError, match="outside"):
-        build_graph([_inst(0, 2)], space, included_fields=[5])
+        build_graph(packed_rows([_inst(0, 2)]), space, included_fields=[5])
 
 
 # --- save / load ---
@@ -497,6 +495,6 @@ def test_pairs_only_graph_warns_only_about_linked_fields():
     space = FeatureSpace.from_cardinalities(["u", "i", "flag", "day"], [3, 4, 2, 7])
     instances = [_inst(0, 3, 7, 9), _inst(1, 4, 8, 10)]
     with pytest.warns(RuntimeWarning) as record:
-        g = build_graph(instances, space, field_pairs=[("u", "i")])
+        g = build_graph(packed_rows(instances), space, field_pairs=[("u", "i")])
     assert sorted(str(w.message).split("'")[1] for w in record) == ["i", "u"]
     np.testing.assert_array_equal(g.edges, [[0, 3], [1, 4]])

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemfm import (CheckpointError, DataFormatError, FeatureGraph, GemfmError,
-                   ModelParams, SparseInstance, gcn_embed, lookup_embed,
-                   normalize, predict_batch)
+                   ModelParams, gcn_embed, lookup_embed, normalize, predict_batch)
 from gemfm.model import CHECKPOINT_MAGIC, batch_design
 from gemfm.data import PackedInstances
-from oracles import dense_gcn_rows, dense_normalized_adjacency, pairwise_score
+from oracles import dense_gcn_rows, dense_normalized_adjacency, packed_rows, pairwise_score
 
 
 def _random_graph(rng, m, density=0.25):
@@ -22,13 +21,13 @@ def _random_graph(rng, m, density=0.25):
 
 
 def _score(instance, params, norm=None):
-    return float(predict_batch([instance], params, norm)[0])
+    return float(predict_batch(packed_rows([instance]), params, norm)[0])
 
 
 def _random_instance(rng, m, max_active=6, values=(-2.0, 2.0)):
     k = int(rng.integers(1, max_active + 1))
     idx = np.sort(rng.choice(m, size=k, replace=False))
-    return SparseInstance(
+    return (
         float(rng.normal()),
         tuple((int(i), float(rng.uniform(*values))) for i in idx),
     )
@@ -48,13 +47,13 @@ def test_lookup_scores_match_pairwise_oracle():
 
 def test_empty_instance_scores_bias_only():
     params = ModelParams(0.5, np.ones(3), [np.ones((3, 2))])
-    assert _score(SparseInstance(1.0, ()), params) == 0.5
+    assert _score((1.0, ()), params) == 0.5
 
 
 def test_predict_batch_rejects_out_of_range():
     params = ModelParams(0.0, np.zeros(3), [np.zeros((3, 2))])
     with pytest.raises(DataFormatError, match="index 3"):
-        predict_batch([SparseInstance(1.0, ((3, 1.0),))], params)
+        predict_batch(packed_rows([(1.0, ((3, 1.0),))]), params)
 
 
 # --- convolution embeddings ---
@@ -166,8 +165,8 @@ def test_lookup_embed_validates_nodes():
 
 def test_batch_design_is_batch_local():
     packed = PackedInstances.from_instances(
-        [SparseInstance(1.0, ((3, 2.0), (7, 1.0))),
-         SparseInstance(0.0, ((7, 3.0),))], num_features=10)
+        packed_rows([(1.0, ((3, 2.0), (7, 1.0))),
+                     (0.0, ((7, 3.0),))]), num_features=10)
     nodes, x, x2 = batch_design(packed)
     np.testing.assert_array_equal(nodes, [3, 7])
     np.testing.assert_array_equal(x.toarray(), [[2.0, 1.0], [0.0, 3.0]])
@@ -175,10 +174,10 @@ def test_batch_design_is_batch_local():
 
 
 def test_batch_design_rejects_negative_index():
-    packed = PackedInstances(np.zeros(1), np.array([0, 2]), np.array([-1, 3]),
-                             np.ones(2))
+    # the pack refuses it as it is made, so no batch holds one
     with pytest.raises(DataFormatError, match="negative"):
-        batch_design(packed)
+        batch_design(PackedInstances(np.zeros(1), np.array([0, 2]), np.array([-1, 3]),
+                                     np.ones(2)))
 
 
 def test_predict_batch_matches_per_instance_scores():
@@ -190,12 +189,12 @@ def test_predict_batch_matches_per_instance_scores():
 
     flat = ModelParams.initialize(m, d, 0, seed=2, scale=0.3)
     flat.w0, flat.w = 0.2, rng.normal(size=m)
-    got = predict_batch(instances, flat)
+    got = predict_batch(packed_rows(instances), flat)
     expected = np.array([_score(inst, flat) for inst in instances])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     conv = ModelParams.initialize(m, d, 2, "relu", seed=3, scale=0.3)
-    got = predict_batch(instances, conv, norm)
+    got = predict_batch(packed_rows(instances), conv, norm)
     expected = np.array([_score(inst, conv, norm) for inst in instances])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -207,20 +206,22 @@ def test_predict_batch_chunking_changes_nothing(monkeypatch):
     # in chunks of 4: rows of 1 and 6 entries meet where chunk 0 ends, and
     # empty rows end chunk 1 and start chunk 2; node m - 1 first appears in
     # the last chunk
-    instances[3] = SparseInstance(0.5, ((2, 1.5),))
-    instances[4] = SparseInstance(-0.5, tuple((i, 0.25 * i - 1.0) for i in range(0, 12, 2)))
-    instances[7] = instances[8] = SparseInstance(1.0, ())
-    instances[21] = SparseInstance(0.0, ((1, 0.5), (m - 1, 2.0)))
+    instances[3] = (0.5, ((2, 1.5),))
+    instances[4] = (-0.5, tuple((i, 0.25 * i - 1.0) for i in range(0, 12, 2)))
+    instances[7] = instances[8] = (1.0, ())
+    instances[21] = (0.0, ((1, 0.5), (m - 1, 2.0)))
+    packed = packed_rows(instances)
     norm = normalize(_random_graph(rng, m))
     for layers in (0, 1, 2):
         params = ModelParams.initialize(m, 3, layers, seed=5, scale=0.2)
         graph = norm if layers else None
         monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 8192)
-        whole = predict_batch(instances, params, graph)
+        whole = predict_batch(packed, params, graph)
         monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
-        chunked = predict_batch(instances, params, graph)
+        chunked = predict_batch(packed, params, graph)
         assert chunked.tobytes() == whole.tobytes()
-        alone = np.concatenate([predict_batch([inst], params, graph) for inst in instances])
+        alone = np.concatenate([predict_batch(packed_rows([inst]), params, graph)
+                                for inst in instances])
         assert alone.tobytes() == chunked.tobytes()
 
 
@@ -239,10 +240,10 @@ def test_predict_batch_embeds_once_per_call(monkeypatch, num_layers):
 
     monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
     monkeypatch.setattr("gemfm.model.gcn_embed", counting)
-    predict_batch(instances, params, norm)
+    predict_batch(packed_rows(instances), params, norm)
     assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], np.unique([i for inst in instances
-                                                        for i, _ in inst.entries]))
+    np.testing.assert_array_equal(calls[0], np.unique([i for _, entries in instances
+                                                        for i, _ in entries]))
 
 
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
@@ -250,9 +251,8 @@ def test_predict_batch_of_nothing_is_empty(num_layers):
     m = 6
     params = ModelParams.initialize(m, 3, num_layers, seed=1)
     norm = normalize(FeatureGraph(m, np.array([[0, 1], [1, 2]]))) if num_layers else None
-    for empty in ([], PackedInstances.from_instances([])):
-        out = predict_batch(empty, params, norm)
-        assert out.shape == (0,) and out.dtype == np.float64
+    out = predict_batch(packed_rows([]), params, norm)
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
@@ -261,8 +261,6 @@ def test_predict_batch_refuses_negative_index_before_embedding(monkeypatch, num_
     m = 6
     params = ModelParams.initialize(m, 3, num_layers, seed=1)
     norm = normalize(FeatureGraph(m, np.array([[0, 1], [1, 2]]))) if num_layers else None
-    packed = PackedInstances(np.zeros(2), np.array([0, 1, 3]), np.array([2, bad, 4]),
-                             np.ones(3))
 
     def never(*args):
         raise AssertionError("embedded before the indices were checked")
@@ -270,14 +268,16 @@ def test_predict_batch_refuses_negative_index_before_embedding(monkeypatch, num_
     monkeypatch.setattr("gemfm.model.embed", never)
     for chunk in (8192, 1):   # one chunk, and one embedding over several
         monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", chunk)
+        # the pack refuses the index as it is made
         with pytest.raises(DataFormatError, match=f"negative feature index {bad}"):
-            predict_batch(packed, params, norm)
+            predict_batch(PackedInstances(np.zeros(2), np.array([0, 1, 3]),
+                                          np.array([2, bad, 4]), np.ones(3)), params, norm)
 
 
 def test_predict_batch_norm_contract():
     graph = FeatureGraph(4, np.array([[0, 1]]))
     norm = normalize(graph)
-    inst = [SparseInstance(1.0, ((0, 1.0),))]
+    inst = packed_rows([(1.0, ((0, 1.0),))])
     flat = ModelParams.initialize(4, 2, 0)
     conv = ModelParams.initialize(4, 2, 1)
     with pytest.raises(ValueError, match="iff"):
@@ -287,8 +287,7 @@ def test_predict_batch_norm_contract():
 
 
 def test_predict_batch_accepts_packed_and_validates():
-    packed = PackedInstances.from_instances(
-        [SparseInstance(1.0, ((5, 1.0),))], num_features=6)
+    packed = PackedInstances.from_instances(packed_rows([(1.0, ((5, 1.0),))]), num_features=6)
     params = ModelParams.initialize(4, 2, 0)
     with pytest.raises(DataFormatError, match="outside"):
         predict_batch(packed, params)

@@ -9,9 +9,9 @@ import weakref
 import numpy as np
 import pytest
 
-from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, ModelParams,
-                   SparseInstance, TrainConfig, TrainingDivergedError, build_graph,
-                   loss_and_grads, normalize, predict_batch, train)
+from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, ModelParams, TrainConfig,
+                   TrainingDivergedError, build_graph, loss_and_grads, normalize,
+                   predict_batch, train)
 from gemfm.data import PackedInstances
 from gemfm.datagen import ClickDataConfig, click_benchmark
 from gemfm.metrics import rmse
@@ -21,7 +21,8 @@ from gemfm.train import (ADAM_BETA1, ADAM_BETA2, EPSILON, EpochRecord, GradientS
                          optimizer_step)
 from oracles import (adagrad_rows_reference, adam_rows_reference, decayed_dense_gradients,
                      dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
-                     finite_difference_gradients, gradient_agreement, pairwise_score)
+                     finite_difference_gradients, gradient_agreement, packed_rows,
+                     pairwise_score, unpack)
 
 
 def _random_batch(rng, m, n, max_active=4):
@@ -29,11 +30,11 @@ def _random_batch(rng, m, n, max_active=4):
     for _ in range(n):
         k = int(rng.integers(1, max_active + 1))
         idx = np.sort(rng.choice(m, size=k, replace=False))
-        instances.append(SparseInstance(
+        instances.append((
             float(rng.normal()),
             tuple((int(i), float(rng.uniform(-2, 2))) for i in idx),
         ))
-    return PackedInstances.from_instances(instances, m)
+    return PackedInstances.from_instances(packed_rows(instances), m)
 
 
 def _random_graph(rng, m, density=0.3):
@@ -57,13 +58,9 @@ def test_loss_matches_brute_force_flat():
     m = 9
     batch = _random_batch(rng, m, 12)
     params = ModelParams(0.4, rng.normal(size=m), [rng.normal(size=(m, 3))])
-    instances = [SparseInstance(float(batch.labels[i]),
-                                tuple(zip(batch.indices[batch.indptr[i]:batch.indptr[i + 1]].tolist(),
-                                          batch.values[batch.indptr[i]:batch.indptr[i + 1]].tolist())))
-                 for i in range(len(batch))]
     expected = sum(
-        (pairwise_score(inst, params.weights[0], params.w, params.w0) - inst.label) ** 2
-        for inst in instances
+        (pairwise_score(inst, params.weights[0], params.w, params.w0) - inst[0]) ** 2
+        for inst in unpack(batch)
     )
     assert _loss(batch, params) == pytest.approx(expected, rel=1e-12)
     lam = 0.07
@@ -83,11 +80,8 @@ def test_loss_matches_brute_force_convolved():
     rows = dense_gcn_rows(dense_normalized_adjacency(m, graph.edges),
                           params.weights, "relu", 2)
     total = 0.0
-    for i in range(len(batch)):
-        entries = tuple(zip(batch.indices[batch.indptr[i]:batch.indptr[i + 1]].tolist(),
-                            batch.values[batch.indptr[i]:batch.indptr[i + 1]].tolist()))
-        inst = SparseInstance(float(batch.labels[i]), entries)
-        total += (pairwise_score(inst, rows, params.w, params.w0) - inst.label) ** 2
+    for inst in unpack(batch):
+        total += (pairwise_score(inst, rows, params.w, params.w0) - inst[0]) ** 2
     assert _loss(batch, params, norm) == pytest.approx(total, rel=1e-10)
 
 
@@ -95,8 +89,8 @@ def test_loss_input_contract():
     params = ModelParams.initialize(4, 2)
     conv = ModelParams.initialize(4, 2, num_layers=1)
     norm = normalize(FeatureGraph(4, np.array([[0, 1]])))
-    batch = PackedInstances.from_instances([SparseInstance(1.0, ((0, 1.0),))], 4)
-    empty = PackedInstances.from_instances([], 4)
+    batch = PackedInstances.from_instances(packed_rows([(1.0, ((0, 1.0),))]), 4)
+    empty = PackedInstances.from_instances(packed_rows([]), 4)
     with pytest.raises(ValueError, match="empty"):
         loss_and_grads(empty, params)
     with pytest.raises(ValueError, match="iff"):
@@ -104,8 +98,7 @@ def test_loss_input_contract():
     with pytest.raises(ValueError, match="iff"):
         loss_and_grads(batch, conv)
     with pytest.raises(DataFormatError, match="outside"):
-        loss_and_grads(PackedInstances.from_instances([SparseInstance(1.0, ((5, 1.0),))]),
-                       params)
+        loss_and_grads(packed_rows([(1.0, ((5, 1.0),))]), params)
 
 
 # --- analytic gradients vs central differences ---
@@ -162,8 +155,8 @@ def test_gradients_vanish_off_touched_sets():
     m = 12
     params = ModelParams(0.0, rng.normal(size=m), [rng.normal(size=(m, 3))])
     batch = PackedInstances.from_instances(
-        [SparseInstance(1.0, ((2, 1.0), (7, -1.0))),
-         SparseInstance(0.0, ((2, 0.5),))], m)
+        packed_rows([(1.0, ((2, 1.0), (7, -1.0))),
+                     (0.0, ((2, 0.5),))]), m)
     grads = _grads(batch, params)
     np.testing.assert_array_equal(grads.touched_features, [2, 7])
     np.testing.assert_array_equal(grads.touched_rows, [2, 7])
@@ -185,8 +178,7 @@ def test_convolution_gradient_reaches_one_hop_rows():
     norm = normalize(graph)
     params = ModelParams(0.0, rng.normal(size=m), [rng.normal(size=(m, 2))],
                          "identity", 1)
-    batch = PackedInstances.from_instances(
-        [SparseInstance(2.0, ((0, 1.5),))], m)
+    batch = PackedInstances.from_instances(packed_rows([(2.0, ((0, 1.5),))]), m)
     grads = _grads(batch, params, norm)
     np.testing.assert_array_equal(grads.touched_rows, [0, 1])
     _, d_weights = dense_gradients(grads, m)
@@ -281,11 +273,11 @@ def test_weight_decay_shrinks_norm_on_perfect_predictions():
     rng = np.random.default_rng(9)
     m = 6
     params = ModelParams(0.3, rng.normal(size=m), [rng.normal(size=(m, 2))])
-    instances = [SparseInstance(0.0, ((i, 1.0), (i + 3, 1.0))) for i in range(3)]
-    scores = predict_batch(instances, params)
+    instances = [(0.0, ((i, 1.0), (i + 3, 1.0))) for i in range(3)]
+    scores = predict_batch(packed_rows(instances), params)
     batch = PackedInstances.from_instances(
-        [SparseInstance(float(s), inst.entries)
-         for s, inst in zip(scores, instances)], m)
+        packed_rows([(float(s), entries)
+                     for s, (_, entries) in zip(scores, instances)]), m)
     grads = _grads(batch, params, l2_lambda=0.5)
     every = np.arange(m)
     dense = GradientSet(grads.d_w0, *decayed_dense_gradients(grads, params, 0.5), every, every)
@@ -333,7 +325,7 @@ def test_dropout_keeps_expectation():
     # zero biases the score is r_0 * r_1, two independent dropped coordinates
     # of mean 1, and d_w0 = 2 * (score - 0)
     params = ModelParams(0.0, np.zeros(2), [np.ones((2, 1))])
-    batch = PackedInstances.from_instances([SparseInstance(0.0, ((0, 1.0), (1, 1.0)))])
+    batch = packed_rows([(0.0, ((0, 1.0), (1, 1.0)))])
     ratio = 0.3
     n = 10_000
     total = 0.0
@@ -368,8 +360,8 @@ def _regression_data(seed, n):
         i = 6 + int(rng.integers(0, 8))
         label = (_TRUTH[u] + _TRUTH[i] + 0.5 * _TRUTH[u] * _TRUTH[i]
                  + 0.05 * rng.normal())
-        out.append(SparseInstance(float(label), ((u, 1.0), (i, 1.0))))
-    return out
+        out.append((float(label), ((u, 1.0), (i, 1.0))))
+    return packed_rows(out)
 
 
 def test_train_improves_and_reports_best_epoch():
@@ -379,7 +371,7 @@ def test_train_improves_and_reports_best_epoch():
     params, report = train(_regression_data(0, 200), val, _space(), config, dim=4)
     curve = [e.val_rmse for e in report.epochs]
     # beat the all-zero predictor the parameters start from
-    baseline = math.sqrt(np.mean([inst.label ** 2 for inst in val]))
+    baseline = math.sqrt(np.mean(val.labels ** 2))
     assert min(curve) < baseline
     assert report.best_epoch == int(np.argmin(curve)) + 1
     # first strict minimum wins
@@ -520,10 +512,10 @@ def test_non_finite_validation_metric_raises():
     # non-finite metric must not pass for "no improvement" and return the
     # initial parameters (ModelParams refuses a NaN bias itself)
     m = 14
-    train_set = [inst for inst in _regression_data(0, 120)
-                 if inst.entries[-1][0] != 13]
+    data = _regression_data(0, 120)
+    train_set = data.take(np.flatnonzero(data.indices[data.indptr[1:] - 1] != 13))
     val = _regression_data(1, 40)
-    assert any(inst.entries[-1][0] == 13 for inst in val)
+    assert np.any(val.indices[val.indptr[1:] - 1] == 13)
     w = np.zeros(m)
     w[13] = 1e300
     init = ModelParams(0.0, w, [np.zeros((m, 4))])
@@ -537,7 +529,7 @@ def test_train_input_validation():
     config = TrainConfig(max_epochs=2, patience=1)
     data = _regression_data(0, 20)
     with pytest.raises(ValueError, match="non-empty"):
-        train([], data, _space(), config, dim=4)
+        train(packed_rows([]), data, _space(), config, dim=4)
     with pytest.raises(ValueError, match="requires a co-occurrence graph"):
         train(data, data, _space(), config, dim=4, num_layers=1)
     graph = FeatureGraph(14, np.array([[0, 6]]))
@@ -546,7 +538,7 @@ def test_train_input_validation():
     bad_init = ModelParams.initialize(14, 3)
     with pytest.raises(ValueError, match="init_params"):
         train(data, data, _space(), config, dim=4, init_params=bad_init)
-    with_empty = data + [SparseInstance(1.0, ())]
+    with_empty = data + packed_rows([(1.0, ())])
     with pytest.raises(ValueError, match="at least one active"):
         train(with_empty, data, _space(), config, dim=4)
 
@@ -557,12 +549,13 @@ def test_train_refuses_a_negative_index_before_any_step(monkeypatch, part):
         raise AssertionError("a step ran before the indices were checked")
 
     monkeypatch.setattr(importlib.import_module("gemfm.train"), "loss_and_grads", never)
-    data = PackedInstances.from_instances(_regression_data(0, 20))
+    data = _regression_data(0, 20)
     indices = data.indices.copy()
     indices[0] = -3    # row 0 becomes (-3, item)
-    bad = PackedInstances(data.labels, data.indptr, indices, data.values)
-    sets = (bad, data) if part == "train" else (data, bad)
     with pytest.raises(DataFormatError, match="negative feature index -3"):
+        # the pack refuses the index as it is made, so no step can see it
+        bad = PackedInstances(data.labels, data.indptr, indices, data.values)
+        sets = (bad, data) if part == "train" else (data, bad)
         train(*sets, _space(), TrainConfig(max_epochs=1), dim=4)
 
 
