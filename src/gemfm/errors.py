@@ -1,5 +1,6 @@
 """Exception types raised by this package, and the one check of scalar arguments."""
 
+import math
 import numbers
 from sys import float_info
 
@@ -33,12 +34,14 @@ def check(name, value, kind, low=None, high=None, *, above=None, below=None):
     finite real number (``kind`` float), not a bool, within the bounds given: [low, high],
     [low, below), >= low or > above. Otherwise raise a ConfigError that names it."""
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    integral = number and isinstance(value, numbers.Integral)
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"unknown {name} {value!r}")
-    elif kind is int and not (number and isinstance(value, numbers.Integral)):
+    elif kind is int and not integral:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    elif kind is float and not (number and abs(value) <= float_info.max):
+    elif kind is float and not (number and (abs(value) <= float_info.max if integral
+                                            else math.isfinite(value))):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     elif below is not None and not low <= value < below:
         raise ConfigError(f"{name} {value!r} outside [{low}, {below})")

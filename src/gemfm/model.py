@@ -6,7 +6,7 @@ num_layers rounds of graph convolution over the normalized co-occurrence
 adjacency. The pairwise sum is evaluated through the squared-sum identity
 0.5 * (||sum_i x_i e_i||^2 - sum_i x_i^2 ||e_i||^2), whose square term needs
 one number per node, so scoring stays linear in the number of active features.
-predict_batch convolves each distinct node of its input once per call (nodes x d floats).
+predict_batch takes each distinct node's embedding, squared norm and weight once per call.
 """
 
 from __future__ import annotations
@@ -232,31 +232,36 @@ def embed(params: ModelParams, norm: sparse.csr_array | None, nodes) -> Embeddin
     return gcn_embed(norm, params, nodes)
 
 
-def batch_design(packed: PackedInstances) -> tuple[np.ndarray, sparse.csr_array, sparse.csr_array]:
-    """Batch design matrices over the batch's own node set.
+def batch_design(packed: PackedInstances, nodes: np.ndarray,
+                 position: np.ndarray) -> tuple[np.ndarray, sparse.csr_array, sparse.csr_array]:
+    """Design matrices of ``packed``'s rows over a node set holding all their
+    features, with each feature's place in it (``graph.node_set``'s pair).
 
-    Returns (nodes, X, X2): nodes is the sorted unique active features, X the
-    (batch, len(nodes)) value matrix, X2 the same with squared values. This
-    is the one place a batch's node set is computed.
+    Returns (nodes, X, X2): X the (rows, len(nodes)) value matrix, column j
+    for node nodes[j], X2 the same with squared values; entry order is kept.
     """
-    indices = packed.indices
-    nodes, local = node_set(indices, int(indices.max(initial=-1)) + 1)
-    local = local[indices]
+    local = position[packed.indices]
     shape = (len(packed), nodes.size)
     x = sparse.csr_array((packed.values, local, packed.indptr), shape=shape)
     x2 = sparse.csr_array((packed.values ** 2, local, packed.indptr), shape=shape)
     return nodes, x, x2
 
 
-def scores_from_design(params: ModelParams, nodes: np.ndarray,
-                       x: sparse.csr_array, x2: sparse.csr_array,
-                       rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch scores given embedding rows aligned with ``nodes``, and the
-    weighted row sums ``x @ rows`` the interaction gradient reuses. The square
-    term is one sparse product with the rows' squared norms (numpy sums, not BLAS)."""
+def _node_terms(params: ModelParams, nodes: np.ndarray, rows: np.ndarray) -> tuple:
+    """Per-node terms of a score: embedding rows aligned with ``nodes``, their
+    squared norms (numpy sums, not BLAS) and the nodes' linear weights."""
+    return rows, (rows * rows).sum(axis=1), params.w[nodes]
+
+
+def scores_from_design(params: ModelParams, x: sparse.csr_array, x2: sparse.csr_array,
+                       rows: np.ndarray, squares: np.ndarray,
+                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of the rows of a design over a node set, given that set's
+    ``_node_terms``, and the weighted row sums ``x @ rows`` the interaction
+    gradient reuses. Only per-row work is done here."""
     summed = x @ rows
-    interaction = 0.5 * ((summed * summed).sum(axis=1) - x2 @ (rows * rows).sum(axis=1))
-    linear = x @ params.w[nodes]
+    interaction = 0.5 * ((summed * summed).sum(axis=1) - x2 @ squares)
+    linear = x @ w
     return params.w0 + linear + interaction, summed
 
 
@@ -264,18 +269,15 @@ def predict_batch(instances, params: ModelParams,
                   norm: sparse.csr_array | None = None) -> np.ndarray:
     """Deterministic batch scoring (dropout never applies here) of a PackedInstances.
 
-    Rows are scored _PREDICT_CHUNK at a time. With convolution layers, each distinct node of the
-    input is embedded once per call, into a table of distinct nodes x d floats that the chunks
-    read. ``norm`` must be given exactly when the model has convolution layers."""
+    Once per call: the input's node set, its embedding (distinct nodes x d floats) and
+    ``_node_terms``. Once per _PREDICT_CHUNK rows: their design over that node set, and scores.
+    ``norm`` must be given exactly when the model has convolution layers."""
     packed = PackedInstances.from_instances(instances, params.num_features)
-    table = None
-    if params.num_layers and len(packed) > _PREDICT_CHUNK:   # embed the chunks' nodes once
-        table_nodes, position = node_set(packed.indices, params.num_features)
-        table = embed(params, norm, table_nodes).rows
+    nodes, position = node_set(packed.indices, params.num_features)
+    terms = _node_terms(params, nodes, embed(params, norm, nodes).rows)
     out = np.empty(len(packed), dtype=np.float64)
     for lo in range(0, len(packed), _PREDICT_CHUNK):
         chunk = packed.row_range(lo, lo + _PREDICT_CHUNK)
-        nodes, x, x2 = batch_design(chunk)
-        rows = embed(params, norm, nodes).rows if table is None else table[position[nodes]]
-        out[lo:lo + len(chunk)] = scores_from_design(params, nodes, x, x2, rows)[0]
+        _, x, x2 = batch_design(chunk, nodes, position)
+        out[lo:lo + len(chunk)] = scores_from_design(params, x, x2, *terms)[0]
     return out

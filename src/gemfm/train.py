@@ -18,9 +18,9 @@ from scipy import sparse
 
 from .data import PackedInstances
 from .errors import ConfigError, TrainingDivergedError, check
-from .graph import FeatureGraph, local_columns, normalize, sample_neighbors
+from .graph import FeatureGraph, local_columns, node_set, normalize, sample_neighbors
 from .metrics import mae, rmse
-from .model import ModelParams, batch_design, embed, predict_batch, scores_from_design
+from .model import ModelParams, _node_terms, batch_design, embed, predict_batch, scores_from_design
 # benchmarks/bench_trace.py patches every namespace a traced name may be
 # looked up in, this one included, so these stay importable from here
 from .model import gcn_embed, lookup_embed  # noqa: F401
@@ -151,14 +151,14 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
 
 def _forward(params, norm, packed, dropout_ratio, dropout_seed):
     """(squared error, d_w0, d_w, gradient at the embedding rows, nodes, layer caches)."""
-    nodes, x, x2 = batch_design(packed)
+    nodes, x, x2 = batch_design(packed, *node_set(packed.indices, params.num_features))
     view = embed(params, norm, nodes)
     rows, scale = view.rows, None
     if dropout_ratio > 0.0:
         keep = seeded_rng(dropout_seed).random((nodes.size, params.dim)) >= dropout_ratio
         scale = keep * (1.0 / (1.0 - dropout_ratio))
         rows = rows * scale
-    scores, summed = scores_from_design(params, nodes, x, x2, rows)
+    scores, summed = scores_from_design(params, x, x2, *_node_terms(params, nodes, rows))
     err = scores - packed.labels
     g = 2.0 * err
     # interaction gradient wrt the (possibly dropped) embedding rows

@@ -1,5 +1,7 @@
 """Every refused argument is a ConfigError, which ``except ValueError`` also catches."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,16 @@ def test_numpy_integers_and_floats_are_accepted():
     assert len(ModelParams.initialize(7, 2, np.uint8(0)).weights) == 1   # no 0 - 1 wrap-around
     assert ModelParams(0.0, np.zeros(2), [np.zeros((2, 2))], num_layers=np.int64(1)).num_layers == 1
     assert SPACE.field_range(np.int64(1)) == SPACE.field_range(1) == (3, 7)
+
+
+def test_numpy_float32_rates_are_checked_without_a_warning():
+    # comparing a float32 with the largest float64 overflowed in the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert TrainConfig(learning_rate=np.float32(0.01)).learning_rate == np.float32(0.01)
+        ModelParams.initialize(7, 2, scale=np.float32(0.1))
+        with pytest.raises(ConfigError, match="real number"):
+            TrainConfig(learning_rate=np.float32("inf"))
 
 
 @pytest.mark.parametrize("call,message", [

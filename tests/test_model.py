@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from gemfm import (CheckpointError, DataFormatError, FeatureGraph, GemfmError,
                    ModelParams, gcn_embed, lookup_embed, normalize, predict_batch)
-from gemfm.model import CHECKPOINT_MAGIC, batch_design
+from gemfm.graph import node_set
+from gemfm.model import CHECKPOINT_MAGIC, batch_design, embed, scores_from_design
 from gemfm.data import PackedInstances
 from oracles import dense_gcn_rows, dense_normalized_adjacency, packed_rows, pairwise_score
 
@@ -167,10 +168,16 @@ def test_batch_design_is_batch_local():
     packed = PackedInstances.from_instances(
         packed_rows([(1.0, ((3, 2.0), (7, 1.0))),
                      (0.0, ((7, 3.0),))]), num_features=10)
-    nodes, x, x2 = batch_design(packed)
+    nodes, x, x2 = batch_design(packed, *node_set(packed.indices, 10))
     np.testing.assert_array_equal(nodes, [3, 7])
     np.testing.assert_array_equal(x.toarray(), [[2.0, 1.0], [0.0, 3.0]])
     np.testing.assert_array_equal(x2.toarray(), [[4.0, 1.0], [0.0, 9.0]])
+    # over a wider table (a whole call's nodes) the columns are table positions
+    table, position = node_set(np.array([1, 3, 5, 7]), 10)
+    nodes, x, x2 = batch_design(packed, table, position)
+    np.testing.assert_array_equal(nodes, [1, 3, 5, 7])
+    np.testing.assert_array_equal(x.toarray(), [[0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 0.0, 3.0]])
+    np.testing.assert_array_equal(x2.toarray(), [[0.0, 4.0, 0.0, 1.0], [0.0, 0.0, 0.0, 9.0]])
 
 
 def test_batch_design_rejects_negative_index():
@@ -225,25 +232,32 @@ def test_predict_batch_chunking_changes_nothing(monkeypatch):
         assert alone.tobytes() == chunked.tobytes()
 
 
-@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
 def test_predict_batch_embeds_once_per_call(monkeypatch, num_layers):
     rng = np.random.default_rng(8)
     m = 12
     instances = [_random_instance(rng, m) for _ in range(10)]
     params = ModelParams.initialize(m, 3, num_layers, seed=2, scale=0.2)
-    norm = normalize(_random_graph(rng, m))
-    calls = []
+    norm = normalize(_random_graph(rng, m)) if num_layers else None
+    calls = {"embed": [], "batch_design": [], "scores_from_design": []}
 
-    def counting(*args):
-        calls.append(args[2])
-        return gcn_embed(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return counted
 
     monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 4)
-    monkeypatch.setattr("gemfm.model.gcn_embed", counting)
+    for name, fn in [("embed", embed), ("batch_design", batch_design),
+                     ("scores_from_design", scores_from_design)]:
+        monkeypatch.setattr(f"gemfm.model.{name}", counting(name, fn))
     predict_batch(packed_rows(instances), params, norm)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], np.unique([i for _, entries in instances
-                                                        for i, _ in entries]))
+    assert len(calls["embed"]) == 1
+    np.testing.assert_array_equal(calls["embed"][0][2],
+                                  np.unique([i for _, entries in instances for i, _ in entries]))
+    # one design and one scoring per chunk of 4: ceil(10 / 4)
+    assert len(calls["batch_design"]) == len(calls["scores_from_design"]) == 3
+    assert [len(args[0]) for args in calls["batch_design"]] == [4, 4, 2]
 
 
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
