@@ -132,7 +132,7 @@ def test_instances_that_are_not_a_pack_are_refused(call, tmp_path):
     assert not (tmp_path / "rows.libfm").exists()
 
 
-# a float32 compared with the largest float64 once overflowed in the cast, with a warning
+# a float32 checked against the largest float64 must not overflow it in the cast
 @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
 def test_numpy_integers_and_floats_are_accepted():
     config = TrainConfig(batch_size=np.int64(8), max_epochs=np.int32(2), patience=np.uint8(3),
