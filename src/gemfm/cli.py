@@ -21,7 +21,7 @@ from . import model
 from .data import (DatasetSplit, _no_rows, content_lines, load_field_map, load_libfm,
                    read_libfm, split_dataset)
 from .errors import ConfigError, DataFormatError, GemfmError, check
-from .graph import FeatureGraph, build_graph, normalize
+from .graph import FeatureGraph, build_graph, check_nodes, normalize
 from .metrics import count_params, format_report, metric_report
 from .model import ACTIVATIONS, ModelParams, predict_batch
 from .seeding import derive_seed
@@ -134,10 +134,9 @@ def _load_space(opts):
 
 
 def cmd_build_graph(opts) -> int:
-    space = _load_space(opts)
-    graph = build_graph(load_libfm(_require(opts, "data")), space, opts.graph_fields,
-                        opts.graph_pairs)
-    graph.save(_require(opts, "out"))
+    data, out, space = _require(opts, "data"), _require(opts, "out"), _load_space(opts)
+    graph = build_graph(load_libfm(data), space, opts.graph_fields, opts.graph_pairs)
+    graph.save(out)
     deg = graph.degrees()
     print(f"nodes {graph.num_nodes}")
     print(f"edges {graph.num_edges}")
@@ -160,23 +159,14 @@ def _degree_histogram(deg: np.ndarray) -> list[tuple[str, int]]:
 
 
 def _resolve_splits(opts) -> DatasetSplit:
-    presplit = [opts.train, opts.val, opts.test]
-    single = opts.data
-    if any(presplit) and single:
-        raise ConfigError("give either --data with --ratios or --train/--val/--test, not both")
-    if any(presplit):
-        if not all(presplit):
-            raise ConfigError("pre-split input needs all of --train, --val, --test")
-        return DatasetSplit(load_libfm(presplit[0]), load_libfm(presplit[1]),
-                            load_libfm(presplit[2]))
-    if not single:
-        raise ConfigError("no input data: give --data or --train/--val/--test")
-    seed = derive_seed(opts.seed, "split")
+    """The parts of --data split by --ratios, or of --train, --val and --test."""
+    if opts.train:
+        return DatasetSplit(load_libfm(opts.train), load_libfm(opts.val), load_libfm(opts.test))
     try:
         ratios = tuple(float(p) for p in opts.ratios.split(","))
-        return split_dataset(load_libfm(single), ratios, seed=seed)
+        return split_dataset(load_libfm(opts.data), ratios, seed=derive_seed(opts.seed, "split"))
     except ValueError as exc:
-        raise ConfigError(f"cannot split {single} by ratios {opts.ratios!r}: {exc}") from None
+        raise ConfigError(f"cannot split {opts.data} by ratios {opts.ratios!r}: {exc}") from None
 
 
 def _train_config(opts) -> TrainConfig:
@@ -186,6 +176,15 @@ def _train_config(opts) -> TrainConfig:
 
 def cmd_train(opts) -> int:
     train_config = _train_config(opts)    # refuses a bad value before any file is read
+    presplit = [opts.train, opts.val, opts.test]
+    if any(presplit) and opts.data:
+        raise ConfigError("give either --data with --ratios or --train/--val/--test, not both")
+    if any(presplit) and not all(presplit):
+        raise ConfigError("pre-split input needs all of --train, --val, --test")
+    if not any(presplit) and not opts.data:
+        raise ConfigError("no input data: give --data or --train/--val/--test")
+    if opts.layers and not opts.graph and opts.graph_fields is None and opts.graph_pairs is None:
+        raise ConfigError("layers >= 1 needs --graph or --graph-fields/--graph-pairs")
     space = _load_space(opts)
     split = _resolve_splits(opts)
     if not len(split.train) or not len(split.validation):
@@ -205,14 +204,10 @@ def cmd_train(opts) -> int:
                       if opts.layers else "--layers 0 trains plain FM, without a graph"))
 
     graph = None
-    if opts.layers >= 1:
-        if opts.graph:
-            graph = FeatureGraph.load(opts.graph)
-        elif opts.graph_fields is not None or opts.graph_pairs is not None:
-            graph = build_graph(split.train, space, opts.graph_fields, opts.graph_pairs)
-        else:
-            raise ConfigError("layers >= 1 needs --graph or --graph-fields/--graph-pairs")
-
+    if opts.layers and opts.graph:
+        graph = check_nodes(FeatureGraph.load(opts.graph), space.num_features)
+    elif opts.layers:
+        graph = build_graph(split.train, space, opts.graph_fields, opts.graph_pairs)
     norm = normalize(graph) if graph is not None else None
     params, report = train(split.train, split.validation, space, train_config,
                            dim=opts.dim, num_layers=opts.layers,
@@ -234,10 +229,10 @@ def cmd_train(opts) -> int:
 
 def _load_model_and_graph(opts):
     params = ModelParams.load(_require(opts, "model"))
-    norm = None
-    if params.num_layers >= 1:
-        norm = normalize(FeatureGraph.load(_require(opts, "graph")))
-    return params, norm
+    if not params.num_layers:
+        return params, None
+    graph = FeatureGraph.load(_require(opts, "graph"))
+    return params, normalize(check_nodes(graph, params.num_features))
 
 
 def _scored_blocks(path, params, norm):
@@ -258,17 +253,17 @@ def _scored_blocks(path, params, norm):
 
 
 def cmd_evaluate(opts) -> int:
+    data = _require(opts, "data")
     params, norm = _load_model_and_graph(opts)
-    labels, preds = map(np.concatenate,
-                        zip(*_scored_blocks(_require(opts, "data"), params, norm)))
+    labels, preds = map(np.concatenate, zip(*_scored_blocks(data, params, norm)))
     rep = metric_report(preds, labels, count_params(params), clip_to_unit=opts.clip == "1")
     print(format_report(rep))
     return 0
 
 
 def cmd_predict(opts) -> int:
-    params, norm = _load_model_and_graph(opts)
     data, out, size = _require(opts, "data"), _require(opts, "out"), model._PREDICT_CHUNK
+    params, norm = _load_model_and_graph(opts)
     # every row parses and scores before --out is opened, so a faulty file
     # writes nothing; of the rows, only their predictions are held
     preds = np.concatenate([p for _, p in _scored_blocks(data, params, norm)])

@@ -19,7 +19,6 @@ and line as it always has.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections.abc import Iterator, Sized
@@ -102,31 +101,19 @@ def read_libfm(path) -> Iterator[PackedInstances]:
     """The rows of a libFM text file, one chunk of whole lines at a time, so
     a caller that keeps only what it needs of each holds one chunk.
 
-    Each chunk is parsed with array operations straight into CSR arrays. A
-    chunk that fails any check (or holds a NUL or a non-ASCII character) is
-    re-read line by line through parse_libfm_line, which raises the error
-    naming the file and line, or parses it if valid.
+    The file is read once, a byte that is not UTF-8 as a lone surrogate. Each
+    chunk is parsed with array operations straight into CSR arrays. A chunk
+    that fails any check is re-read line by line through parse_libfm_line,
+    which raises the error naming the file and line, or parses it if valid.
     """
     lineno = 1    # the first line not yet yielded
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while chunk := fh.read(_CHUNK_CHARS):
-                if not chunk.endswith("\n"):
-                    chunk += fh.readline()
-                packed = _parse_chunk(chunk)
-                yield _parse_lines(chunk.split("\n"), lineno, path) if packed is None else packed
-                lineno += chunk.count("\n")
-        return
-    except UnicodeDecodeError:
-        pass
-    # go on line by line from there (the lines before it are valid): a faulty
-    # line in a block decoded before the undecodable bytes is reported first,
-    # as the decoder meets them
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            yield _parse_lines(itertools.islice(fh, lineno - 1, None), lineno, path)
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while chunk := fh.read(_CHUNK_CHARS):
+            if not chunk.endswith("\n"):
+                chunk += fh.readline()
+            packed = _parse_chunk(chunk)
+            yield _parse_lines(chunk.split("\n"), lineno, path) if packed is None else packed
+            lineno += chunk.count("\n")
 
 
 def content_lines(lines, start: int = 1) -> Iterator[tuple[int, str]]:
@@ -137,13 +124,18 @@ def content_lines(lines, start: int = 1) -> Iterator[tuple[int, str]]:
 
 
 def _parse_lines(lines, lineno: int, path) -> PackedInstances:
-    """The rows of ``lines`` (numbered from ``lineno``) through parse_libfm_line."""
+    """The rows of ``lines`` (numbered from ``lineno``) through parse_libfm_line;
+    the first line that is not UTF-8 text or not a valid row raises."""
+    # with its newline, a line decodes as it does within the file
+    decoded = ((line + "\n").encode("utf-8", "surrogateescape").decode("utf-8") for line in lines)
     rows = []
-    for lineno, body in content_lines(lines, lineno):
-        try:
+    try:
+        for lineno, body in content_lines(decoded, lineno):
             rows.append(parse_libfm_line(body, lineno))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     return _concat([_no_rows(), *rows])
 
 
@@ -160,11 +152,19 @@ def ascii_tokens(buf: np.ndarray):
     return starts, ends, first[:-1]
 
 
-def blank_comments(buf: np.ndarray) -> np.ndarray:
-    """The ASCII bytes ``buf`` with each line blanked (to spaces) from its
-    first '#' up to its newline."""
-    seen = np.cumsum(buf == 35)    # '#' so far
-    return np.where(seen > np.maximum.accumulate(np.where(buf == 10, seen, 0)), 32, buf)
+def bulk_bytes(text: str) -> np.ndarray | None:
+    """The UTF-8 bytes of ``text`` with each line blanked (to spaces) from its
+    first '#' up to its newline: the bytes the bulk parsers take. None when
+    ``text`` holds a lone surrogate (an undecodable byte) or a non-ASCII byte
+    or a NUL remains (a NUL would vanish from a fixed-width bytes key)."""
+    try:
+        buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    if "#" in text:
+        seen = np.cumsum(buf == 35)    # '#' so far
+        buf = np.where(seen > np.maximum.accumulate(np.where(buf == 10, seen, 0)), 32, buf)
+    return None if np.any(buf - 1 >= 127) else buf    # NUL wraps to 255
 
 
 def parse_indices(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -206,11 +206,8 @@ def _parse_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
 def _parse_chunk(text: str) -> PackedInstances | None:
     """The rows of whole libFM lines parsed with array operations, or None
     when a check fails: parse_libfm_line then names the fault."""
-    if not text.isascii() or "\0" in text:
-        return None    # NUL would vanish from a fixed-width bytes key
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if "#" in text:
-        buf = blank_comments(buf)
+    if (buf := bulk_bytes(text)) is None:
+        return None
     starts, ends, label = ascii_tokens(buf)
     entry = ~label
     entry_starts, entry_ends = starts[entry], ends[entry]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .data import (FeatureSpace, PackedInstances, ascii_tokens, blank_comments, content_lines,
+from .data import (FeatureSpace, PackedInstances, ascii_tokens, bulk_bytes, content_lines,
                    parse_index, parse_indices, spell_integers)
 from .errors import ConfigError, GraphFormatError, check
 from .seeding import seeded_rng
@@ -63,7 +63,7 @@ class FeatureGraph:
         """Write ``nodes m`` then one ``i j`` line per edge, a block of edges
         per write, spelled as uint8 rows (spell_integers) with NULs dropped."""
         with open(path, "wb") as fh:
-            fh.write(f"nodes {self.num_nodes}\n".encode("ascii"))
+            fh.write(b"nodes %d\n" % self.num_nodes)
             for lo in range(0, self.num_edges, _SAVE_EDGES):
                 i, j = self.edges[lo:lo + _SAVE_EDGES].T
                 space, newline = (np.full((i.size, 1), c, dtype=np.uint8) for c in b" \n")
@@ -99,15 +99,12 @@ def _sorted_edges(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _edge_arrays(text: str):
     """The node count and (i < j) endpoint pairs of an edge list, read with
     array operations, or None when any check fails."""
-    if not text.isascii():
+    if (buf := bulk_bytes(text)) is None:
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if "#" in text:
-        buf = blank_comments(buf)
     starts, ends, first = ascii_tokens(buf)
     # two tokens a line: 'nodes m', then 'i j'
     if (not starts.size or starts.size % 2 or not first[::2].all() or first[1::2].any()
-            or text[starts[0]:ends[0]] != "nodes"):
+            or buf[starts[0]:ends[0]].tobytes() != b"nodes"):
         return None
     numbers = parse_indices(buf, starts[1:], ends[1:])
     if numbers is None:
@@ -230,6 +227,14 @@ def local_columns(block: sparse.csr_array) -> tuple[np.ndarray, sparse.csr_array
     columns, local = node_set(block.indices, block.shape[1])
     return columns, sparse.csr_array((block.data, local[block.indices], block.indptr),
                                      shape=(block.shape[0], columns.size))
+
+
+def check_nodes(graph: FeatureGraph, num_features: int) -> FeatureGraph:
+    """``graph``, if it has a node per feature: checked before any per-node work."""
+    if graph.num_nodes != num_features:
+        raise ConfigError(f"adjacency over {graph.num_nodes} nodes does not match "
+                          f"{num_features} features")
+    return graph
 
 
 def normalize(graph: FeatureGraph) -> sparse.csr_array:

@@ -104,7 +104,7 @@ class ModelParams:
 
     def save(self, path) -> None:
         """Binary checkpoint: magic, dims, activation name, float64 LE blocks."""
-        act = self.activation.encode("ascii")
+        act = self.activation.encode()
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<qqqq", self.num_features, self.dim,

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from .data import PackedInstances
 from .errors import ConfigError, TrainingDivergedError, check
-from .graph import FeatureGraph, local_columns, node_set, normalize, sample_neighbors
+from .graph import FeatureGraph, check_nodes, local_columns, node_set, normalize, sample_neighbors
 from .metrics import mae, rmse
 from .model import ModelParams, _node_terms, batch_design, embed, predict_batch, scores_from_design
 # benchmarks/bench_trace.py patches every namespace a traced name may be
@@ -280,6 +280,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     if num_layers == 0 and (graph is not None or norm is not None):
         raise ConfigError("graph given but the model has no convolution layers")
     m = space.num_features
+    if graph is not None:
+        check_nodes(graph, m)
     tr = PackedInstances.from_instances(train_set, m)
     va = PackedInstances.from_instances(val_set, m)
     if np.any(np.diff(tr.indptr) == 0):

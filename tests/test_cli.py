@@ -474,20 +474,23 @@ def test_too_few_rows_to_train_fail_cleanly(workspace, capsys, presplit):
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
 def test_a_graph_one_node_short_fails_cleanly(workspace, capsys, command):
-    # the node count is checked where the graph meets the model, in gcn_embed
+    # the node count is checked against the model's features before any
+    # per-node work, so a count too large to allocate fails as cleanly
     tmp_path, data, fmap, _ = workspace
     short = tmp_path / "short.txt"
-    FeatureGraph(8, np.array([[0, 4]])).save(short)
     model, out = tmp_path / "model.bin", tmp_path / "preds.txt"
-    if command == "train":
-        args = _train_args(data, fmap, tmp_path, "--layers", "1", "--graph", str(short))
-    else:
-        ModelParams.initialize(9, 3, num_layers=1).save(model)
-        args = [command, "--data", str(data), "--model", str(model), "--graph", str(short)]
-        args += ["--out", str(out)] if command == "predict" else []
-    assert main(args) == 1
-    assert capsys.readouterr().err == "error: adjacency over 8 nodes does not match 9 features\n"
-    assert model.exists() == (command != "train") and not out.exists()
+    for nodes in (8, 999999999999999999):
+        FeatureGraph(nodes, np.array([[0, 4]])).save(short)
+        if command == "train":
+            args = _train_args(data, fmap, tmp_path, "--layers", "1", "--graph", str(short))
+        else:
+            ModelParams.initialize(9, 3, num_layers=1).save(model)
+            args = [command, "--data", str(data), "--model", str(model), "--graph", str(short)]
+            args += ["--out", str(out)] if command == "predict" else []
+        assert main(args) == 1
+        assert capsys.readouterr().err == \
+            f"error: adjacency over {nodes} nodes does not match 9 features\n"
+        assert model.exists() == (command != "train") and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
@@ -535,6 +538,24 @@ def test_config_file_to_train_config_fuzz(config_file, text):
         _train_config(_settings(given))
     except GemfmError:
         pass
+
+
+@pytest.mark.parametrize("command, error", [
+    ("build-graph", "missing required option 'out'"),
+    ("train", "layers >= 1 needs --graph or --graph-fields/--graph-pairs"),
+    ("predict", "missing required option 'out'"),
+    ("evaluate", "missing required option 'data'"),
+])
+def test_a_missing_option_is_reported_before_any_file_is_read(workspace, capsys, command, error):
+    # every file named but the field map is missing, and so is one option
+    tmp_path, _, fmap, _ = workspace
+    missing = str(tmp_path / "missing")
+    given = {"build-graph": ["--data", missing, "--field-map", str(fmap)],
+             "train": ["--data", missing, "--field-map", str(fmap), "--layers", "1"],
+             "predict": ["--data", missing, "--model", missing],
+             "evaluate": ["--model", missing]}
+    assert main([command, *given[command]]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_missing_files_exit_nonzero(workspace, capsys):
@@ -634,7 +655,7 @@ def test_streamed_predict_and_evaluate_match_one_call(workspace, capsys, monkeyp
                                                       chunk_chars, block):
     tmp_path, saved, _, _ = workspace
     # comments, blank lines, CRLF, a non-ASCII comment and a 40-character
-    # value: those last two send their chunks to the line-by-line parser
+    # value: only the value sends its chunk to the line-by-line parser
     lines = saved.read_text().splitlines()
     lines[3] += " # café"
     lines[30] = lines[30].replace(":1.0", ":1." + "0" * 38, 1)
@@ -659,9 +680,8 @@ def test_streamed_predict_and_evaluate_match_one_call(workspace, capsys, monkeyp
 # line index: what is appended to it
 _FAULTS = {"first": {0: " x:2"}, "middle": {1500: " x:2"}, "last": {2999: " x:2"},
            "undecodable": {2900: " # caf\udce9"},
-           # the bad entry sits in the decoder block before the byte's, and in
-           # the 4 kB chunk whose read meets that byte: the line-by-line read
-           # that takes over reports the entry, numbered from its own line
+           # the bad entry's chunk is read before the undecodable byte's, so
+           # the entry is reported, numbered from its own line
            "both": {1899: " x:2", 2299: " # caf\udce9"}}
 
 

@@ -236,8 +236,9 @@ def test_bulk_reader_re_reads_only_a_faulty_chunk(tmp_path, monkeypatch):
     path.write_text("".join(line + "\n" for line in lines))
     assert len(load_libfm(path)) == 9
     assert calls == []
-    # comments are blanked in bulk, up to a newline and not past it
-    path.write_text("# rows\n" + "".join(f"{line} #{k} 5:1\n" for k, line in enumerate(lines)))
+    # comments, non-ASCII ones too, are blanked in bulk, up to a newline and not past it
+    commented = "".join(f"{line} #{k} café 5:1\n" for k, line in enumerate(lines))
+    path.write_text("# rows\n" + commented, encoding="utf-8")
     assert packed_equal(load_libfm(path), load_libfm_reference(path))
     assert calls == []
 
@@ -352,17 +353,25 @@ def test_load_reports_a_fault_in_any_chunk(tmp_path, monkeypatch, fault_line):
     _assert_loads_like_reference(path)
 
 
-def test_load_reports_the_fault_a_line_by_line_read_meets_first(tmp_path):
-    # a bad line 2 and, 100 kB on (past the decoder's first blocks but inside
-    # one bulk chunk), undecodable bytes: the bad line is reported, as before
+def test_load_reports_the_fault_a_line_by_line_read_meets_first(tmp_path, monkeypatch):
+    # a bad line 2 and undecodable bytes after it, 100 kB on or in the next
+    # line: the bad line is reported, from a file opened once
+    opened = []
+    monkeypatch.setattr("gemfm.data.open", lambda *args, **kwargs: opened.append(args)
+                        or open(*args, **kwargs), raising=False)
     path = tmp_path / "both.libfm"
     body = "1 0:1\n1 0:1 0:2\n" + "0 1:1\n" * 20_000
     path.write_bytes(body.encode() + b"1 2:1 # caf\xe9\n")
     with pytest.raises(DataFormatError, match=r"both\.libfm.*duplicate feature index 0 \(line 2\)"):
         load_libfm(path)
+    assert len(opened) == 1
     _assert_loads_like_reference(path)
+    path.write_bytes(b"1 0:1\n1 0:1 0:2\n1 1:1 # caf\xe9\n")
+    with pytest.raises(DataFormatError, match=r"both\.libfm.*duplicate feature index 0 \(line 2\)"):
+        load_libfm(path)
     path.write_bytes(("0 1:1\n" * 20_000).encode() + b"1 2:1 # caf\xe9\n")
-    with pytest.raises(DataFormatError, match=r"both\.libfm.*UTF-8"):
+    with pytest.raises(DataFormatError,
+                       match=r"both\.libfm: not UTF-8 text \(invalid continuation byte\)"):
         load_libfm(path)
 
 

@@ -1,5 +1,5 @@
 """Package hygiene: the public names resolve, the source keeps its line width, and scalar
-arguments and '#' comments are each handled in one place."""
+arguments, '#' comments and the bytes the bulk readers take are each handled in one place."""
 
 from pathlib import Path
 
@@ -36,4 +36,12 @@ def test_comments_are_stripped_only_by_data():
     # data.content_lines is the one comment and blank-line rule of the line readers
     by_hand = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "data.py"
                and 'split("#"' in path.read_text(encoding="utf-8")]
+    assert by_hand == []
+
+
+def test_bulk_bytes_are_chosen_only_by_data():
+    # data.bulk_bytes is the one rule of which bytes the bulk parsers take
+    by_hand = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "data.py"
+               and any(call in path.read_text(encoding="utf-8")
+                       for call in (".isascii()", 'encode("ascii")'))]
     assert by_hand == []

@@ -535,6 +535,10 @@ def test_train_input_validation():
     graph = FeatureGraph(14, np.array([[0, 6]]))
     with pytest.raises(ValueError, match="no convolution layers"):
         train(data, data, _space(), config, dim=4, graph=graph)
+    huge = FeatureGraph(999999999999999999, np.array([[0, 6]]))    # refused before normalize
+    with pytest.raises(ValueError, match="adjacency over 999999999999999999 nodes does not "
+                                         "match 14 features"):
+        train(data, data, _space(), config, dim=4, num_layers=1, graph=huge)
     bad_init = ModelParams.initialize(14, 3)
     with pytest.raises(ValueError, match="init_params"):
         train(data, data, _space(), config, dim=4, init_params=bad_init)
