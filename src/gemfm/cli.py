@@ -159,7 +159,6 @@ def _degree_histogram(deg: np.ndarray) -> list[tuple[str, int]]:
 
 
 def _resolve_splits(opts) -> DatasetSplit:
-    """The parts of --data split by --ratios, or of --train, --val and --test."""
     if opts.train:
         return DatasetSplit(load_libfm(opts.train), load_libfm(opts.val), load_libfm(opts.test))
     try:

@@ -19,6 +19,7 @@ and line as it always has.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from collections.abc import Iterator, Sized
@@ -112,7 +113,7 @@ def read_libfm(path) -> Iterator[PackedInstances]:
             if not chunk.endswith("\n"):
                 chunk += fh.readline()
             packed = _parse_chunk(chunk)
-            yield _parse_lines(chunk.split("\n"), lineno, path) if packed is None else packed
+            yield _parse_lines(io.StringIO(chunk), lineno, path) if packed is None else packed
             lineno += chunk.count("\n")
 
 
@@ -126,8 +127,8 @@ def content_lines(lines, start: int = 1) -> Iterator[tuple[int, str]]:
 def _parse_lines(lines, lineno: int, path) -> PackedInstances:
     """The rows of ``lines`` (numbered from ``lineno``) through parse_libfm_line;
     the first line that is not UTF-8 text or not a valid row raises."""
-    # with its newline, a line decodes as it does within the file
-    decoded = ((line + "\n").encode("utf-8", "surrogateescape").decode("utf-8") for line in lines)
+    # a line with its newline decodes as it does within the file
+    decoded = (line.encode("utf-8", "surrogateescape").decode("utf-8") for line in lines)
     rows = []
     try:
         for lineno, body in content_lines(decoded, lineno):

@@ -373,6 +373,9 @@ def test_load_reports_the_fault_a_line_by_line_read_meets_first(tmp_path, monkey
     with pytest.raises(DataFormatError,
                        match=r"both\.libfm: not UTF-8 text \(invalid continuation byte\)"):
         load_libfm(path)
+    path.write_bytes(b"1 0:1\n1 2:1 # caf\xc3")    # cut short by the end of the file
+    with pytest.raises(DataFormatError, match=r"not UTF-8 text \(unexpected end of data\)"):
+        load_libfm(path)
 
 
 # lines shaped like the format, from the pieces the bulk reader treats apart
