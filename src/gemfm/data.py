@@ -165,7 +165,8 @@ def bulk_bytes(text: str) -> np.ndarray | None:
     if "#" in text:
         seen = np.cumsum(buf == 35)    # '#' so far
         buf = np.where(seen > np.maximum.accumulate(np.where(buf == 10, seen, 0)), 32, buf)
-    return None if np.any(buf - 1 >= 127) else buf    # NUL wraps to 255
+    # plain ASCII text skips the array test, in which a NUL wraps to 255
+    return buf if (text.isascii() and "\0" not in text) or not np.any(buf - 1 >= 127) else None
 
 
 def parse_indices(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
