@@ -17,9 +17,8 @@ import warnings
 
 import numpy as np
 
-from . import model
-from .data import (DatasetSplit, _no_rows, content_lines, load_field_map, load_libfm,
-                   read_libfm, split_dataset)
+from .data import (DatasetSplit, content_lines, load_field_map, load_libfm, read_libfm,
+                   split_dataset)
 from .errors import ConfigError, DataFormatError, GemfmError, check
 from .graph import FeatureGraph, build_graph, check_nodes, normalize
 from .metrics import count_params, format_report, metric_report
@@ -234,42 +233,35 @@ def _load_model_and_graph(opts):
     return params, normalize(check_nodes(graph, params.num_features))
 
 
-def _scored_blocks(path, params, norm):
-    """(labels, predictions) of a data file's rows, read a chunk at a time and
-    scored in predict_batch's own blocks of _PREDICT_CHUNK rows, so the bits
-    are those of one call over the file. A file with no rows is an error."""
-    rows, size, scored = _no_rows(), model._PREDICT_CHUNK, 0
-    for part in read_libfm(path):
-        rows += part
-        full = len(rows) - len(rows) % size
-        if full:
-            yield rows.labels[:full], predict_batch(rows.row_range(0, full), params, norm)
-            rows, scored = rows.row_range(full, len(rows)), scored + full
-    if len(rows):
-        yield rows.labels, predict_batch(rows, params, norm)
-    elif not scored:
+def _scored_chunks(path, params, norm):
+    """(labels, predictions) of each chunk of a data file's rows, scored as it
+    is read; a score depends on its row alone. A file with no rows is an error."""
+    scored = False
+    for part in filter(len, read_libfm(path)):    # a chunk of comments holds no rows
+        scored = True
+        yield part.labels, predict_batch(part, params, norm)
+    if not scored:
         raise DataFormatError(f"{path}: no instances")
 
 
 def cmd_evaluate(opts) -> int:
     data = _require(opts, "data")
     params, norm = _load_model_and_graph(opts)
-    labels, preds = map(np.concatenate, zip(*_scored_blocks(data, params, norm)))
+    labels, preds = map(np.concatenate, zip(*_scored_chunks(data, params, norm)))
     rep = metric_report(preds, labels, count_params(params), clip_to_unit=opts.clip == "1")
     print(format_report(rep))
     return 0
 
 
 def cmd_predict(opts) -> int:
-    data, out, size = _require(opts, "data"), _require(opts, "out"), model._PREDICT_CHUNK
+    data, out = _require(opts, "data"), _require(opts, "out")
     params, norm = _load_model_and_graph(opts)
     # every row parses and scores before --out is opened, so a faulty file
     # writes nothing; of the rows, only their predictions are held
-    preds = np.concatenate([p for _, p in _scored_blocks(data, params, norm)])
+    preds = [p for _, p in _scored_chunks(data, params, norm)]
     with open(out, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(preds), size):
-            fh.write("\n".join(map(repr, preds[lo:lo + size].tolist())) + "\n")
-    print(f"wrote {len(preds)} predictions to {out}")
+        fh.writelines("\n".join(map(repr, part.tolist())) + "\n" for part in preds)
+    print(f"wrote {sum(map(len, preds))} predictions to {out}")
     return 0
 
 

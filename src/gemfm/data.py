@@ -87,7 +87,7 @@ def parse_libfm_line(text: str, lineno: int | None = None) -> PackedInstances:
 # rows save_libfm spells per write: bounds its token matrix
 _CHUNK_ROWS = 8192
 # characters load_libfm reads per chunk, completed to a whole line
-_CHUNK_CHARS = 1 << 18
+_CHUNK_CHARS = 1 << 19
 # a longer label or value sends its chunk to the line-by-line parser
 _MAX_NUMBER_CHARS = 32
 
@@ -325,6 +325,8 @@ class FeatureSpace:
         for k, (name, (start, end)) in enumerate(zip(self.field_names, self.field_bounds)):
             if name in self.field_names[:k]:
                 raise DataFormatError(f"field {name!r} is named twice")
+            check(f"field {name!r} start", start, int, error=DataFormatError)
+            check(f"field {name!r} end", end, int, error=DataFormatError)
             if start != expected:
                 raise DataFormatError(
                     f"field {name!r} starts at {start}, expected {expected} "
@@ -336,12 +338,11 @@ class FeatureSpace:
 
     @classmethod
     def from_cardinalities(cls, names, sizes) -> "FeatureSpace":
-        """Build a space from field names and per-field feature counts."""
-        bounds = []
-        start = 0
-        for size in sizes:
-            bounds.append((start, start + int(size)))
-            start += int(size)
+        """Build a space from field names and per-field feature counts, each an integer."""
+        bounds, start = [], 0
+        for size in sizes:    # a count that is not an integer reaches the bound check
+            bounds.append((start, start + size))
+            start += size
         return cls(tuple(names), tuple(bounds))
 
     @property

@@ -36,7 +36,11 @@ class FeatureGraph:
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        check("graph node count", self.num_nodes, int, error=GraphFormatError)
+        edges = np.asarray(self.edges)
+        if edges.size and edges.dtype.kind not in "iu":
+            raise GraphFormatError(f"edge endpoints must be integers, got {edges.dtype} values")
+        edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
         object.__setattr__(self, "edges", edges)
         if self.num_nodes < 1:
             raise GraphFormatError(f"graph needs at least one node, got {self.num_nodes}")

@@ -13,8 +13,8 @@ from .errors import check
 
 
 def derive_seed(seed: int, *names) -> int:
-    """Map (seed, name parts) to a stable 64-bit integer seed."""
-    key = ":".join([str(int(seed)), *(str(n) for n in names)]).encode()
+    """Map a non-negative integer seed and name parts to a stable 64-bit integer seed."""
+    key = ":".join([str(int(check("seed", seed, int, 0))), *(str(n) for n in names)]).encode()
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

@@ -18,7 +18,9 @@ from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, GemfmError, Mode
                    build_graph, count_params, format_report, load_libfm, TrainConfig,
                    metric_report, normalize, predict_batch, save_libfm)
 from gemfm.datagen import ClickDataConfig, click_benchmark
+import gemfm.cli
 from gemfm.cli import _OPTIONS, _settings, _train_config, build_parser, main
+from gemfm.data import PackedInstances
 from oracles import packed_rows, unpack
 
 
@@ -708,8 +710,8 @@ def test_a_fault_in_any_chunk_leaves_no_output(tmp_path, capsys, monkeypatch, fa
     if existing:
         out.write_bytes(b"earlier predictions\n")
     before = sorted(tmp_path.iterdir())
-    # chunks of about 340 rows, scored in blocks of 100: blocks are written
-    # before a fault in a later chunk is met
+    # chunks of about 340 rows, each scored as it is read (predict_batch
+    # in blocks of 100): chunks are scored before a fault in a later one is met
     monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 4096)
     monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", 100)
     for command in ("predict", "evaluate"):
@@ -722,8 +724,8 @@ def test_a_fault_in_any_chunk_leaves_no_output(tmp_path, capsys, monkeypatch, fa
 
 def test_an_index_past_the_model_is_reported_from_the_first_block_holding_one(
         tmp_path, capsys, monkeypatch):
-    # rows meet the model a block at a time, in file order: the first block
-    # with an index past it is reported, naming that block's largest index,
+    # rows meet the model a chunk at a time, in file order: the first chunk
+    # with an index past it is reported, naming that chunk's largest index,
     # before a larger index or a faulty line further on is read
     data = tmp_path / "data.libfm"
     lines = [f"{k % 2} {k % 4}:1 {4 + k % 5}:0.5" for k in range(3000)]
@@ -739,6 +741,32 @@ def test_an_index_past_the_model_is_reported_from_the_first_block_holding_one(
         assert main(_scoring_args(command, data, model, graph, out)) == 1
         assert capsys.readouterr() == ("", "error: feature index 11 outside [0, 9)\n")
         assert sorted(tmp_path.iterdir()) == before
+
+
+def test_each_chunk_read_is_scored_by_one_call(workspace, capsys, monkeypatch):
+    tmp_path, _, _, _ = workspace
+    data = tmp_path / "data.libfm"
+    lines = [f"{k % 2} {k % 4}:1 {4 + k % 5}:0.5" for k in range(3000)]
+    # the first chunk holds comments alone, and no rows to score
+    data.write_text("# note\n" * 700 + "\n".join(lines) + "\n")
+    model, graph = _served(tmp_path)
+    expected = _one_call(data, model, graph)[2]
+    monkeypatch.setattr("gemfm.data._CHUNK_CHARS", 4096)
+    read, score = gemfm.cli.read_libfm, gemfm.cli.predict_batch
+    chunks, scored = [], []
+    monkeypatch.setattr("gemfm.cli.read_libfm",
+                        lambda path: (chunks.append(len(p)) or p for p in read(path)))
+    monkeypatch.setattr("gemfm.cli.predict_batch",
+                        lambda part, *rest: scored.append(len(part)) or score(part, *rest))
+    monkeypatch.setattr(PackedInstances, "__add__", None)    # rows are not copied into a carry
+    out = tmp_path / "preds.txt"
+    for command in ("predict", "evaluate"):
+        chunks.clear()
+        scored.clear()
+        assert main(_scoring_args(command, data, model, graph, out)) == 0
+        assert chunks[0] == 0 and len(chunks) > 5
+        assert scored == chunks[1:]
+    assert out.read_text() == "".join(f"{v!r}\n" for v in expected.tolist())
 
 
 def test_predictions_get_the_mode_open_gives(workspace, capsys):

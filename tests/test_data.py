@@ -475,6 +475,25 @@ def test_load_field_map_fuzz(text):
         pass
 
 
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: FeatureSpace(("a",), ((0, 2.5),)), "field 'a' end must be an integer, got 2.5"),
+    (lambda: FeatureSpace(("a",), (("0", "2"),)), "field 'a' start must be an integer, got '0'"),
+    (lambda: FeatureSpace(("a", "b"), ((0, 2), (2, 5.0))), "field 'b' end .* got 5.0"),
+    (lambda: FeatureSpace(("a",), ((False, True),)), "field 'a' start .* got False"),
+    (lambda: FeatureSpace.from_cardinalities(["a"], [2.7]), "field 'a' end .* got 2.7"),
+    (lambda: FeatureSpace.from_cardinalities(["a", "b"], [2, 3.0]), "field 'b' end .* 5.0"),
+])
+def test_field_bounds_that_are_not_integers_are_refused(make, fragment):
+    with pytest.raises(DataFormatError, match=fragment):
+        make()
+
+
+def test_field_bounds_may_be_numpy_integers():
+    space = FeatureSpace.from_cardinalities(["a", "b"], np.array([2, 3]))
+    assert space.field_bounds == ((0, 2), (2, 5)) and space.num_features == 5
+    assert FeatureSpace(("a",), ((np.int32(0), np.uint64(4)),)).num_features == 4
+
+
 def test_field_lookup():
     space = FeatureSpace.from_cardinalities(["a", "b", "c"], [2, 3, 4])
     assert space.num_features == 9

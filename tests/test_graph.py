@@ -49,8 +49,27 @@ def test_graph_requires_canonical_edges():
         FeatureGraph(4, np.array([[0, 4]]))
     with pytest.raises(GraphFormatError, match="outside"):
         FeatureGraph(4, np.array([[-1, 2]]))
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="at least one node, got 0"):
         FeatureGraph(0, np.zeros((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("num_nodes, edges, fragment", [
+    (2.5, [[0, 1]], "node count must be an integer, got 2.5"),
+    (True, [[0, 1]], "node count must be an integer, got True"),
+    ("3", [[0, 1]], "node count must be an integer, got '3'"),
+    (4, [[0.5, 1.7]], "endpoints must be integers, got float64"),
+    (4, np.array([[False, True]]), "endpoints must be integers, got bool"),
+    (4, [["0", "1"]], "endpoints must be integers"),
+])
+def test_graph_refuses_input_that_is_not_integer(num_nodes, edges, fragment):
+    with pytest.raises(GraphFormatError, match=fragment):
+        FeatureGraph(num_nodes, edges)
+
+
+def test_graph_takes_numpy_integers():
+    g = FeatureGraph(np.int64(4), np.array([[0, 3]], dtype=np.uint8))
+    assert g.num_nodes == 4 and g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 3]]
+    assert FeatureGraph(4, []).num_edges == 0
 
 
 def test_degrees_and_neighbor_lists():
