@@ -7,15 +7,21 @@ adjacency. The pairwise sum is evaluated through the squared-sum identity
 0.5 * (||sum_i x_i e_i||^2 - sum_i x_i^2 ||e_i||^2), whose square term needs
 one number per node, so scoring stays linear in the number of active features.
 predict_batch takes each distinct node's embedding, squared norm and weight once per call.
+The forward sparse-by-dense products (adj @ weights[0] and adj @ out in gcn_embed, x @ rows
+in scores_from_design) split their rows across two threads once large; no bit depends on
+the split, and a process that may use only one CPU runs them on one thread.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .data import PackedInstances
 from .errors import CheckpointError, ConfigError, DataFormatError, check
@@ -27,6 +33,57 @@ ACTIVATIONS = ("identity", "relu")
 CHECKPOINT_MAGIC = b"GEMFM\x00\x00\x01"
 # rows predict_batch scores per batch_design
 _PREDICT_CHUNK = 8192
+# multiply-adds (stored entries x columns) from which _csr_dense splits a product's rows
+_SPLIT_WORK = 1 << 18
+# the one thread that takes the second part of a split product; it starts on first use
+_worker = ThreadPoolExecutor(1)
+
+
+def _new_worker() -> None:
+    # a forked child holds the executor but not its thread: work sent there would never run
+    global _worker
+    _worker = ThreadPoolExecutor(1)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _csr_dense(a: sparse.csr_array, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a float64 CSR ``a`` and 2-d float64 ``b``, by the kernel scipy's ``@``
+    runs, into one zeroed output.
+
+    From _SPLIT_WORK multiply-adds on, in a process that may use more than one CPU, the
+    rows are cut where half the stored entries fall, and the worker thread computes the
+    second part while this thread computes the first (the kernel releases the GIL). Each
+    output row is the kernel's sum of its entries in their stored order either way, so no
+    bit depends on the split. Any other ``a`` (a caller's adjacency can be of any sparse
+    format and type) is left to ``a @ b``, as is a mismatched shape, which it refuses."""
+    if (a.format != "csr" or a.dtype != np.float64 or b.shape[0] != a.shape[1]
+            or a.nnz * b.shape[1] < _SPLIT_WORK or _cpus() < 2):
+        return a @ b
+    (rows, cols), width = a.shape, b.shape[1]
+    out, flat, indptr = np.zeros((rows, width)), b.ravel(), a.indptr
+    mid = int(np.searchsorted(indptr, indptr[-1] // 2))
+
+    def part(lo: int, hi: int) -> None:
+        _sparsetools.csr_matvecs(hi - lo, cols, width, indptr[lo:hi + 1], a.indices, a.data,
+                                 flat, out[lo:hi].ravel())
+
+    second = _worker.submit(part, mid, rows)
+    try:
+        part(0, mid)
+    finally:
+        second.result()
+    return out
 
 
 def activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -115,34 +172,38 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
+        """Read a checkpoint ``save`` wrote. Its blocks are views of one writable array."""
         with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a model checkpoint")
-        offset = len(CHECKPOINT_MAGIC)
-        try:
-            m, d, layers, act_len = struct.unpack_from("<qqqq", blob, offset)
-        except struct.error:
-            raise CheckpointError(f"{path}: truncated header") from None
-        offset += 32
-        if m < 1 or d < 1 or layers < 0 or not 0 < act_len <= 64:
-            raise CheckpointError(f"{path}: implausible header ({m}, {d}, {layers})")
-        act = blob[offset:offset + act_len].decode("ascii", errors="replace")
-        offset += act_len
-        if act not in ACTIVATIONS:
-            raise CheckpointError(f"{path}: unknown activation {act!r}")
-        # arithmetic, not a list per layer: a corrupt layer count can be huge
-        expected = offset + 8 * (1 + m + m * d + d * d * max(0, layers - 1))
-        if len(blob) != expected:
-            raise CheckpointError(
-                f"{path}: expected {expected} bytes, found {len(blob)}"
-            )
-        flat = np.frombuffer(blob, dtype="<f8", offset=offset)
+            head = fh.read(len(CHECKPOINT_MAGIC) + 32)
+            if head[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+                raise CheckpointError(f"{path}: bad magic, not a model checkpoint")
+            try:
+                m, d, layers, act_len = struct.unpack_from("<qqqq", head, len(CHECKPOINT_MAGIC))
+            except struct.error:
+                raise CheckpointError(f"{path}: truncated header") from None
+            if m < 1 or d < 1 or layers < 0 or not 0 < act_len <= 64:
+                raise CheckpointError(f"{path}: implausible header ({m}, {d}, {layers})")
+            act = fh.read(act_len).decode("ascii", errors="replace")
+            if act not in ACTIVATIONS:
+                raise CheckpointError(f"{path}: unknown activation {act!r}")
+            # arithmetic, not a list per layer: a corrupt layer count can be huge
+            count = 1 + m + m * d + d * d * max(0, layers - 1)
+            expected = len(head) + act_len + 8 * count
+            # a file of the right size is read straight into the aligned array; any
+            # other size, and a pipe (size 0), is read as it stands and checked
+            flat = np.empty(count if os.fstat(fh.fileno()).st_size == expected else 0, "<f8")
+            found = len(head) + act_len + fh.readinto(flat)
+            rest = fh.read()
+        found += len(rest)
+        if found != expected:
+            raise CheckpointError(f"{path}: expected {expected} bytes, found {found}")
+        if rest:
+            flat = np.frombuffer(rest, dtype="<f8").copy()
         if not np.isfinite(flat).all():
             raise CheckpointError(f"{path}: non-finite parameter value")
         blocks, pos = [], 0
         for shape in [(1,), (m,), (m, d), *[(d, d)] * max(0, layers - 1)]:
-            blocks.append(flat[pos:pos + np.prod(shape)].reshape(shape).copy())
+            blocks.append(flat[pos:pos + np.prod(shape)].reshape(shape))
             pos += blocks[-1].size
         w0, w, *weights = blocks
         return cls(w0[0], w, weights, act, layers)
@@ -208,11 +269,11 @@ def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingVi
         blocks.insert(0, block)
     # layer 1: the one-hot input makes the table its weight
     adj = norm[frontiers[0]]
-    pre = adj @ params.weights[0]
+    pre = _csr_dense(adj, params.weights[0])
     out = activate(params.activation, pre)
     caches = [GcnLayerCache(frontiers[0], pre, adj, None)]
     for frontier, adj, W in zip(frontiers[1:], blocks, params.weights[1:]):
-        prop_in = adj @ out
+        prop_in = _csr_dense(adj, out)
         pre = prop_in @ W
         out = activate(params.activation, pre)
         caches.append(GcnLayerCache(frontier, pre, adj, prop_in))
@@ -259,7 +320,7 @@ def scores_from_design(params: ModelParams, x: sparse.csr_array, x2: sparse.csr_
     """Scores of the rows of a design over a node set, given that set's
     ``_node_terms``, and the weighted row sums ``x @ rows`` the interaction
     gradient reuses. Only per-row work is done here."""
-    summed = x @ rows
+    summed = _csr_dense(x, rows)
     interaction = 0.5 * ((summed * summed).sum(axis=1) - x2 @ squares)
     linear = x @ w
     return params.w0 + linear + interaction, summed

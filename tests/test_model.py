@@ -1,16 +1,24 @@
 """Scoring paths, convolution embeddings, checkpoints."""
 
 import hashlib
+import os
+import signal
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from gemfm import (CheckpointError, DataFormatError, FeatureGraph, GemfmError,
                    ModelParams, gcn_embed, lookup_embed, normalize, predict_batch)
 from gemfm.graph import node_set
-from gemfm.model import CHECKPOINT_MAGIC, batch_design, embed, scores_from_design
+from gemfm.model import (CHECKPOINT_MAGIC, _SPLIT_WORK, _csr_dense, batch_design, embed,
+                         scores_from_design)
 from gemfm.data import PackedInstances
 from oracles import dense_gcn_rows, dense_normalized_adjacency, packed_rows, pairwise_score
 
@@ -232,6 +240,11 @@ def test_predict_batch_chunking_changes_nothing(monkeypatch):
         assert alone.tobytes() == chunked.tobytes()
 
 
+def test_predict_batch_chunking_changes_nothing_with_every_product_split(
+        monkeypatch, every_product_split):
+    test_predict_batch_chunking_changes_nothing(monkeypatch)
+
+
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
 def test_predict_batch_embeds_once_per_call(monkeypatch, num_layers):
     rng = np.random.default_rng(8)
@@ -305,6 +318,106 @@ def test_predict_batch_accepts_packed_and_validates():
     params = ModelParams.initialize(4, 2, 0)
     with pytest.raises(DataFormatError, match="outside"):
         predict_batch(packed, params)
+
+
+# --- split sparse-by-dense products ---
+
+@given(st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_product_keeps_every_bit(monkeypatch, every_product_split, data):
+    rows = data.draw(st.sampled_from([0, 1, 2, 57, 400]), label="rows")
+    cols = data.draw(st.integers(1, 60), label="cols")
+    width = data.draw(st.sampled_from([1, 64, 65, 100]), label="width")
+    index = data.draw(st.sampled_from([np.int32, np.int64]), label="index dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lengths = rng.integers(0, 7, size=rows) * (rng.random(rows) < 0.7)   # empty rows too
+    if rows and data.draw(st.booleans(), label="one heavy row"):
+        lengths[rng.integers(rows)] = 30 * rows + 1   # most of the entries
+    nnz = int(lengths.sum())
+    # columns in any order, repeats included, and values of many magnitudes, so a
+    # changed summation order would show in the last bits
+    a = sparse.csr_array((rng.normal(size=nnz) * 10.0 ** rng.integers(-8, 9, size=nnz),
+                          rng.integers(0, cols, size=nnz),
+                          np.concatenate([[0], np.cumsum(lengths)])), shape=(rows, cols))
+    a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
+    b = rng.normal(size=(cols, width))
+    parts = []
+
+    def counted(*args):
+        parts.append(args[0])
+        _sparsetools.csr_matvecs(*args)
+
+    monkeypatch.setattr("gemfm.model._sparsetools", SimpleNamespace(csr_matvecs=counted))
+    got = _csr_dense(a, b)
+    assert len(parts) == 2 and sum(parts) == rows   # the rows went to two threads
+    expected = a @ b
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_split_product_is_cut_where_half_the_entries_fall(monkeypatch, every_product_split):
+    parts = []
+
+    def counted(*args):
+        parts.append((threading.get_ident(), args[0], args[3][-1] - args[3][0]))
+        _sparsetools.csr_matvecs(*args)
+
+    monkeypatch.setattr("gemfm.model._sparsetools", SimpleNamespace(csr_matvecs=counted))
+    lengths = np.array([1, 0, 3, 2, 4, 0, 6, 4])   # 20 entries: 10 in rows 0-4
+    a = sparse.csr_array((np.ones(20), np.zeros(20, np.int32),
+                          np.concatenate([[0], np.cumsum(lengths)])), shape=(8, 1))
+    _csr_dense(a, np.ones((1, 3)))
+    first, second = sorted(parts, key=lambda part: part[0] != threading.get_ident())
+    assert first[1:] == (5, 10) and second[1:] == (3, 10)
+    assert first[0] == threading.get_ident() != second[0]
+
+
+def test_small_products_and_one_cpu_stay_on_the_calling_thread(monkeypatch):
+    rng = np.random.default_rng(3)
+    big = sparse.random_array((600, 400), density=0.02, format="csr", rng=rng)
+    b = rng.normal(size=(400, 64))
+    assert big.nnz * b.shape[1] >= _SPLIT_WORK
+    small = big[:10]
+    assert small.nnz * b.shape[1] < _SPLIT_WORK
+    threads = []
+
+    def counted(*args):
+        threads.append(threading.get_ident())
+        _sparsetools.csr_matvecs(*args)
+
+    monkeypatch.setattr("gemfm.model._sparsetools", SimpleNamespace(csr_matvecs=counted))
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 1)
+    assert _csr_dense(big, b).tobytes() == (big @ b).tobytes()
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
+    assert _csr_dense(small, b).tobytes() == (small @ b).tobytes()
+    assert threads == []   # both went to scipy's own product on this thread
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_finishes_a_split_product(every_product_split):
+    # the parent's worker thread does not exist in a child forked after it started
+    rng = np.random.default_rng(12)
+    m = 14
+    params = ModelParams.initialize(m, 5, 2, "relu", seed=3, scale=0.3)
+    norm = normalize(_random_graph(rng, m))
+    packed = packed_rows([_random_instance(rng, m) for _ in range(30)])
+    expected = predict_batch(packed, params, norm).tobytes()   # the worker runs now
+    pid = os.fork()
+    if pid == 0:   # the child: exit 0 only on the parent's bits
+        code = 1
+        try:
+            code = 0 if predict_batch(packed, params, norm).tobytes() == expected else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on a split product")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 # --- parameters and checkpoints ---
@@ -429,6 +542,29 @@ def test_checkpoint_rejects_foreign_activation(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="activation"):
         ModelParams.load(bad)
+
+
+def test_checkpoint_loads_through_a_pipe(tmp_path):
+    params = ModelParams.initialize(2000, 6, num_layers=2, activation="relu", seed=4)
+    params.save(tmp_path / "model.bin")
+    blob = (tmp_path / "model.bin").read_bytes()
+    assert len(blob) > 1 << 16   # more than one pipe buffer
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    for sent in (blob, blob[:-8]):
+        writer = threading.Thread(target=pipe.write_bytes, args=(sent,), daemon=True)
+        writer.start()
+        if sent is blob:
+            loaded = ModelParams.load(pipe)
+        else:
+            with pytest.raises(CheckpointError, match=f"found {len(sent)}"):
+                ModelParams.load(pipe)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+    assert loaded.w0 == params.w0 and loaded.activation == "relu"
+    for got, saved in zip([loaded.w, *loaded.weights], [params.w, *params.weights]):
+        assert got.tobytes() == saved.tobytes()
+        assert got.flags.writeable and got.flags.aligned
 
 
 @pytest.fixture(scope="module")

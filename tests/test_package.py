@@ -1,5 +1,6 @@
 """Package hygiene: the public names resolve, the source keeps its line width, and scalar
-arguments, '#' comments and the bytes the bulk readers take are each handled in one place."""
+arguments, '#' comments, the bytes the bulk readers take and scipy's private sparse
+kernels are each handled in one place."""
 
 from pathlib import Path
 
@@ -44,4 +45,12 @@ def test_bulk_bytes_are_chosen_only_by_data():
     by_hand = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "data.py"
                and any(call in path.read_text(encoding="utf-8")
                        for call in (".isascii()", 'encode("ascii")'))]
+    assert by_hand == []
+
+
+def test_scipy_private_kernels_are_called_only_by_model():
+    # model._csr_dense is the one caller of scipy.sparse._sparsetools, a private module;
+    # test_model's bitwise test of it against scipy's own product guards each upgrade
+    by_hand = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "model.py"
+               and "_sparsetools" in path.read_text(encoding="utf-8")]
     assert by_hand == []

@@ -221,6 +221,25 @@ def test_adam_first_step_moves_by_learning_rate():
     assert state.step_count == 1
 
 
+def test_a_loaded_model_is_updated_in_place(tmp_path):
+    # load's blocks are writable views of one array; a step lands in them with the
+    # bits it has on the model that was saved
+    d = 2
+    params = ModelParams.initialize(3, d, num_layers=2, seed=1, scale=0.3)
+    params.save(tmp_path / "model.bin")
+    loaded = ModelParams.load(tmp_path / "model.bin")
+    held = [loaded.w, *loaded.weights]
+    before = [block.copy() for block in held]
+    grads = GradientSet(1.5, np.array([1.5]), [np.full((1, d), 1.5), np.full((d, d), 1.5)],
+                        np.array([0]), np.array([0]))
+    config = TrainConfig(optimizer="adam", learning_rate=0.1)
+    for model in (params, loaded):
+        optimizer_step(model, OptimizerState.create(model, "adam"), grads, config)
+    assert all(now is block for now, block in zip([loaded.w, *loaded.weights], held))
+    assert all(not np.array_equal(now, old) for now, old in zip(held, before))
+    assert _param_digest(loaded) == _param_digest(params)
+
+
 def test_adam_step_count_is_global_across_disjoint_rows():
     m, d = 4, 2
     params = ModelParams(0.0, np.zeros(m), [np.zeros((m, d))])
@@ -619,6 +638,15 @@ def test_training_stream_is_pinned(small_clicks, layers, optimizer, activation,
                            graph=graph if layers else None)
     assert report.best_epoch == 2  # the digest covers the whole stream
     assert _param_digest(params) == digest
+
+
+@pytest.mark.parametrize("layers,optimizer,activation,dropout,lam,ratio,digest",
+                         PINNED_STREAMS)
+def test_training_stream_is_pinned_with_every_product_split(
+        every_product_split, small_clicks, layers, optimizer, activation, dropout, lam,
+        ratio, digest):
+    test_training_stream_is_pinned(small_clicks, layers, optimizer, activation, dropout,
+                                   lam, ratio, digest)
 
 
 @pytest.mark.parametrize("layers", [0, 1, 2])
