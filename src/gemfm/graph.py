@@ -40,6 +40,8 @@ class FeatureGraph:
         edges = np.asarray(self.edges)
         if edges.size and edges.dtype.kind not in "iu":
             raise GraphFormatError(f"edge endpoints must be integers, got {edges.dtype} values")
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise GraphFormatError(f"edges must be an (E, 2) array, got shape {edges.shape}")
         edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
         object.__setattr__(self, "edges", edges)
         if self.num_nodes < 1:

@@ -8,8 +8,8 @@ adjacency. The pairwise sum is evaluated through the squared-sum identity
 one number per node, so scoring stays linear in the number of active features.
 predict_batch takes each distinct node's embedding, squared norm and weight once per call.
 The forward sparse-by-dense products (adj @ weights[0] and adj @ out in gcn_embed, x @ rows
-in scores_from_design) split their rows across two threads once large; no bit depends on
-the split, and a process that may use only one CPU runs them on one thread.
+in scores_from_design) run one kernel, whose rows split across two threads once large; no
+bit depends on the split, and a process that may use only one CPU runs them on one thread.
 """
 
 from __future__ import annotations
@@ -58,26 +58,22 @@ def _cpus() -> int:
 
 
 def _csr_dense(a: sparse.csr_array, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a float64 CSR ``a`` and 2-d float64 ``b``, by the kernel scipy's ``@``
-    runs, into one zeroed output.
-
-    From _SPLIT_WORK multiply-adds on, in a process that may use more than one CPU, the
-    rows are cut where half the stored entries fall, and the worker thread computes the
-    second part while this thread computes the first (the kernel releases the GIL). Each
-    output row is the kernel's sum of its entries in their stored order either way, so no
-    bit depends on the split. Any other ``a`` (a caller's adjacency can be of any sparse
-    format and type) is left to ``a @ b``, as is a mismatched shape, which it refuses."""
-    if (a.format != "csr" or a.dtype != np.float64 or b.shape[0] != a.shape[1]
-            or a.nnz * b.shape[1] < _SPLIT_WORK or _cpus() < 2):
-        return a @ b
+    """``a @ b`` for a float64 CSR ``a`` and a 2-d float64 ``b`` of matching shape (gcn_embed
+    checks the adjacency where it enters), by scipy's own kernel, into one zeroed output. From
+    _SPLIT_WORK multiply-adds on, with more than one CPU, the worker thread takes the rows past
+    half the stored entries (the kernel releases the GIL). Each output row is the kernel's sum
+    of its entries in stored order either way, so no bit depends on the split."""
     (rows, cols), width = a.shape, b.shape[1]
     out, flat, indptr = np.zeros((rows, width)), b.ravel(), a.indptr
-    mid = int(np.searchsorted(indptr, indptr[-1] // 2))
 
     def part(lo: int, hi: int) -> None:
         _sparsetools.csr_matvecs(hi - lo, cols, width, indptr[lo:hi + 1], a.indices, a.data,
                                  flat, out[lo:hi].ravel())
 
+    if a.nnz * width < _SPLIT_WORK or _cpus() < 2:
+        part(0, rows)
+        return out
+    mid = int(np.searchsorted(indptr, indptr[-1] // 2))
     second = _worker.submit(part, mid, rows)
     try:
         part(0, mid)
@@ -249,20 +245,21 @@ def lookup_embed(params: ModelParams, nodes) -> EmbeddingView:
 
 
 def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingView:
-    """Graph-convolved embedding rows for the given nodes.
+    """Graph-convolved embedding rows for the given nodes, over ``norm`` in the one form
+    ``normalize`` returns: a float64 CSR (array or matrix) of shape (m, m).
 
-    Computes only the L-hop in-neighborhood of the requested nodes: frontier
-    l-1 is the set of columns reachable from frontier l, so untouched parts
-    of the graph never enter the matmuls.
-    """
+    Computes only the L-hop in-neighborhood of the requested nodes: frontier l-1 is the
+    set of columns reachable from frontier l, so untouched parts of the graph never enter
+    the matmuls."""
     if params.num_layers < 1:
         raise ConfigError("gcn_embed requires a model with num_layers >= 1")
-    if not sparse.issparse(norm):
-        raise ConfigError(f"norm must be a scipy sparse matrix, got {type(norm).__name__}")
-    if norm.shape[0] != params.num_features:
-        raise ConfigError(f"adjacency over {norm.shape[0]} nodes does not match "
-                          f"{params.num_features} features")
-    frontiers, blocks = [_as_node_array(nodes, params.num_features)], []
+    m = params.num_features
+    if not (sparse.issparse(norm) and norm.format == "csr" and norm.dtype == np.float64
+            and norm.shape == (m, m)):
+        raise ConfigError(f"adjacency ({type(norm).__name__}, {getattr(norm, 'dtype', None)}, "
+                          f"{np.shape(norm)}) does not match {m} features: norm must be a "
+                          f"float64 CSR of shape ({m}, {m})")
+    frontiers, blocks = [_as_node_array(nodes, m)], []
     for _ in range(params.num_layers - 1):
         reached, block = local_columns(norm[frontiers[0]])
         frontiers.insert(0, reached)
@@ -332,7 +329,7 @@ def predict_batch(instances, params: ModelParams,
 
     Once per call: the input's node set, its embedding (distinct nodes x d floats) and
     ``_node_terms``. Once per _PREDICT_CHUNK rows: their design over that node set, and scores.
-    ``norm`` must be given exactly when the model has convolution layers."""
+    ``norm``, as ``normalize`` returns it, must be given iff the model has convolution layers."""
     packed = PackedInstances.from_instances(instances, params.num_features)
     nodes, position = node_set(packed.indices, params.num_features)
     terms = _node_terms(params, nodes, embed(params, norm, nodes).rows)

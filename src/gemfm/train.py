@@ -288,9 +288,9 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         raise ConfigError("training instances must have at least one active feature")
 
     if init_params is not None:
-        if (init_params.num_features, init_params.dim,
-                init_params.num_layers) != (m, dim, num_layers):
-            raise ConfigError("init_params shape does not match requested model")
+        if (init_params.num_features, init_params.dim, init_params.num_layers,
+                init_params.activation) != (m, dim, num_layers, activation):
+            raise ConfigError("init_params shape or activation does not match requested model")
         params = init_params.copy()
     else:
         params = ModelParams.initialize(m, dim, num_layers, activation,

@@ -66,10 +66,22 @@ def test_graph_refuses_input_that_is_not_integer(num_nodes, edges, fragment):
         FeatureGraph(num_nodes, edges)
 
 
+@pytest.mark.parametrize("edges", [
+    [[0, 1, 2], [3, 4, 5]],
+    [0, 1, 2, 3],
+    [[0], [1]],
+    np.zeros((2, 1, 2), dtype=np.int64),
+])
+def test_graph_refuses_edges_of_the_wrong_shape(edges):
+    with pytest.raises(GraphFormatError, match="edges must be an \\(E, 2\\) array"):
+        FeatureGraph(10, edges)
+
+
 def test_graph_takes_numpy_integers():
     g = FeatureGraph(np.int64(4), np.array([[0, 3]], dtype=np.uint8))
     assert g.num_nodes == 4 and g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 3]]
     assert FeatureGraph(4, []).num_edges == 0
+    assert FeatureGraph(4, np.zeros((0, 2))).edges.shape == (0, 2)
 
 
 def test_degrees_and_neighbor_lists():

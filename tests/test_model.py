@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from gemfm import (CheckpointError, DataFormatError, FeatureGraph, GemfmError,
-                   ModelParams, gcn_embed, lookup_embed, normalize, predict_batch)
+from gemfm import (CheckpointError, ConfigError, DataFormatError, FeatureGraph, GemfmError,
+                   ModelParams, gcn_embed, lookup_embed, loss_and_grads, normalize,
+                   predict_batch)
 from gemfm.graph import node_set
 from gemfm.model import (CHECKPOINT_MAGIC, _SPLIT_WORK, _csr_dense, batch_design, embed,
                          scores_from_design)
@@ -143,6 +144,42 @@ def test_gcn_embed_requires_layers_and_matching_sizes():
     mismatched = ModelParams.initialize(6, 2, num_layers=1)
     with pytest.raises(ValueError, match="does not match"):
         gcn_embed(norm, mismatched, [0])
+
+
+@pytest.mark.parametrize("form", [
+    lambda norm: norm.tocsc(),
+    lambda norm: norm.tocoo(),
+    lambda norm: norm.tolil(),
+    lambda norm: norm.todok(),
+    lambda norm: norm.tobsr(),
+    lambda norm: norm.astype(np.float32),
+    lambda norm: sparse.csr_array((norm.data, norm.indices, norm.indptr), shape=(5, 7)),
+    lambda norm: sparse.vstack([norm, sparse.csr_array((3, 5))], format="csr"),
+    lambda norm: norm.toarray(),
+], ids=["csc", "coo", "lil", "dok", "bsr", "float32", "7 columns", "m + 3 rows", "dense"])
+def test_an_adjacency_enters_only_as_normalize_returns_it(form):
+    # gcn_embed takes the one form normalize returns, a float64 (m, m) CSR, whichever
+    # path the adjacency comes in by; a csr_matrix is that form too, with the same bits
+    norm = normalize(FeatureGraph(5, np.array([[0, 1], [0, 3], [1, 2], [3, 4]])))
+    bad = form(norm)
+    batch = packed_rows([(1.0, ((0, 1.0), (2, -0.5))), (0.5, ((1, 2.0), (4, 1.0)))])
+    one, two = (ModelParams.initialize(5, 3, layers, "relu", seed=4, scale=0.3)
+                for layers in (1, 2))
+    for call in (lambda adj: gcn_embed(adj, two, [0, 2]),
+                 lambda adj: predict_batch(batch, one, adj),
+                 lambda adj: predict_batch(batch, two, adj),
+                 lambda adj: loss_and_grads(batch, one, adj)):
+        with pytest.raises(ConfigError, match="does not match 5 features"):
+            call(bad)
+    matrix = sparse.csr_matrix(norm)
+    for params in (one, two):
+        assert (predict_batch(batch, params, matrix).tobytes()
+                == predict_batch(batch, params, norm).tobytes())
+        by_matrix, by_array = (loss_and_grads(batch, params, adj, l2_lambda=0.1)
+                               for adj in (matrix, norm))
+        assert by_matrix[0] == by_array[0]
+        for got, expected in zip(by_matrix[1].d_weights, by_array[1].d_weights):
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_degradation_edgeless_identity_equals_lookup_bitwise():
@@ -326,6 +363,8 @@ def test_predict_batch_accepts_packed_and_validates():
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_split_product_keeps_every_bit(monkeypatch, every_product_split, data):
+    split = data.draw(st.booleans(), label="split")
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 2 if split else 1)
     rows = data.draw(st.sampled_from([0, 1, 2, 57, 400]), label="rows")
     cols = data.draw(st.integers(1, 60), label="cols")
     width = data.draw(st.sampled_from([1, 64, 65, 100]), label="width")
@@ -350,7 +389,8 @@ def test_split_product_keeps_every_bit(monkeypatch, every_product_split, data):
 
     monkeypatch.setattr("gemfm.model._sparsetools", SimpleNamespace(csr_matvecs=counted))
     got = _csr_dense(a, b)
-    assert len(parts) == 2 and sum(parts) == rows   # the rows went to two threads
+    # the rows went to two threads, or all to one call
+    assert len(parts) == (2 if split else 1) and sum(parts) == rows
     expected = a @ b
     assert got.shape == expected.shape and got.dtype == expected.dtype
     assert got.tobytes() == expected.tobytes()
@@ -391,7 +431,7 @@ def test_small_products_and_one_cpu_stay_on_the_calling_thread(monkeypatch):
     assert _csr_dense(big, b).tobytes() == (big @ b).tobytes()
     monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
     assert _csr_dense(small, b).tobytes() == (small @ b).tobytes()
-    assert threads == []   # both went to scipy's own product on this thread
+    assert threads == [threading.get_ident()] * 2   # each ran whole on this thread
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

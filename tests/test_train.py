@@ -461,6 +461,19 @@ def test_train_diverged_raises():
                   config, dim=4, init_params=huge)
 
 
+def test_train_refuses_init_params_of_another_activation():
+    # the run report's activation is the trained model's
+    config = TrainConfig(max_epochs=1, patience=1)
+    data = _regression_data(0, 20)
+    graph = FeatureGraph(14, np.array([[0, 6], [1, 7]]))
+    relu = ModelParams.initialize(14, 4, num_layers=1, activation="relu", seed=2)
+    with pytest.raises(ValueError, match="init_params"):
+        train(data, data, _space(), config, dim=4, num_layers=1, graph=graph, init_params=relu)
+    params, report = train(data, data, _space(), config, dim=4, num_layers=1,
+                           activation="relu", graph=graph, init_params=relu)
+    assert params.activation == report.config["activation"] == "relu"
+
+
 @pytest.mark.parametrize("block", ["w0", "w", "weights[0]", "weights[1]"])
 def test_optimizer_step_refuses_a_non_finite_parameter(block):
     params = ModelParams.initialize(6, 3, num_layers=2, seed=0)
