@@ -35,7 +35,7 @@ CHECKPOINT_MAGIC = b"GEMFM\x00\x00\x01"
 _PREDICT_CHUNK = 8192
 # multiply-adds (stored entries x columns) from which _csr_dense splits a product's rows
 _SPLIT_WORK = 1 << 18
-# the one thread that takes the second part of a split product; it starts on first use
+# one thread for the second part of each split product and train's next step; starts on first use
 _worker = ThreadPoolExecutor(1)
 
 
@@ -246,7 +246,7 @@ def lookup_embed(params: ModelParams, nodes) -> EmbeddingView:
 
 def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingView:
     """Graph-convolved embedding rows for the given nodes, over ``norm`` in the one form
-    ``normalize`` returns: a float64 CSR (array or matrix) of shape (m, m).
+    ``normalize`` returns: a float64 CSR (array or matrix) of shape (m, m), fully format-checked.
 
     Computes only the L-hop in-neighborhood of the requested nodes: frontier l-1 is the
     set of columns reachable from frontier l, so untouched parts of the graph never enter
@@ -259,6 +259,10 @@ def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingVi
         raise ConfigError(f"adjacency ({type(norm).__name__}, {getattr(norm, 'dtype', None)}, "
                           f"{np.shape(norm)}) does not match {m} features: norm must be a "
                           f"float64 CSR of shape ({m}, {m})")
+    try:   # the kernel trusts the stored indices: one outside the table would crash it
+        norm.check_format(full_check=True)
+    except ValueError as exc:
+        raise ConfigError(f"adjacency is not a valid CSR: {exc}") from None
     frontiers, blocks = [_as_node_array(nodes, m)], []
     for _ in range(params.num_layers - 1):
         reached, block = local_columns(norm[frontiers[0]])

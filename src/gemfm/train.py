@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import sparse
 
+from . import model as _model
 from .data import PackedInstances
 from .errors import ConfigError, TrainingDivergedError, check
 from .graph import FeatureGraph, check_nodes, local_columns, node_set, normalize, sample_neighbors
@@ -115,7 +116,7 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
     lazy decay training uses); on every other row of w and the table the
     gradient of the reported loss is 2 * l2_lambda times the parameter.
 
-    Memory: scores, dropout mask and interaction temporaries end with _forward.
+    Memory: scores, dropout scale and interaction temporaries end with _forward.
     The backward holds one gradient in flight and the caches still to undo, each
     dropped (deepest first) once its gradients exist; the decay reads _ROW_BLOCK rows.
     """
@@ -124,8 +125,44 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
     packed = PackedInstances.from_instances(batch, params.num_features)
     if len(packed) == 0:
         raise ConfigError("loss of an empty batch is undefined")
-    value, d_w0, d_w, d_rows, nodes, layers = _forward(params, norm, packed,
-                                                       dropout_ratio, dropout_seed)
+    forward = _forward(params, norm, dropout_ratio, *_prepare(   # design and mask end here
+        packed, params.num_features, params.dim, dropout_ratio, dropout_seed))
+    return _backward(params, l2_lambda, forward)
+
+
+def _prepare(packed, num_features, dim, dropout_ratio, dropout_seed):
+    """A step's inputs, none read from the parameters: labels, sorted node set, design
+    matrices and the dropout keep mask over (nodes, dim), None without dropout."""
+    nodes, x, x2 = batch_design(packed, *node_set(packed.indices, num_features))
+    keep = (seeded_rng(dropout_seed).random((nodes.size, dim)) >= dropout_ratio
+            if dropout_ratio > 0.0 else None)
+    return packed.labels, nodes, x, x2, keep
+
+
+def _forward(params, norm, dropout_ratio, labels, nodes, x, x2, keep):
+    """[squared error, d_w0, d_w, gradient at the embedding rows, nodes, layer caches]."""
+    view = embed(params, norm, nodes)
+    rows, scale = view.rows, None
+    if keep is not None:
+        scale = keep * (1.0 / (1.0 - dropout_ratio))
+        rows = rows * scale
+    scores, summed = scores_from_design(params, x, x2, *_node_terms(params, nodes, rows))
+    err = scores - labels
+    g = 2.0 * err
+    # interaction gradient wrt the (possibly dropped) embedding rows
+    summed *= g[:, None]
+    d_rows = x.T @ summed
+    del summed
+    d_rows -= rows * (x2.T @ g)[:, None]
+    if scale is not None:
+        d_rows *= scale
+    return [float(err @ err), float(np.sum(g)), x.T @ g, d_rows, nodes, list(view.layers)]
+
+
+def _backward(params, l2_lambda, forward):
+    """(loss, GradientSet) from _forward's list, emptied so each gradient goes once replaced."""
+    value, d_w0, d_w, d_rows, nodes, layers = forward
+    forward.clear()
     if l2_lambda:
         value += l2_lambda * _full_l2(params)
 
@@ -147,28 +184,6 @@ def loss_and_grads(batch, params: ModelParams, norm: sparse.csr_array | None = N
         for W, dW in zip(params.weights[1:], d_deep):
             dW += lam2 * W
     return value, GradientSet(d_w0, d_w, [d_rows, *d_deep], nodes, touched_rows)
-
-
-def _forward(params, norm, packed, dropout_ratio, dropout_seed):
-    """(squared error, d_w0, d_w, gradient at the embedding rows, nodes, layer caches)."""
-    nodes, x, x2 = batch_design(packed, *node_set(packed.indices, params.num_features))
-    view = embed(params, norm, nodes)
-    rows, scale = view.rows, None
-    if dropout_ratio > 0.0:
-        keep = seeded_rng(dropout_seed).random((nodes.size, params.dim)) >= dropout_ratio
-        scale = keep * (1.0 / (1.0 - dropout_ratio))
-        rows = rows * scale
-    scores, summed = scores_from_design(params, x, x2, *_node_terms(params, nodes, rows))
-    err = scores - packed.labels
-    g = 2.0 * err
-    # interaction gradient wrt the (possibly dropped) embedding rows
-    summed *= g[:, None]
-    d_rows = x.T @ summed
-    del summed
-    d_rows -= rows * (x2.T @ g)[:, None]
-    if scale is not None:
-        d_rows *= scale
-    return float(err @ err), float(np.sum(g)), x.T @ g, d_rows, nodes, list(view.layers)
 
 
 def _deep_backward(cache, W, d_out, activation):
@@ -270,6 +285,10 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     best epoch. Validation scores on the full graph (``norm``, if given, must be
     ``normalize(graph)``) with dropout off. Sampling is redrawn once per epoch.
 
+    While a step's backward runs, the split products' worker thread prepares the next
+    step's parameter-free inputs (rows, node set, design, dropout mask), collected before
+    this step's update; a one-CPU process prepares them inline there. Same bits either way.
+
     Raises TrainingDivergedError as soon as a batch loss or a validation
     metric goes non-finite.
     """
@@ -311,7 +330,12 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     })
     report = RunReport(meta)
 
-    n = len(tr)
+    def prepare(epoch, order, step):   # reads no parameter, so it can run a step ahead
+        lo = step * config.batch_size
+        return _prepare(tr.take(order[lo:lo + config.batch_size]), m, dim,
+                        config.dropout_ratio, derive_seed(config.seed, "dropout", epoch, step))
+
+    n, ahead_on_worker = len(tr), _model._cpus() > 1
     best_metric = math.inf
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -322,14 +346,19 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         else:
             epoch_norm = full_norm
         order = derive_rng(config.seed, "shuffle", epoch).permutation(n)
-        epoch_loss = 0.0
+        epoch_loss, prepared = 0.0, prepare(epoch, order, 0)
         for batch_index, lo in enumerate(range(0, n, config.batch_size)):
-            batch = tr.take(order[lo:lo + config.batch_size])
-            mask_seed = derive_seed(config.seed, "dropout", epoch, batch_index)
-            value, grads = loss_and_grads(batch, params, epoch_norm,
-                                          l2_lambda=config.l2_lambda,
-                                          dropout_ratio=config.dropout_ratio,
-                                          dropout_seed=mask_seed)
+            forward = _forward(params, epoch_norm, config.dropout_ratio, *prepared)
+            ahead = prepared = None
+            if lo + config.batch_size < n:   # the next step's inputs, made during this backward
+                if ahead_on_worker:
+                    ahead = _model._worker.submit(prepare, epoch, order, batch_index + 1)
+                else:
+                    prepared = prepare(epoch, order, batch_index + 1)
+            try:
+                value, grads = _backward(params, config.l2_lambda, forward)
+            finally:   # the worker is idle again before this step's update
+                prepared = prepared if ahead is None else ahead.result()
             try:
                 if not math.isfinite(value):
                     raise TrainingDivergedError("non-finite loss")

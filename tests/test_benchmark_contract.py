@@ -5,6 +5,7 @@ run breaks or its in-call clock calibration silently stops."""
 import importlib
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,11 @@ def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path, monkeypatc
         params, _ = gm_train.train(train_set, val_set, space, config, dim=3, num_layers=1,
                                    graph=graph)
     counts = tracer.counts()
-    assert counts["train.unique_calls_per_step"] == [0] * steps
-    assert len(counts["train.touched_rows"]) == steps
+    # a step's window runs from its data.take to the next optimizer_step's close; train
+    # takes step k + 1's rows before step k's update, so each window ends one update
+    # early and the epoch's last step, whose rows come first, has none
+    assert counts["train.unique_calls_per_step"] == [0] * (steps - 1)
+    assert len(counts["train.touched_rows"]) == steps - 1
     batch_designs = [s for s in tracer.spans if s.name == "model.batch_design"]
     assert len(counts["model.batch_nodes"]) == len(batch_designs) == steps + 1  # + validation
     assert counts["model.frontier_l1_nodes"]
@@ -84,6 +88,43 @@ def test_traced_names_resolve_and_count_one_l1_epoch(bench, tmp_path, monkeypatc
     with bench_clock.Ticks(_CountingKernel(), "gemfm.data", "parse_libfm_line") as ticks:
         load_libfm(commented)
     assert ticks.ticks == []
+
+
+def test_traced_sampled_runs_count_alike_and_trace_on_one_thread_at_a_time(bench, monkeypatch):
+    # the next step's take and design run on the worker thread while this step's
+    # backward runs: the tracer keeps one span stack, so no traced call of the
+    # calling thread may be open meanwhile, and two runs must count alike
+    bench_trace, _ = bench
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
+    space = FeatureSpace.from_cardinalities(["u", "i"], [5, 6])
+    train_set, val_set = _data(0, 100), _data(1, 30)
+    graph = build_graph(train_set, space)
+    config = TrainConfig(batch_size=32, max_epochs=2, patience=2, dropout_ratio=0.2,
+                         sampling_ratio=0.5)
+    gm_train = importlib.import_module("gemfm.train")
+    main = threading.get_ident()
+    runs = []
+    for _ in range(2):
+        tracer = bench_trace.Tracer()
+
+        def opened(name, tracer=tracer, open_span=tracer._open):
+            span = open_span(name)
+            span.info["thread"] = threading.get_ident()
+            return span
+
+        monkeypatch.setattr(tracer, "_open", opened)
+        with tracer:
+            gm_train.train(train_set, val_set, space, config, dim=3, num_layers=2,
+                           activation="relu", graph=graph)
+        ahead = [s for s in tracer.spans if s.info["thread"] != main]
+        assert {s.name for s in ahead} == {"data.take", "model.batch_design"}
+        for span in ahead:
+            assert [s.name for s in tracer.spans if s.info["thread"] == main
+                    and s.name != "train.train" and s.start < span.end and span.start < s.end] == []
+        runs.append(tracer.counts())
+    assert runs[0] == runs[1]
+    assert len(runs[0]["train.touched_rows"]) == 2 * 3   # 2 epochs of 4 steps, one each unseen
+    assert len(runs[0]["graph.sampled_edges"]) == 2
 
 
 def test_setup_calls_work_on_a_tiny_config(bench, tmp_path):

@@ -182,6 +182,25 @@ def test_an_adjacency_enters_only_as_normalize_returns_it(form):
             assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("indices,indptr,message", [
+    ([0, 4_000_000, 2], [0, 1, 2, 3, 3, 3], "indices must be < 5"),   # read past the table
+    ([0, -1, 2], [0, 1, 2, 3, 3, 3], "indices must be >= 0"),
+    ([0, 1, 2], [0, 2, 1, 3, 3, 3], "indptr must be a non-decreasing sequence"),
+], ids=["past the table", "negative", "falling indptr"])
+def test_an_adjacency_with_bad_stored_indices_is_refused(indices, indptr, message):
+    # scipy checks only the lengths when it builds a CSR from its arrays; an index
+    # past the table used to take the whole process down in the product kernel
+    bad = sparse.csr_array((np.ones(3), np.array(indices), np.array(indptr)), shape=(5, 5))
+    batch = packed_rows([(1.0, ((0, 1.0), (2, -0.5))), (0.5, ((1, 2.0), (4, 1.0)))])
+    one, two = (ModelParams.initialize(5, 3, layers, seed=4) for layers in (1, 2))
+    for call in (lambda: gcn_embed(bad, one, [0, 1, 2]),
+                 lambda: gcn_embed(bad, two, [0, 1, 2]),
+                 lambda: predict_batch(batch, one, bad),
+                 lambda: loss_and_grads(batch, one, bad, dropout_ratio=0.5)):
+        with pytest.raises(ConfigError, match=f"adjacency is not a valid CSR: {message}"):
+            call()
+
+
 def test_degradation_edgeless_identity_equals_lookup_bitwise():
     # with no edges the normalized adjacency is exactly the identity, so one
     # identity-activation convolution reproduces plain table lookup bit for bit

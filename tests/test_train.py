@@ -2,9 +2,13 @@
 
 import hashlib
 import importlib
+import itertools
 import math
 import re
+import threading
+import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -496,7 +500,9 @@ def test_train_names_the_step_whose_update_diverged(monkeypatch):
     # a gradient that turns a parameter non-finite while every batch loss is
     # still finite: the optimizer step itself must stop the run
     calls = []
-    real = loss_and_grads
+    # the module, not the train function the package exports under its name
+    module = importlib.import_module("gemfm.train")
+    real = module._backward   # the gradients of every step train takes come from here
 
     def poisoned(*args, **kwargs):
         value, grads = real(*args, **kwargs)
@@ -505,8 +511,7 @@ def test_train_names_the_step_whose_update_diverged(monkeypatch):
             grads.d_weights[0][-1, 0] = np.inf
         return value, grads
 
-    # the module, not the train function the package exports under its name
-    monkeypatch.setattr(importlib.import_module("gemfm.train"), "loss_and_grads", poisoned)
+    monkeypatch.setattr(module, "_backward", poisoned)
     config = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=4, patience=4)
     with pytest.raises(TrainingDivergedError,
                        match=re.escape("non-finite weights[0] after the optimizer step "
@@ -584,7 +589,8 @@ def test_train_refuses_a_negative_index_before_any_step(monkeypatch, part):
     def never(*args, **kwargs):
         raise AssertionError("a step ran before the indices were checked")
 
-    monkeypatch.setattr(importlib.import_module("gemfm.train"), "loss_and_grads", never)
+    # every step train takes starts by preparing its inputs
+    monkeypatch.setattr(importlib.import_module("gemfm.train"), "_prepare", never)
     data = _regression_data(0, 20)
     indices = data.indices.copy()
     indices[0] = -3    # row 0 becomes (-3, item)
@@ -593,6 +599,111 @@ def test_train_refuses_a_negative_index_before_any_step(monkeypatch, part):
         bad = PackedInstances(data.labels, data.indptr, indices, data.values)
         sets = (bad, data) if part == "train" else (data, bad)
         train(*sets, _space(), TrainConfig(max_epochs=1), dim=4)
+
+
+# --- the next step's inputs, prepared during this step's backward ---
+
+class _WatchedWorker:
+    """Stands in for gemfm.model._worker and keeps every future it hands out."""
+
+    def __init__(self, worker):
+        self._worker, self.futures = worker, []
+
+    def submit(self, fn, *args):
+        self.futures.append((fn.__name__, self._worker.submit(fn, *args)))
+        return self.futures[-1][1]
+
+    def pending(self):
+        return [name for name, future in self.futures if not future.done()]
+
+    def prepared(self):
+        return sum(name == "prepare" for name, _ in self.futures)
+
+
+@pytest.fixture
+def watched_worker(monkeypatch):
+    watched = _WatchedWorker(importlib.import_module("gemfm.model")._worker)
+    monkeypatch.setattr("gemfm.model._worker", watched)
+    return watched
+
+
+def _train_ahead(layers):
+    # 150 rows at 32 a batch: 5 steps an epoch, the last 4 prepared ahead
+    data = _regression_data(0, 150)
+    config = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=2, patience=2,
+                         dropout_ratio=0.3, sampling_ratio=0.5, seed=4)
+    return train(data, _regression_data(1, 40), _space(), config, dim=4, num_layers=layers,
+                 activation="relu", graph=build_graph(data, _space()) if layers else None)
+
+
+@pytest.mark.filterwarnings("ignore:field:RuntimeWarning")
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_preparing_ahead_on_the_worker_changes_no_bit(monkeypatch, tmp_path, watched_worker,
+                                                      layers):
+    module = importlib.import_module("gemfm.train")
+    got = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("gemfm.model._cpus", lambda cpus=cpus: cpus)
+        # one second an epoch, so the report's seconds agree too
+        clock = SimpleNamespace(perf_counter=itertools.count().__next__)
+        monkeypatch.setattr(module, "time", clock)
+        params, report = _train_ahead(layers)
+        report.save(tmp_path / f"{cpus}.txt")
+        got.append((_param_digest(params), (tmp_path / f"{cpus}.txt").read_bytes(),
+                    watched_worker.prepared()))
+    # one CPU prepares every step inline; two hand 4 steps of each epoch to the worker
+    assert got[0][:2] == got[1][:2]
+    assert (got[0][2], got[1][2]) == (0, 2 * 4)
+
+
+@pytest.mark.filterwarnings("ignore:field:RuntimeWarning")
+def test_every_update_finds_the_worker_idle(monkeypatch, every_product_split, watched_worker):
+    module = importlib.import_module("gemfm.train")
+    real, entered = module.optimizer_step, []
+
+    def checked(*args):
+        entered.append(watched_worker.pending())
+        return real(*args)
+
+    monkeypatch.setattr(module, "optimizer_step", checked)
+    _train_ahead(1)
+    assert entered == [[]] * (2 * 5)
+    assert watched_worker.prepared() == 2 * 4
+    # the split products took the worker too, before and after each preparation
+    assert len(watched_worker.futures) > watched_worker.prepared()
+
+
+@pytest.mark.parametrize("where", ["update", "backward"])
+def test_a_step_that_raises_leaves_the_worker_idle(monkeypatch, watched_worker, where):
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
+    module = importlib.import_module("gemfm.train")
+    real_backward, real_prepare, main = module._backward, module._prepare, threading.get_ident()
+    calls = []
+
+    def slow_prepare(*args):   # still running when a backward that raises returns
+        if threading.get_ident() != main:
+            time.sleep(0.2)
+        return real_prepare(*args)
+
+    def poisoned(*args):
+        value, grads = real_backward(*args)
+        calls.append(value)
+        if len(calls) == 5:     # 60 rows at 32 a batch: epoch 3, batch 0
+            if where == "backward":
+                raise MemoryError("no room for the gradient")
+            grads.d_weights[0][-1, 0] = np.inf
+        return value, grads
+
+    monkeypatch.setattr(module, "_prepare", slow_prepare)
+    monkeypatch.setattr(module, "_backward", poisoned)
+    config = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=4, patience=4)
+    raised, message = {"update": (TrainingDivergedError, "in epoch 3, batch 0"),
+                       "backward": (MemoryError, "no room")}[where]
+    with pytest.raises(raised, match=message):
+        with np.errstate(invalid="ignore"):
+            train(_regression_data(0, 60), _regression_data(1, 20), _space(), config, dim=4)
+    assert watched_worker.prepared() == 3   # batch 1 of epochs 1 to 3
+    assert watched_worker.pending() == []
 
 
 # --- the training stream, pinned bit for bit ---
