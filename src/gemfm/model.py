@@ -244,9 +244,21 @@ def lookup_embed(params: ModelParams, nodes) -> EmbeddingView:
     return EmbeddingView(params.weights[0][_as_node_array(nodes, params.num_features)])
 
 
+def _rows(norm: sparse.csr_array, rows: np.ndarray) -> sparse.csr_array:
+    """``norm[rows]``, refused unless those rows' entries lie inside its arrays and table (the
+    kernels trust both, and would crash): the check costs the rows read, not the adjacency."""
+    start, end = norm.indptr[rows], norm.indptr[rows + 1]
+    block = None if np.any((start < 0) | (start > end) | (end > norm.indices.size)) else norm[rows]
+    if block is None or block.nnz and not (block.indices.min() >= 0
+                                           and block.indices.max() < norm.shape[1]):
+        raise ConfigError("adjacency is not a valid CSR: the rows read have an indptr or a "
+                          f"column index outside its entries or [0, {norm.shape[1]})")
+    return block
+
+
 def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingView:
     """Graph-convolved embedding rows for the given nodes, over ``norm`` in the one form
-    ``normalize`` returns: a float64 CSR (array or matrix) of shape (m, m), fully format-checked.
+    ``normalize`` returns: a float64 CSR (array or matrix) of shape (m, m).
 
     Computes only the L-hop in-neighborhood of the requested nodes: frontier l-1 is the
     set of columns reachable from frontier l, so untouched parts of the graph never enter
@@ -259,17 +271,13 @@ def gcn_embed(norm: sparse.csr_array, params: ModelParams, nodes) -> EmbeddingVi
         raise ConfigError(f"adjacency ({type(norm).__name__}, {getattr(norm, 'dtype', None)}, "
                           f"{np.shape(norm)}) does not match {m} features: norm must be a "
                           f"float64 CSR of shape ({m}, {m})")
-    try:   # the kernel trusts the stored indices: one outside the table would crash it
-        norm.check_format(full_check=True)
-    except ValueError as exc:
-        raise ConfigError(f"adjacency is not a valid CSR: {exc}") from None
     frontiers, blocks = [_as_node_array(nodes, m)], []
     for _ in range(params.num_layers - 1):
-        reached, block = local_columns(norm[frontiers[0]])
+        reached, block = local_columns(_rows(norm, frontiers[0]))
         frontiers.insert(0, reached)
         blocks.insert(0, block)
     # layer 1: the one-hot input makes the table its weight
-    adj = norm[frontiers[0]]
+    adj = _rows(norm, frontiers[0])
     pre = _csr_dense(adj, params.weights[0])
     out = activate(params.activation, pre)
     caches = [GcnLayerCache(frontiers[0], pre, adj, None)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -285,9 +286,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     best epoch. Validation scores on the full graph (``norm``, if given, must be
     ``normalize(graph)``) with dropout off. Sampling is redrawn once per epoch.
 
-    While a step's backward runs, the split products' worker thread prepares the next
-    step's parameter-free inputs (rows, node set, design, dropout mask), collected before
-    this step's update; a one-CPU process prepares them inline there. Same bits either way.
+    The split products' worker prepares each next step's inputs (none read from the
+    parameters) during a backward and is idle before each update. Same bits.
 
     Raises TrainingDivergedError as soon as a batch loss or a validation
     metric goes non-finite.
@@ -330,12 +330,11 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     })
     report = RunReport(meta)
 
-    def prepare(epoch, order, step):   # reads no parameter, so it can run a step ahead
-        lo = step * config.batch_size
-        return _prepare(tr.take(order[lo:lo + config.batch_size]), m, dim,
-                        config.dropout_ratio, derive_seed(config.seed, "dropout", epoch, step))
+    def prepare(epoch, order, lo):   # reads no parameter, so it can run a step ahead
+        return _prepare(tr.take(order[lo:lo + config.batch_size]), m, dim, config.dropout_ratio,
+                        derive_seed(config.seed, "dropout", epoch, lo // config.batch_size))
 
-    n, ahead_on_worker = len(tr), _model._cpus() > 1
+    n = len(tr)
     best_metric = math.inf
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -346,19 +345,17 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
         else:
             epoch_norm = full_norm
         order = derive_rng(config.seed, "shuffle", epoch).permutation(n)
-        epoch_loss, prepared = 0.0, prepare(epoch, order, 0)
+        epoch_loss, ahead = 0.0, None
         for batch_index, lo in enumerate(range(0, n, config.batch_size)):
-            forward = _forward(params, epoch_norm, config.dropout_ratio, *prepared)
-            ahead = prepared = None
-            if lo + config.batch_size < n:   # the next step's inputs, made during this backward
-                if ahead_on_worker:
-                    ahead = _model._worker.submit(prepare, epoch, order, batch_index + 1)
-                else:
-                    prepared = prepare(epoch, order, batch_index + 1)
+            forward = _forward(params, epoch_norm, config.dropout_ratio,
+                               *(ahead.result() if ahead else prepare(epoch, order, lo)))
+            # the next step's inputs, made on the worker during this backward
+            ahead = (_model._worker.submit(prepare, epoch, order, lo + config.batch_size)
+                     if lo + config.batch_size < n else None)
             try:
                 value, grads = _backward(params, config.l2_lambda, forward)
-            finally:   # the worker is idle again before this step's update
-                prepared = prepared if ahead is None else ahead.result()
+            finally:   # idle before the update; a failed preparation raises in the next step
+                wait([ahead] if ahead else [])
             try:
                 if not math.isfinite(value):
                     raise TrainingDivergedError("non-finite loss")

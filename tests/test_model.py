@@ -182,12 +182,13 @@ def test_an_adjacency_enters_only_as_normalize_returns_it(form):
             assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("indices,indptr,message", [
-    ([0, 4_000_000, 2], [0, 1, 2, 3, 3, 3], "indices must be < 5"),   # read past the table
-    ([0, -1, 2], [0, 1, 2, 3, 3, 3], "indices must be >= 0"),
-    ([0, 1, 2], [0, 2, 1, 3, 3, 3], "indptr must be a non-decreasing sequence"),
-], ids=["past the table", "negative", "falling indptr"])
-def test_an_adjacency_with_bad_stored_indices_is_refused(indices, indptr, message):
+@pytest.mark.parametrize("indices,indptr", [
+    ([0, 4_000_000, 2], [0, 1, 2, 3, 3, 3]),   # read past the table
+    ([0, -1, 2], [0, 1, 2, 3, 3, 3]),
+    ([0, 1, 2], [0, 2, 1, 3, 3, 3]),
+    ([0, 1, 2], [0, 1, -2, 3, 3, 3]),
+], ids=["past the table", "negative", "falling indptr", "negative indptr"])
+def test_an_adjacency_with_bad_stored_indices_is_refused(indices, indptr):
     # scipy checks only the lengths when it builds a CSR from its arrays; an index
     # past the table used to take the whole process down in the product kernel
     bad = sparse.csr_array((np.ones(3), np.array(indices), np.array(indptr)), shape=(5, 5))
@@ -195,10 +196,25 @@ def test_an_adjacency_with_bad_stored_indices_is_refused(indices, indptr, messag
     one, two = (ModelParams.initialize(5, 3, layers, seed=4) for layers in (1, 2))
     for call in (lambda: gcn_embed(bad, one, [0, 1, 2]),
                  lambda: gcn_embed(bad, two, [0, 1, 2]),
+                 lambda: gcn_embed(bad, two, [1]),   # row 1 is checked before its columns are used
                  lambda: predict_batch(batch, one, bad),
                  lambda: loss_and_grads(batch, one, bad, dropout_ratio=0.5)):
-        with pytest.raises(ConfigError, match=f"adjacency is not a valid CSR: {message}"):
+        with pytest.raises(ConfigError, match="adjacency is not a valid CSR: the rows read"):
             call()
+
+
+def test_only_the_rows_an_embedding_reads_are_checked():
+    # the check follows the batch's neighborhood, not the whole adjacency: a bad
+    # entry in a row no frontier reaches changes nothing
+    good = sparse.csr_array((np.ones(3), np.array([0, 1, 2]), np.array([0, 1, 2, 3, 3, 3])),
+                            shape=(5, 5))
+    bad = good.copy()
+    bad.indices[2] = 4_000_000   # row 2, which no frontier of nodes 0 and 1 reaches
+    params = ModelParams.initialize(5, 3, 2, seed=4)
+    assert (gcn_embed(bad, params, [0, 1]).rows.tobytes()
+            == gcn_embed(good, params, [0, 1]).rows.tobytes())
+    with pytest.raises(ConfigError, match="outside its entries or \\[0, 5\\)"):
+        gcn_embed(bad, params, [2])
 
 
 def test_degradation_edgeless_identity_equals_lookup_bitwise():

@@ -651,9 +651,9 @@ def test_preparing_ahead_on_the_worker_changes_no_bit(monkeypatch, tmp_path, wat
         report.save(tmp_path / f"{cpus}.txt")
         got.append((_param_digest(params), (tmp_path / f"{cpus}.txt").read_bytes(),
                     watched_worker.prepared()))
-    # one CPU prepares every step inline; two hand 4 steps of each epoch to the worker
+    # products split or not, 4 steps of each epoch are prepared on the worker
     assert got[0][:2] == got[1][:2]
-    assert (got[0][2], got[1][2]) == (0, 2 * 4)
+    assert (got[0][2], got[1][2]) == (2 * 4, 2 * 2 * 4)
 
 
 @pytest.mark.filterwarnings("ignore:field:RuntimeWarning")
@@ -673,37 +673,55 @@ def test_every_update_finds_the_worker_idle(monkeypatch, every_product_split, wa
     assert len(watched_worker.futures) > watched_worker.prepared()
 
 
-@pytest.mark.parametrize("where", ["update", "backward"])
+@pytest.mark.parametrize("where", ["update", "backward", "preparation", "both"])
 def test_a_step_that_raises_leaves_the_worker_idle(monkeypatch, watched_worker, where):
-    monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
+    # 60 rows at 32 a batch: the fifth step (epoch 3, batch 0) fails in its update or its
+    # backward, or the preparation of the step after it fails on the worker, or both fail
     module = importlib.import_module("gemfm.train")
-    real_backward, real_prepare, main = module._backward, module._prepare, threading.get_ident()
-    calls = []
+    real_backward, real_prepare = module._backward, module._prepare
+    real_step = module.optimizer_step
+    main, calls, worker_calls, updates = threading.get_ident(), [], [], []
 
-    def slow_prepare(*args):   # still running when a backward that raises returns
+    def slow_prepare(*args):   # still running when the backward returns
         if threading.get_ident() != main:
             time.sleep(0.2)
+            worker_calls.append(args)
+            if len(worker_calls) == 3 and where in ("preparation", "both"):
+                raise ValueError("no room for the design")
         return real_prepare(*args)
 
     def poisoned(*args):
         value, grads = real_backward(*args)
         calls.append(value)
-        if len(calls) == 5:     # 60 rows at 32 a batch: epoch 3, batch 0
-            if where == "backward":
+        if len(calls) == 5:
+            if where in ("backward", "both"):
                 raise MemoryError("no room for the gradient")
-            grads.d_weights[0][-1, 0] = np.inf
+            if where == "update":
+                grads.d_weights[0][-1, 0] = np.inf
         return value, grads
+
+    def counted_step(*args):
+        updates.append(len(calls))
+        return real_step(*args)
 
     monkeypatch.setattr(module, "_prepare", slow_prepare)
     monkeypatch.setattr(module, "_backward", poisoned)
+    monkeypatch.setattr(module, "optimizer_step", counted_step)
     config = TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=4, patience=4)
     raised, message = {"update": (TrainingDivergedError, "in epoch 3, batch 0"),
-                       "backward": (MemoryError, "no room")}[where]
-    with pytest.raises(raised, match=message):
+                       "backward": (MemoryError, "no room for the gradient"),
+                       "preparation": (ValueError, "no room for the design"),
+                       "both": (MemoryError, "no room for the gradient")}[where]
+    with pytest.raises(raised, match=message) as caught:
         with np.errstate(invalid="ignore"):
             train(_regression_data(0, 60), _regression_data(1, 20), _space(), config, dim=4)
     assert watched_worker.prepared() == 3   # batch 1 of epochs 1 to 3
     assert watched_worker.pending() == []
+    # a failed preparation raises where its step would start, after the update before it,
+    # and never in place of an error the backward raised
+    assert updates == [1, 2, 3, 4, 5][:4 if where in ("backward", "both") else 5]
+    if where in ("backward", "both"):
+        assert caught.value.__context__ is None
 
 
 # --- the training stream, pinned bit for bit ---
