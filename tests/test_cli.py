@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, GemfmError, ModelParams,
-                   build_graph, count_params, format_report, load_libfm, TrainConfig,
-                   metric_report, normalize, predict_batch, save_libfm)
+                   build_graph, count_params, load_libfm, mae, TrainConfig, normalize,
+                   predict_batch, rmse, save_libfm)
 from gemfm.datagen import ClickDataConfig, click_benchmark
 import gemfm.cli
 from gemfm.cli import _OPTIONS, _settings, _train_config, build_parser, main
@@ -43,12 +43,35 @@ def workspace(tmp_path):
 
 
 def _train_args(data, fmap, tmp_path, *extra):
-    return ["train", "--data", str(data), "--field-map", str(fmap),
+    """``data`` is a --data file, or a list of --train/--val/--test flags."""
+    source = data if isinstance(data, list) else ["--data", str(data)]
+    return ["train", *source, "--field-map", str(fmap),
             "--dim", "3", "--layers", "0", "--batch-size", "16",
             "--max-epochs", "3", "--patience", "3",
             "--learning-rate", "0.05",
             "--model", str(tmp_path / "model.bin"),
             "--report", str(tmp_path / "report.txt"), *extra]
+
+
+def _presplit(tmp_path, instances):
+    """--train/--val/--test flags of the workspace's rows 0-60, 60-70 and 70-80, saved."""
+    flags = []
+    for flag, lo, hi in (("--train", 0, 60), ("--val", 60, 70), ("--test", 70, 80)):
+        path = tmp_path / f"{flag[2:]}.libfm"
+        save_libfm(instances.row_range(lo, hi), path)
+        flags += [flag, str(path)]
+    return flags
+
+
+def _report(preds, labels, params):
+    """The metric line of `gemfm evaluate`, and of `gemfm train` after a part's name."""
+    return (f"rmse={rmse(preds, labels)!r} mae={mae(preds, labels)!r} "
+            f"n={len(labels)} params={count_params(params)}")
+
+
+def _best_epoch(report_path):
+    return next(line for line in report_path.read_text().splitlines()
+                if line.startswith("best_epoch "))
 
 
 def test_build_graph_writes_file_and_summary(workspace, capsys):
@@ -99,25 +122,38 @@ def test_train_is_reproducible_at_the_command_line(workspace, capsys):
 
 def test_train_presplit_with_prebuilt_graph(workspace, capsys):
     tmp_path, data, fmap, instances = workspace
-    for name, chunk in (("tr", instances.row_range(0, 60)), ("va", instances.row_range(60, 70)),
-                        ("te", instances.row_range(70, 80))):
-        save_libfm(chunk, tmp_path / f"{name}.libfm")
     space = FeatureSpace.from_cardinalities(["user", "item"], [4, 5])
     with pytest.warns(RuntimeWarning):
         graph = build_graph(instances.row_range(0, 60), space)
     graph.save(tmp_path / "graph.txt")
 
-    rc = main(["train", "--train", str(tmp_path / "tr.libfm"),
-               "--val", str(tmp_path / "va.libfm"),
-               "--test", str(tmp_path / "te.libfm"),
+    rc = main(["train", *_presplit(tmp_path, instances),
                "--field-map", str(fmap), "--dim", "3", "--layers", "1",
                "--graph", str(tmp_path / "graph.txt"),
                "--batch-size", "16", "--max-epochs", "3", "--patience", "3",
-               "--model", str(tmp_path / "gem.bin")])
+               "--model", str(tmp_path / "gem.bin"), "--report", str(tmp_path / "report.txt")])
     captured = capsys.readouterr()
     assert rc == 0
-    assert "test rmse=" in captured.out
-    assert ModelParams.load(tmp_path / "gem.bin").num_layers == 1
+    params = ModelParams.load(tmp_path / "gem.bin")
+    assert params.num_layers == 1
+    norm = normalize(FeatureGraph.load(tmp_path / "graph.txt"))
+    assert captured == ("".join(
+        f"{name} {_report(predict_batch(part, params, norm), part.labels, params)}\n"
+        for name, part in (("validation", instances.row_range(60, 70)),
+                           ("test", instances.row_range(70, 80))))
+        + _best_epoch(tmp_path / "report.txt") + "\n", "")
+
+
+def test_train_prints_no_test_line_for_a_test_file_without_rows(workspace, capsys):
+    tmp_path, _, fmap, instances = workspace
+    source = _presplit(tmp_path, instances)
+    (tmp_path / "test.libfm").write_text("# no rows\n")
+    assert main(_train_args(source, fmap, tmp_path)) == 0
+    params = ModelParams.load(tmp_path / "model.bin")
+    validation = instances.row_range(60, 70)
+    line = _report(predict_batch(validation, params), validation.labels, params)
+    assert capsys.readouterr() == (
+        f"validation {line}\n{_best_epoch(tmp_path / 'report.txt')}\n", "")
 
 
 def test_train_normalizes_the_full_graph_once(workspace, capsys, monkeypatch):
@@ -151,6 +187,12 @@ def test_train_input_source_is_exclusive(workspace, capsys):
     assert rc == 1
     assert "no input data" in capsys.readouterr().err
 
+    rc = main(["train", "--train", str(data), "--val", str(data),
+               "--field-map", str(fmap), "--dim", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: pre-split input needs all of --train, --val, --test\n"
+
 
 def test_train_layers_require_a_graph_source(workspace, capsys):
     tmp_path, data, fmap, _ = workspace
@@ -171,8 +213,7 @@ def test_evaluate_matches_library_metrics(workspace, capsys):
 
     params = ModelParams.load(tmp_path / "model.bin")
     preds = predict_batch(instances, params)
-    expected = format_report(metric_report(preds, instances.labels, count_params(params)))
-    assert captured.out.strip() == expected
+    assert captured.out == _report(preds, instances.labels, params) + "\n"
 
 
 def test_evaluate_clip_tightens_binary_errors(workspace, capsys):
@@ -181,17 +222,38 @@ def test_evaluate_clip_tightens_binary_errors(workspace, capsys):
                          for k, (_, entries) in enumerate(unpack(instances)))
     bdata = tmp_path / "binary.libfm"
     save_libfm(binary, bdata)
-    main(_train_args(bdata, fmap, tmp_path))
+    # fit to the real-valued labels, the model scores some rows outside [0, 1],
+    # where clipping moves each score closer to its binary label
+    main(_train_args(data, fmap, tmp_path))
     capsys.readouterr()
 
     def run(clip):
         rc = main(["evaluate", "--data", str(bdata),
                    "--model", str(tmp_path / "model.bin"), "--clip", clip])
         assert rc == 0
-        line = capsys.readouterr().out.strip()
-        return float(line.split()[0].split("=")[1])
+        return capsys.readouterr().out
 
-    assert run("1") <= run("0")
+    params = ModelParams.load(tmp_path / "model.bin")
+    preds = predict_batch(binary, params)
+    clipped = np.clip(preds, 0.0, 1.0)
+    assert not np.array_equal(clipped, preds)
+    assert run("0") == _report(preds, binary.labels, params) + "\n"
+    assert run("1") == _report(clipped, binary.labels, params) + "\n"
+    assert rmse(clipped, binary.labels) < rmse(preds, binary.labels)
+
+
+@pytest.mark.parametrize("clip, line", [
+    ("0", "rmse=0.4330127018922193 mae=0.375 n=4 params=5"),
+    ("1", "rmse=0.25 mae=0.125 n=4 params=5"),
+])
+def test_evaluate_prints_one_pinned_line(tmp_path, capsys, clip, line):
+    # every score is w0 = 1.25, against labels 1, 1, 1 and 0.5: errors 0.25 (x3) and
+    # 0.75, or, clipped to 1, 0 (x3) and 0.5; 1 + 2 + 2 x 1 parameters
+    model, data = tmp_path / "model.bin", tmp_path / "data.libfm"
+    ModelParams(1.25, np.zeros(2), [np.zeros((2, 1))]).save(model)
+    data.write_text("1 0:1\n1 1:1\n1 0:1 1:1\n0.5 0:1\n")
+    assert main(["evaluate", "--data", str(data), "--model", str(model), "--clip", clip]) == 0
+    assert capsys.readouterr() == (line + "\n", "")
 
 
 def test_predict_round_trips_exact_values(workspace, capsys):
@@ -235,6 +297,21 @@ def test_config_file_feeds_defaults_but_flags_win(workspace, capsys):
     capsys.readouterr()
     assert rc == 0
     assert ModelParams.load(model).dim == 3
+
+
+def test_a_graph_pair_without_a_colon_is_refused(workspace, capsys):
+    tmp_path, data, fmap, _ = workspace
+    config = tmp_path / "pairs.conf"
+    config.write_text("graph-pairs = user:item, user\n")
+    assert main(_train_args(data, fmap, tmp_path, "--config", str(config))) == 1
+    assert capsys.readouterr().err == \
+        f"error: {config}:1: invalid graph_pairs value 'user:item, user'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(_train_args(data, fmap, tmp_path, "--graph-pairs", "user:item,user"))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --graph-pairs: graph pair 'user' must look like fieldA:fieldB\n")
+    assert not (tmp_path / "model.bin").exists()
 
 
 def test_bad_config_lines_fail_cleanly(workspace, capsys):
@@ -590,7 +667,10 @@ def test_non_utf8_input_files_fail_cleanly(workspace, capsys, corrupt):
     assert err.startswith("error:") and bad.name in err
 
 
-def test_no_subcommand_prints_help_to_stderr():
+def test_no_subcommand_prints_help_to_stderr(capsys):
+    assert main([]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: gemfm")
     # pyproject's pythonpath reaches pytest's own process, not a child's
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
@@ -668,7 +748,7 @@ def test_streamed_predict_and_evaluate_match_one_call(workspace, capsys, monkeyp
     model, graph = _served(tmp_path)
     rows, params, expected = _one_call(data, model, graph)
     assert len(rows) == 80
-    report = format_report(metric_report(expected, rows.labels, count_params(params)))
+    report = _report(expected, rows.labels, params)
 
     monkeypatch.setattr("gemfm.data._CHUNK_CHARS", chunk_chars)
     monkeypatch.setattr("gemfm.model._PREDICT_CHUNK", block)

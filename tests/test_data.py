@@ -454,6 +454,9 @@ def test_field_map_parses_comments_and_blanks():
     ("user\t0\t1_0\n", "non-integer"),
     ("user\t0\t99999999999999999999\n", "non-integer"),
     ("user 0 3\n", "expected name"),
+    # an empty name: the line is stripped, so it has two columns
+    ("\t0\t3\n", "expected name"),
+    (" \t0\t3\n", "expected name"),
     ("", "no fields"),
     ("user\t0\t3\nitem\t3\t5\nitem\t5\t8\n", "'item' is named twice"),
 ])
@@ -486,6 +489,14 @@ def test_load_field_map_fuzz(text):
 def test_field_bounds_that_are_not_integers_are_refused(make, fragment):
     with pytest.raises(DataFormatError, match=fragment):
         make()
+
+
+@pytest.mark.parametrize("names, bounds", [(("a", "b"), ((0, 2),)), (("a",), ((0, 2), (2, 3))),
+                                           ((), ())])
+def test_field_names_and_bounds_must_align(names, bounds):
+    with pytest.raises(DataFormatError,
+                       match=r"^field names and bounds must be non-empty and aligned$"):
+        FeatureSpace(names, bounds)
 
 
 def test_field_bounds_may_be_numpy_integers():

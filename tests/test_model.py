@@ -509,6 +509,9 @@ def test_model_params_validation():
                     num_layers=2)
     with pytest.raises(ValueError, match="num_layers"):
         ModelParams(0.0, np.zeros(2), [np.zeros((2, 2))], num_layers=-1)
+    for w, table in ((np.zeros((2, 1)), np.zeros((2, 2))), (np.zeros(2), np.zeros(2))):
+        with pytest.raises(ConfigError, match=r"^w must be 1-d and weights\[0\] 2-d$"):
+            ModelParams(0.0, w, [table])
 
 
 def test_initialize_shapes_and_spread():
