@@ -8,7 +8,7 @@ from .data import (DatasetSplit, FeatureSpace, PackedInstances, format_field_map
 from .errors import (CheckpointError, ConfigError, DataFormatError, GemfmError,
                      GraphFormatError, TrainingDivergedError)
 from .graph import FeatureGraph, build_graph, normalize, sample_neighbors
-from .metrics import MetricReport, count_params, format_report, mae, metric_report, rmse
+from .metrics import count_params, mae, rmse
 from .model import (EmbeddingView, ModelParams, gcn_embed, lookup_embed,
                     predict_batch)
 from .seeding import derive_rng, derive_seed
@@ -20,13 +20,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckpointError", "ConfigError", "DataFormatError", "DatasetSplit",
     "EmbeddingView", "EpochRecord", "FeatureGraph", "FeatureSpace",
-    "GemfmError", "GradientSet", "GraphFormatError", "MetricReport",
-    "ModelParams", "OptimizerState", "PackedInstances",
-    "RunReport", "TrainConfig", "TrainingDivergedError",
-    "build_graph", "count_params", "derive_rng", "derive_seed",
-    "format_field_map", "format_report", "gcn_embed",
-    "load_field_map", "load_libfm", "lookup_embed", "loss_and_grads", "mae",
-    "metric_report", "negative_sample", "normalize", "optimizer_step",
-    "parse_libfm_line", "predict_batch", "rmse", "sample_neighbors",
-    "save_libfm", "split_dataset", "train",
+    "GemfmError", "GradientSet", "GraphFormatError", "ModelParams",
+    "OptimizerState", "PackedInstances", "RunReport", "TrainConfig",
+    "TrainingDivergedError", "build_graph", "count_params", "derive_rng",
+    "derive_seed", "format_field_map", "gcn_embed", "load_field_map",
+    "load_libfm", "lookup_embed", "loss_and_grads", "mae", "negative_sample",
+    "normalize", "optimizer_step", "parse_libfm_line", "predict_batch", "rmse",
+    "sample_neighbors", "save_libfm", "split_dataset", "train",
 ]

@@ -21,7 +21,7 @@ from .data import (DatasetSplit, content_lines, load_field_map, load_libfm, read
                    split_dataset)
 from .errors import ConfigError, DataFormatError, GemfmError, check
 from .graph import FeatureGraph, build_graph, check_nodes, normalize
-from .metrics import count_params, format_report, metric_report
+from .metrics import count_params, mae, rmse
 from .model import ACTIVATIONS, ModelParams, predict_batch
 from .seeding import derive_seed
 from .train import OPTIMIZERS, STOPPING_METRICS, TrainConfig, train
@@ -114,6 +114,16 @@ def _settings(given: dict) -> argparse.Namespace:
     return argparse.Namespace(**settings)
 
 
+def _warn_unread(opts, keys, reason):
+    """Warn of the options among ``keys`` set away from their defaults: the
+    command does not read them. A warning, not an error: a config file cannot
+    unset a key."""
+    ignored = ["--" + key.replace("_", "-") for key in keys
+               if getattr(opts, key) != _OPTIONS[key][2]]
+    if ignored:
+        warnings.warn(f"ignoring {', '.join(ignored)}: {reason}")
+
+
 def _require(opts, key):
     value = getattr(opts, key)
     if not value:
@@ -191,15 +201,13 @@ def cmd_train(opts) -> int:
             f"{len(split.train)} train, {len(split.validation)} validation and "
             f"{len(split.test)} test rows"
         )
-    # a warning, not an error: a config file cannot unset a key
-    unread = ("graph", "graph_fields", "graph_pairs", "sampling_ratio", "activation")
-    if opts.layers:
-        unread = ("graph_fields", "graph_pairs") if opts.graph else ()
-    ignored = ["--" + key.replace("_", "-") for key in unread
-               if getattr(opts, key) != _OPTIONS[key][2]]
-    if ignored:
-        warnings.warn(f"ignoring {', '.join(ignored)}: " + ("the graph is read from --graph"
-                      if opts.layers else "--layers 0 trains plain FM, without a graph"))
+    if opts.train:
+        _warn_unread(opts, ["ratios"], "the data is pre-split")
+    if not opts.layers:
+        _warn_unread(opts, ["graph", "graph_fields", "graph_pairs", "sampling_ratio",
+                            "activation"], "--layers 0 trains plain FM, without a graph")
+    elif opts.graph:
+        _warn_unread(opts, ["graph_fields", "graph_pairs"], "the graph is read from --graph")
 
     graph = None
     if opts.layers and opts.graph:
@@ -216,18 +224,21 @@ def cmd_train(opts) -> int:
         report.save(opts.report)
 
     for name, part in (("validation", split.validation), ("test", split.test)):
-        if not part:
-            continue
-        preds = predict_batch(part, params, norm)
-        rep = metric_report(preds, part.labels, count_params(params))
-        print(f"{name} {format_report(rep)}")
+        if part:
+            print(name, _report_line(predict_batch(part, params, norm), part.labels, params))
     print(f"best_epoch {report.best_epoch}")
     return 0
+
+
+def _report_line(preds, labels, params) -> str:
+    return (f"rmse={rmse(preds, labels)!r} mae={mae(preds, labels)!r} "
+            f"n={len(labels)} params={count_params(params)}")
 
 
 def _load_model_and_graph(opts):
     params = ModelParams.load(_require(opts, "model"))
     if not params.num_layers:
+        _warn_unread(opts, ["graph"], "the model has no convolution layers")
         return params, None
     graph = FeatureGraph.load(_require(opts, "graph"))
     return params, normalize(check_nodes(graph, params.num_features))
@@ -248,8 +259,9 @@ def cmd_evaluate(opts) -> int:
     data = _require(opts, "data")
     params, norm = _load_model_and_graph(opts)
     labels, preds = map(np.concatenate, zip(*_scored_chunks(data, params, norm)))
-    rep = metric_report(preds, labels, count_params(params), clip_to_unit=opts.clip == "1")
-    print(format_report(rep))
+    if opts.clip == "1":
+        preds = np.clip(preds, 0.0, 1.0)
+    print(_report_line(preds, labels, params))
     return 0
 
 

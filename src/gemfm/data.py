@@ -392,14 +392,12 @@ def load_field_map(text: str) -> FeatureSpace:
             raise DataFormatError(
                 f"field map line {lineno}: expected name<TAB>start<TAB>end, got {body!r}"
             )
-        name = parts[0].strip()
+        name = parts[0].strip()    # not empty: content_lines strips the line
         start, end = parse_index(parts[1].strip()), parse_index(parts[2].strip())
         if start is None or end is None:
             raise DataFormatError(
                 f"field map line {lineno}: non-integer bound in {body!r}"
             )
-        if not name:
-            raise DataFormatError(f"field map line {lineno}: empty field name")
         names.append(name)
         bounds.append((start, end))
     if not names:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -34,29 +32,3 @@ def mae(predictions, labels) -> float:
 def count_params(params: ModelParams) -> int:
     """Number of trainable scalars: 1 + m + m*d, plus d*d per layer past the first."""
     return 1 + params.w.size + sum(W.size for W in params.weights)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    rmse: float
-    mae: float
-    n: int
-    param_count: int
-
-
-def metric_report(predictions, labels, param_count: int,
-                  clip_to_unit: bool = False) -> MetricReport:
-    """Bundle rmse/mae over a prediction set.
-
-    clip_to_unit clamps predictions into [0, 1] first (off by default; an
-    ablation switch for binary-target runs).
-    """
-    p, y = _paired(predictions, labels)
-    if clip_to_unit:
-        p = np.clip(p, 0.0, 1.0)
-    return MetricReport(rmse(p, y), mae(p, y), int(p.size), int(param_count))
-
-
-def format_report(report: MetricReport) -> str:
-    return (f"rmse={report.rmse!r} mae={report.mae!r} "
-            f"n={report.n} params={report.param_count}")

@@ -455,6 +455,34 @@ def test_ignored_training_options_are_named(workspace, capsys, flags, layers, me
     assert ModelParams.load(tmp_path / "model.bin").num_layers == layers
 
 
+@pytest.mark.parametrize("flags, messages", [
+    (["--ratios", "0.5,0.25,0.25"], ["ignoring --ratios: the data is pre-split"]),
+    (["--ratios", "0.5,0.25,0.25", "--activation", "relu"],
+     ["ignoring --ratios: the data is pre-split",
+      "ignoring --activation: --layers 0 trains plain FM, without a graph"]),
+])
+def test_ratios_are_named_when_the_data_is_presplit(workspace, capsys, flags, messages):
+    tmp_path, _, fmap, instances = workspace
+    assert main(_train_args(_presplit(tmp_path, instances), fmap, tmp_path, *flags)) == 0
+    assert capsys.readouterr().err == "".join(f"warning: {m}\n" for m in messages)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_scoring_names_a_graph_the_model_does_not_read(workspace, capsys, command):
+    # the graph file is never opened: it need not exist
+    tmp_path, data, _, _ = workspace
+    model, out = tmp_path / "fm.bin", tmp_path / "preds.txt"
+    ModelParams.initialize(9, 3, num_layers=0, seed=5).save(model)
+    args = [command, "--data", str(data), "--model", str(model)]
+    args += ["--out", str(out)] if command == "predict" else []
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main([*args, "--graph", str(tmp_path / "missing" / "graph.txt")]) == 0
+    assert capsys.readouterr() == (
+        plain.out, "warning: ignoring --graph: the model has no convolution layers\n")
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("user\t0\t4\nitem\t4\t6\nitem\t6\t9\n", "field 'item' is named twice"),
     ("user\t0\tx\n", "field map line 1: non-integer bound"),

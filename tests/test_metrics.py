@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gemfm import ModelParams, count_params, mae, metric_report, rmse
-from gemfm.metrics import MetricReport, format_report
+from gemfm import ModelParams, count_params, mae, rmse
 
 
 def test_rmse_hand_cases():
@@ -63,18 +62,3 @@ def test_count_params_derived_cases():
     assert count_params(ModelParams.initialize(5, 3, num_layers=3)) == \
         1 + 5 + 15 + 9 + 9
 
-
-def test_metric_report_and_clip():
-    p = [1.4, -0.2, 0.5]
-    y = [1.0, 0.0, 1.0]
-    plain = metric_report(p, y, param_count=7)
-    assert plain.rmse == rmse(p, y)
-    assert plain.n == 3
-    clipped = metric_report(p, y, param_count=7, clip_to_unit=True)
-    assert clipped.rmse == rmse([1.0, 0.0, 0.5], y)
-    assert clipped.rmse < plain.rmse
-
-
-def test_format_report_exact():
-    report = MetricReport(rmse=0.25, mae=0.125, n=10, param_count=42)
-    assert format_report(report) == "rmse=0.25 mae=0.125 n=10 params=42"
