@@ -11,7 +11,7 @@ from .graph import FeatureGraph, build_graph, normalize, sample_neighbors
 from .metrics import count_params, mae, rmse
 from .model import (EmbeddingView, ModelParams, gcn_embed, lookup_embed,
                     predict_batch)
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_seed
 from .train import (EpochRecord, GradientSet, OptimizerState, RunReport,
                     TrainConfig, loss_and_grads, optimizer_step, train)
 
@@ -22,9 +22,9 @@ __all__ = [
     "EmbeddingView", "EpochRecord", "FeatureGraph", "FeatureSpace",
     "GemfmError", "GradientSet", "GraphFormatError", "ModelParams",
     "OptimizerState", "PackedInstances", "RunReport", "TrainConfig",
-    "TrainingDivergedError", "build_graph", "count_params", "derive_rng",
-    "derive_seed", "format_field_map", "gcn_embed", "load_field_map",
-    "load_libfm", "lookup_embed", "loss_and_grads", "mae", "negative_sample",
-    "normalize", "optimizer_step", "parse_libfm_line", "predict_batch", "rmse",
-    "sample_neighbors", "save_libfm", "split_dataset", "train",
+    "TrainingDivergedError", "build_graph", "count_params", "derive_seed",
+    "format_field_map", "gcn_embed", "load_field_map", "load_libfm", "lookup_embed",
+    "loss_and_grads", "mae", "negative_sample", "normalize", "optimizer_step",
+    "parse_libfm_line", "predict_batch", "rmse", "sample_neighbors", "save_libfm",
+    "split_dataset", "train",
 ]

@@ -95,8 +95,10 @@ def _read_config_file(path) -> dict:
         kind, choices = _OPTIONS[key][:2]
         try:
             out[key] = kind(value)
-        except (ValueError, argparse.ArgumentTypeError):
+        except ValueError:    # int() and float() would add nothing
             raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r}") from None
+        except argparse.ArgumentTypeError as exc:    # _pair_list names the bad pair
+            raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r}: {exc}") from None
         if choices and out[key] not in choices:
             raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r} "
                               f"(choose from {', '.join(choices)})")

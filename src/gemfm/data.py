@@ -13,8 +13,8 @@ rows when it is made, so every pack can be saved and read back.
 Files are read a chunk of whole lines at a time (read_libfm), each parsed
 with array operations straight into CSR arrays. parse_libfm_line is the
 one-line parser and the one diagnosis of errors: a chunk that fails a bulk
-check is read again line by line through it, so each error names its file
-and line as it always has.
+check is read again line by line through it, and the file reader adds the
+file and line number to the error it raises.
 """
 
 from __future__ import annotations
@@ -43,25 +43,24 @@ def parse_index(text: str) -> int | None:
     return None
 
 
-def parse_libfm_line(text: str, lineno: int | None = None) -> PackedInstances:
+def parse_libfm_line(text: str) -> PackedInstances:
     """Parse one ``label idx:value ...`` line into a one-row PackedInstances.
 
     Entries are sorted by index. Malformed tokens raise DataFormatError naming
     the token, and the pack's own checks refuse duplicate indices and
-    non-finite numbers; each message ends with the line number when given.
+    non-finite numbers; the file reader adds the file and line to the message.
     """
-    where = f" (line {lineno})" if lineno is not None else ""
     body = text.split("#", 1)[0].strip()
     if not body:
-        raise DataFormatError(f"empty instance line{where}")
+        raise DataFormatError("empty instance line")
     # str.isdigit and int() also accept non-ASCII digits such as '²'
     if not body.isascii():
-        raise DataFormatError(f"non-ASCII character in instance line{where}")
+        raise DataFormatError("non-ASCII character in instance line")
     tokens = body.split()
     try:
         label = float(tokens[0])
     except ValueError:
-        raise DataFormatError(f"bad label {tokens[0]!r}{where}") from None
+        raise DataFormatError(f"bad label {tokens[0]!r}") from None
     entries = []
     for tok in tokens[1:]:
         idx_text, sep, val_text = tok.partition(":")
@@ -69,19 +68,16 @@ def parse_libfm_line(text: str, lineno: int | None = None) -> PackedInstances:
         if not sep or index is None:
             raise DataFormatError(
                 f"malformed entry {tok!r}: want index:value with an index of at "
-                f"most {MAX_INDEX_DIGITS} digits{where}"
+                f"most {MAX_INDEX_DIGITS} digits"
             )
         try:
             entries.append((index, float(val_text)))
         except ValueError:
-            raise DataFormatError(f"non-numeric value in {tok!r}{where}") from None
+            raise DataFormatError(f"non-numeric value in {tok!r}") from None
     entries.sort()
-    try:
-        return PackedInstances(np.array([label]), np.array([0, len(entries)], dtype=np.int64),
-                               np.array([i for i, _ in entries], dtype=np.int64),
-                               np.array([v for _, v in entries], dtype=np.float64))
-    except DataFormatError as exc:
-        raise DataFormatError(f"{exc}{where}") from None
+    return PackedInstances(np.array([label]), np.array([0, len(entries)], dtype=np.int64),
+                           np.array([i for i, _ in entries], dtype=np.int64),
+                           np.array([v for _, v in entries], dtype=np.float64))
 
 
 # rows save_libfm spells per write: bounds its token matrix
@@ -132,11 +128,11 @@ def _parse_lines(lines, lineno: int, path) -> PackedInstances:
     rows = []
     try:
         for lineno, body in content_lines(decoded, lineno):
-            rows.append(parse_libfm_line(body, lineno))
+            rows.append(parse_libfm_line(body))
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        raise DataFormatError(f"{path}: {exc} (line {lineno})") from None
     return _concat([_no_rows(), *rows])
 
 
@@ -313,6 +309,8 @@ class FeatureSpace:
 
     Ranges must tile [0, num_features) in order with no gaps or overlaps,
     every field must hold at least one feature and no two fields share a name.
+    A name must read back from a field map: non-empty text with no '#', tab,
+    line break or space at either end.
     """
 
     field_names: tuple[str, ...]
@@ -323,6 +321,10 @@ class FeatureSpace:
             raise DataFormatError("field names and bounds must be non-empty and aligned")
         expected = 0
         for k, (name, (start, end)) in enumerate(zip(self.field_names, self.field_bounds)):
+            if (not isinstance(name, str) or not name or name != name.strip()
+                    or any(c in name for c in "#\t\n\r")):
+                raise DataFormatError(f"field name {name!r} must be non-empty text with no '#', "
+                                      "tab, line break or space at either end")
             if name in self.field_names[:k]:
                 raise DataFormatError(f"field {name!r} is named twice")
             check(f"field {name!r} start", start, int, error=DataFormatError)
@@ -380,13 +382,13 @@ class FeatureSpace:
 
 
 def load_field_map(text: str) -> FeatureSpace:
-    """Parse a tab-separated field map (``name<TAB>start<TAB>end`` per line).
+    """Parse a tab-separated field map (``name<TAB>start<TAB>end`` per ``\\n``-ended line).
 
     Blank lines and ``#`` comments are ignored. Gaps, overlaps, empty fields,
     and out-of-order ranges raise DataFormatError.
     """
     names, bounds = [], []
-    for lineno, body in content_lines(text.splitlines()):
+    for lineno, body in content_lines(text.split("\n")):
         parts = body.split("\t")
         if len(parts) != 3:
             raise DataFormatError(

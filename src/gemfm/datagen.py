@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureSpace, PackedInstances, negative_sample, split_dataset
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_seed, seeded_rng
 
 CONTEXT_FIELDS = (
     ("daytime", 7),
@@ -25,6 +25,10 @@ CONTEXT_FIELDS = (
     ("cost", 2),
     ("weather", 9),
 )
+# Zipf exponents of user and item popularity, and negatives drawn per positive
+USER_ZIPF = 0.85
+ITEM_ZIPF = 1.0
+NEGATIVES_PER_POSITIVE = 2
 
 
 @dataclass(frozen=True)
@@ -36,9 +40,6 @@ class ClickDataConfig:
     num_clusters: int = 12
     num_transactions: int = 36000
     cluster_affinity: float = 0.92
-    user_zipf: float = 0.85
-    item_zipf: float = 1.0
-    negatives_per_positive: int = 2
     seed: int = 0
 
 
@@ -57,7 +58,7 @@ def _zipf_probs(n: int, exponent: float) -> np.ndarray:
 def generate_positives(config: ClickDataConfig) -> PackedInstances:
     """Label-1 transactions: long-tailed users clicking items of their
     preferred cluster, with home-city geography and derived context."""
-    rng = derive_rng(config.seed, "positives")
+    rng = seeded_rng(derive_seed(config.seed, "positives"))
     space = click_space(config)
     n = config.num_transactions
     k = config.num_clusters
@@ -70,7 +71,7 @@ def generate_positives(config: ClickDataConfig) -> PackedInstances:
     item_cost = rng.integers(0, 2, size=config.num_items)
 
     users = rng.choice(config.num_users, size=n,
-                       p=_zipf_probs(config.num_users, config.user_zipf))
+                       p=_zipf_probs(config.num_users, USER_ZIPF))
     keep_pref = rng.random(n) < config.cluster_affinity
     clusters = np.where(keep_pref, user_cluster[users], rng.integers(0, k, size=n))
     items = np.empty(n, dtype=np.int64)
@@ -78,7 +79,7 @@ def generate_positives(config: ClickDataConfig) -> PackedInstances:
         mask = clusters == c
         pool = cluster_items[c]
         picks = rng.choice(pool.size, size=int(mask.sum()),
-                           p=_zipf_probs(pool.size, config.item_zipf))
+                           p=_zipf_probs(pool.size, ITEM_ZIPF))
         items[mask] = pool[picks]
 
     daytime = rng.integers(0, 7, size=n)
@@ -124,8 +125,7 @@ def click_benchmark(config: ClickDataConfig) -> ClickBenchmark:
     parts = []
     for name, part in (("train", split.train), ("validation", split.validation),
                        ("test", split.test)):
-        negatives = negative_sample(part, space, item_field,
-                                    config.negatives_per_positive,
+        negatives = negative_sample(part, space, item_field, NEGATIVES_PER_POSITIVE,
                                     seed=derive_seed(config.seed, "negative", name))
         parts.append(part + negatives)
     return ClickBenchmark(space, parts[0], parts[1], parts[2], split.train)

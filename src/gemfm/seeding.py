@@ -19,11 +19,6 @@ def derive_seed(seed: int, *names) -> int:
     return int.from_bytes(digest, "big")
 
 
-def derive_rng(seed: int, *names) -> np.random.Generator:
-    """A fresh Generator seeded from ``derive_seed(seed, *names)``."""
-    return np.random.default_rng(derive_seed(seed, *names))
-
-
 def seeded_rng(seed) -> np.random.Generator:
     """A fresh Generator for ``seed``, which must be a non-negative integer."""
     return np.random.default_rng(check("seed", seed, int, 0))

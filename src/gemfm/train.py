@@ -26,7 +26,7 @@ from .model import ModelParams, _node_terms, batch_design, embed, predict_batch,
 # benchmarks/bench_trace.py patches every namespace a traced name may be
 # looked up in, this one included, so these stay importable from here
 from .model import gcn_embed, lookup_embed  # noqa: F401
-from .seeding import derive_rng, derive_seed, seeded_rng
+from .seeding import derive_seed, seeded_rng
 
 OPTIMIZERS = ("adagrad", "adam")
 STOPPING_METRICS = ("rmse", "mae")
@@ -344,7 +344,7 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
             epoch_norm = normalize(sampled)
         else:
             epoch_norm = full_norm
-        order = derive_rng(config.seed, "shuffle", epoch).permutation(n)
+        order = seeded_rng(derive_seed(config.seed, "shuffle", epoch)).permutation(n)
         epoch_loss, ahead = 0.0, None
         for batch_index, lo in enumerate(range(0, n, config.batch_size)):
             forward = _forward(params, epoch_norm, config.dropout_ratio,

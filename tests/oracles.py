@@ -208,9 +208,9 @@ def load_libfm_reference(path):
                 if not line.split("#", 1)[0].strip():
                     continue
                 try:
-                    rows += unpack(parse_libfm_line(line, lineno))
+                    rows += unpack(parse_libfm_line(line))
                 except DataFormatError as exc:
-                    raise DataFormatError(f"{path}: {exc}") from None
+                    raise DataFormatError(f"{path}: {exc} (line {lineno})") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return packed_rows(rows)

@@ -305,7 +305,8 @@ def test_a_graph_pair_without_a_colon_is_refused(workspace, capsys):
     config.write_text("graph-pairs = user:item, user\n")
     assert main(_train_args(data, fmap, tmp_path, "--config", str(config))) == 1
     assert capsys.readouterr().err == \
-        f"error: {config}:1: invalid graph_pairs value 'user:item, user'\n"
+        f"error: {config}:1: invalid graph_pairs value 'user:item, user': " \
+        "graph pair 'user' must look like fieldA:fieldB\n"
     with pytest.raises(SystemExit) as exc:
         main(_train_args(data, fmap, tmp_path, "--graph-pairs", "user:item,user"))
     assert exc.value.code == 2

@@ -56,11 +56,6 @@ def test_parse_rejects(line, fragment):
         parse_libfm_line(line)
 
 
-def test_parse_error_carries_line_number():
-    with pytest.raises(DataFormatError, match=r"line 17"):
-        parse_libfm_line("1.0 0:1 0:2", lineno=17)
-
-
 def test_instance_validates_itself():
     with pytest.raises(DataFormatError):
         packed_rows([(1.0, ((3, 1.0), (1, 1.0)))])
@@ -202,6 +197,29 @@ def test_load_error_names_file_and_line(tmp_path):
         load_libfm(path)
 
 
+_MALFORMED = "want index:value with an index of at most 18 digits"
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("abc 0:1", "bad label 'abc'"),
+    ("nan 0:1", "non-finite label"),
+    ("1 0:1 0:2", "duplicate feature index 0"),
+    ("1 5", f"malformed entry '5': {_MALFORMED}"),
+    ("1 1234567890123456789:1", f"malformed entry '1234567890123456789:1': {_MALFORMED}"),
+    ("1 \u00b2:1", "non-ASCII character in instance line"),
+    ("1 2:x", "non-numeric value in '2:x'"),
+    ("1 2:nan", "non-finite value for feature 2"),
+], ids=["bad_label", "non_finite_label", "duplicate_index", "malformed_entry",
+        "index_over_18_digits", "non_ascii", "non_numeric_value", "non_finite_value"])
+def test_load_error_is_the_line_fault_with_file_and_line(tmp_path, fault, message):
+    # the comment line counts: line numbers are the file's own
+    path = tmp_path / "bad.libfm"
+    path.write_text(f"1 0:1 2:1\n# a comment\n{fault}\n0 1:1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as raised:
+        load_libfm(path)
+    assert str(raised.value) == f"{path}: {message} (line 3)"
+
+
 def test_load_rejects_an_index_past_int64(tmp_path):
     # it used to parse, then overflow when packed
     path = tmp_path / "big.libfm"
@@ -218,10 +236,10 @@ def test_load_rejects_non_utf8_bytes(tmp_path):
 
 
 def _count_line_parses(monkeypatch):
-    """The line numbers parse_libfm_line is called with from now on."""
+    """The line texts parse_libfm_line is called with from now on."""
     calls, parse = [], parse_libfm_line
     monkeypatch.setattr("gemfm.data.parse_libfm_line",
-                        lambda text, lineno=None: calls.append(lineno) or parse(text, lineno))
+                        lambda text: calls.append(text) or parse(text))
     return calls
 
 
@@ -246,7 +264,7 @@ def test_bulk_reader_re_reads_only_a_faulty_chunk(tmp_path, monkeypatch):
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(DataFormatError, match=r"duplicate feature index 4 \(line 5\)"):
         load_libfm(path)
-    assert calls == [4, 5]
+    assert calls == lines[3:5]
 
 
 def _assert_loads_like_reference(path):
@@ -434,6 +452,21 @@ def test_parse_libfm_line_fuzz(text):
 def test_field_map_round_trip():
     space = FeatureSpace.from_cardinalities(["user", "item", "ctx"], [5, 7, 3])
     assert load_field_map(format_field_map(space)) == space
+
+
+@pytest.mark.parametrize("name", ["a b", "café", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b",
+                                  "a\u2028b", "a\u2029b", "a:b"])
+def test_every_field_name_reads_back(name):
+    # lines end at "\n" alone, so str.splitlines' other breaks stay in the name
+    space = FeatureSpace.from_cardinalities([name, "item"], [2, 3])
+    assert load_field_map(format_field_map(space)) == space
+
+
+@pytest.mark.parametrize("name", ["", " a", "a ", "\u00a0a", "a#c", "a\tc", "a\nc", "a\rc",
+                                  "a\r\nc", 3, None])
+def test_a_field_name_that_would_not_read_back_is_refused(name):
+    with pytest.raises(DataFormatError, match=r"^field name .* must be non-empty text"):
+        FeatureSpace((name, "item"), ((0, 2), (2, 5)))
 
 
 def test_field_map_parses_comments_and_blanks():

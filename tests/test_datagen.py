@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 
 from gemfm import ModelParams, build_graph, count_params
-from gemfm.datagen import ClickDataConfig, click_benchmark, click_space, generate_positives
+from gemfm.datagen import (NEGATIVES_PER_POSITIVE, ClickDataConfig, click_benchmark, click_space,
+                           generate_positives)
 from oracles import packed_equal, unpack
 
 SMALL = ClickDataConfig(num_users=30, num_items=24, num_countries=5,
@@ -95,7 +96,7 @@ def test_generation_is_deterministic():
 def test_benchmark_mixes_negatives_into_each_split():
     bench = click_benchmark(SMALL)
     assert len(bench.train_positives) == 320
-    k = SMALL.negatives_per_positive
+    k = NEGATIVES_PER_POSITIVE
     for part, base in ((bench.train, 320), (bench.validation, 40),
                        (bench.test, 40)):
         # positives first, then (every context has plenty of unclicked items

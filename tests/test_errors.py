@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gemfm import (ConfigError, FeatureSpace, GemfmError, ModelParams, TrainConfig,
-                   build_graph, derive_rng, derive_seed, loss_and_grads, negative_sample,
+                   build_graph, derive_seed, loss_and_grads, negative_sample,
                    predict_batch, rmse, sample_neighbors, save_libfm, split_dataset, train)
 from oracles import packed_rows
 
@@ -50,8 +50,6 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
     lambda: derive_seed(-5, "x"),
     lambda: derive_seed(1.9, "x"),
     lambda: derive_seed(True, "x"),
-    lambda: derive_rng(-1, "x"),
-    lambda: derive_rng("1", "x"),
     # loop sizes that are not integers, rates that are not real numbers
     lambda: TrainConfig(batch_size=2.5),
     lambda: TrainConfig(max_epochs=3.0),
@@ -100,7 +98,7 @@ GRAPH = build_graph(ROWS, SPACE, included_fields=["u", "i"])
         "sample_neighbors_seed_negative", "sample_neighbors_seed_float",
         "initialize_seed_negative", "train_config_seed_negative", "train_config_seed_float",
         "dropout_seed_negative", "derive_seed_negative", "derive_seed_float",
-        "derive_seed_bool", "derive_rng_negative", "derive_rng_str",
+        "derive_seed_bool",
         "batch_size_float", "max_epochs_float", "patience_str", "learning_rate_str",
         "l2_lambda_none", "dropout_ratio_str", "sampling_ratio_complex",
         "predict_batch_graph_as_norm", "l2_lambda_negative", "l2_lambda_nan",

@@ -1,13 +1,15 @@
-"""Package hygiene: the public names resolve, the source keeps its line width, and scalar
-arguments, '#' comments, the bytes the bulk readers take and scipy's private sparse
-kernels are each handled in one place."""
+"""Package hygiene: the public names resolve, the source keeps its line width, README's
+layout lists every module, and scalar arguments, '#' comments, the bytes the bulk readers
+take and scipy's private sparse kernels are each handled in one place."""
 
+import re
 from pathlib import Path
 
 import gemfm
 
 SRC = Path(gemfm.__file__).resolve().parent
 MAX_COLUMNS = 100
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_public_name_resolves():
@@ -22,6 +24,14 @@ def test_no_source_line_is_wider_than_the_convention():
             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > MAX_COLUMNS]
     assert wide == []
+
+
+def test_readme_layout_lists_every_module():
+    # the first code block after "## Layout" lists src/gemfm/ one module a line
+    layout = README.read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", layout, flags=re.MULTILINE)
+    modules = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert sorted(listed) == modules
 
 
 def test_scalar_arguments_are_checked_only_by_errors_check():
