@@ -309,8 +309,9 @@ class FeatureSpace:
 
     Ranges must tile [0, num_features) in order with no gaps or overlaps,
     every field must hold at least one feature and no two fields share a name.
-    A name must read back from a field map: non-empty text with no '#', tab,
-    line break or space at either end.
+    A name must read back from a field map and be nameable on the command
+    line: non-empty text with no '#', ',', ':', tab, line break or space at
+    either end.
     """
 
     field_names: tuple[str, ...]
@@ -322,9 +323,9 @@ class FeatureSpace:
         expected = 0
         for k, (name, (start, end)) in enumerate(zip(self.field_names, self.field_bounds)):
             if (not isinstance(name, str) or not name or name != name.strip()
-                    or any(c in name for c in "#\t\n\r")):
+                    or any(c in name for c in "#,:\t\n\r")):
                 raise DataFormatError(f"field name {name!r} must be non-empty text with no '#', "
-                                      "tab, line break or space at either end")
+                                      "',', ':', tab, line break or space at either end")
             if name in self.field_names[:k]:
                 raise DataFormatError(f"field {name!r} is named twice")
             check(f"field {name!r} start", start, int, error=DataFormatError)

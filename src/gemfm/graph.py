@@ -3,6 +3,9 @@
 Nodes are feature indices. Two features are linked when they appear together
 in at least one transaction (optionally restricted to listed field pairs);
 edges are binary and undirected, stored once in canonical (i < j) order.
+build_graph reads them off the upper triangle of X^T X for the boolean
+transaction-by-feature X (presence, not value, links two features), in
+O(m + distinct linked pairs) memory, like normalize and degrees.
 """
 
 from __future__ import annotations
@@ -88,18 +91,13 @@ class FeatureGraph:
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         header, pairs = _edge_arrays(text) or _edge_lines(text.split("\n"), path)
-        edges, repeated = _sorted_edges(pairs)
-        if repeated.any():
+        edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        if (edges[1:] == edges[:-1]).all(axis=1).any():
             raise GraphFormatError(f"{path}: duplicate edges in file")
-        return cls(header, edges)
-
-
-def _sorted_edges(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``pairs`` sorted by (i, j), and a mask of the rows equal to the row before."""
-    edges = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    repeated = np.zeros(len(edges), dtype=bool)
-    repeated[1:] = (edges[1:] == edges[:-1]).all(axis=1)
-    return edges, repeated
+        try:
+            return cls(header, edges)
+        except GraphFormatError as exc:    # a node count of 0
+            raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def _edge_arrays(text: str):
@@ -165,6 +163,10 @@ def build_graph(instances, space: FeatureSpace, included_fields=None,
     by id or name. Linking a field with fewer than 10 features emits a
     RuntimeWarning, since near-universal features (a 2-value flag, say) end
     up adjacent to most of the graph.
+
+    The edges are the nonzeros of triu(X^T X, 1) whose fields are linked;
+    X is True where a row holds a feature of a linked field, whatever its
+    value. Memory is O(m + distinct linked pairs), with no list of a row's pairs.
     """
     m = space.num_features
     named = range(space.num_fields) if included_fields is None else included_fields
@@ -201,22 +203,15 @@ def build_graph(instances, space: FeatureSpace, included_fields=None,
         raise GraphFormatError(
             f"instance {pos}: feature index {int(idx[outside[0]])} outside [0, {m})"
         )
-    fields = space.field_of_array(idx)
-    keep = linked_fields[fields]
-    selected, fields = idx[keep], fields[keep]
-    # a row's selected entries are contiguous: rows with k of them form a
-    # (rows, k) block whose i < j column pairs are the row's edges
-    before = np.r_[0, np.cumsum(keep)][packed.indptr]   # selected before each row
-    counts = np.diff(before)
-    edges = [np.empty((0, 2), dtype=np.int64)]
-    for k in np.unique(counts[counts >= 2]).tolist():
-        at = before[:-1][counts == k][:, None] + np.arange(k)
-        a, b = np.triu_indices(k, 1)
-        pairs = np.stack([selected[at[:, a]].ravel(), selected[at[:, b]].ravel()], axis=1)
-        pairs = pairs[linked[fields[at[:, a]].ravel(), fields[at[:, b]].ravel()]]
-        edges.append(pairs)
-    edges, repeated = _sorted_edges(np.concatenate(edges))
-    return FeatureGraph(m, edges[~repeated])
+    keep = linked_fields[space.field_of_array(idx)]
+    # True, not the value: no sum can cancel to a zero that drops an edge
+    x = sparse.csr_array((np.ones(np.count_nonzero(keep), dtype=bool), idx[keep],
+                          np.r_[0, np.cumsum(keep)][packed.indptr]), shape=(len(packed), m))
+    together = sparse.triu(x.T @ x, k=1, format="csr")
+    together.sort_indices()
+    i, j = together.nonzero()
+    edges = np.stack([i, j], axis=1).astype(np.int64)
+    return FeatureGraph(m, edges[linked[space.field_of_array(i), space.field_of_array(j)]])
 
 
 def node_set(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -487,6 +487,7 @@ def test_scoring_names_a_graph_the_model_does_not_read(workspace, capsys, comman
 @pytest.mark.parametrize("text,fragment", [
     ("user\t0\t4\nitem\t4\t6\nitem\t6\t9\n", "field 'item' is named twice"),
     ("user\t0\tx\n", "field map line 1: non-integer bound"),
+    ("u,id\t0\t4\nitem\t4\t9\n", "field name 'u,id' must be non-empty text with no '#', ',', ':'"),
 ])
 def test_bad_field_maps_name_their_file(workspace, capsys, text, fragment):
     # a repeated field used to load, and --graph-fields item took its first range

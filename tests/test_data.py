@@ -455,7 +455,7 @@ def test_field_map_round_trip():
 
 
 @pytest.mark.parametrize("name", ["a b", "café", "a\x0bb", "a\x0cb", "a\x1cb", "a\x85b",
-                                  "a\u2028b", "a\u2029b", "a:b"])
+                                  "a\u2028b", "a\u2029b"])
 def test_every_field_name_reads_back(name):
     # lines end at "\n" alone, so str.splitlines' other breaks stay in the name
     space = FeatureSpace.from_cardinalities([name, "item"], [2, 3])
@@ -463,7 +463,7 @@ def test_every_field_name_reads_back(name):
 
 
 @pytest.mark.parametrize("name", ["", " a", "a ", "\u00a0a", "a#c", "a\tc", "a\nc", "a\rc",
-                                  "a\r\nc", 3, None])
+                                  "a\r\nc", "a:b", "a,b", 3, None])
 def test_a_field_name_that_would_not_read_back_is_refused(name):
     with pytest.raises(DataFormatError, match=r"^field name .* must be non-empty text"):
         FeatureSpace((name, "item"), ((0, 2), (2, 5)))

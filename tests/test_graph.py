@@ -12,9 +12,10 @@ from scipy import sparse
 
 from gemfm import (FeatureGraph, FeatureSpace, GemfmError, GraphFormatError, build_graph,
                    normalize, sample_neighbors)
+from gemfm.datagen import ClickDataConfig, click_space, generate_positives
 from gemfm.graph import (_edge_arrays, _edge_lines, _kept_directed_edges, local_columns,
                          node_set)
-from oracles import dense_normalized_adjacency, graph_save_reference, packed_rows
+from oracles import dense_normalized_adjacency, graph_save_reference, packed_rows, unpack
 
 
 def _inst(*indices):
@@ -102,6 +103,10 @@ def test_build_graph_matches_brute_force():
     expected = _brute_force_pairs(instances, space, {0, 1, 2})
     np.testing.assert_array_equal(g.edges, expected)
     assert g.num_nodes == space.num_features
+    # presence links, not value: zeros and signs that would cancel in a sum
+    signed = [(label, tuple((i, float(rng.choice([0.0, 1.0, -1.0]))) for i, _ in entries))
+              for label, entries in instances]
+    np.testing.assert_array_equal(build_graph(packed_rows(signed), space).edges, expected)
 
 
 def test_build_graph_groups_rows_of_any_length():
@@ -123,6 +128,20 @@ def test_build_graph_groups_rows_of_any_length():
     # a pair list no row matches gives no edges
     g = build_graph(packed_rows([_inst(0, 9)]), space, field_pairs=[("u", "c")])
     assert g.edges.shape == (0, 2)
+    # click-shaped rows, one feature in each of 10 fields: all linked, then a pair list
+    config = ClickDataConfig(num_users=30, num_items=20, num_countries=4, num_cities=10,
+                             num_clusters=3, num_transactions=120, seed=6)
+    space, packed = click_space(config), generate_positives(config)
+    instances = unpack(packed)
+    assert set(np.diff(packed.indptr).tolist()) == {10}
+    with pytest.warns(RuntimeWarning, match="features; its nodes"):
+        g = build_graph(packed, space)
+    np.testing.assert_array_equal(g.edges, _brute_force_pairs(instances, space, range(10)))
+    g = build_graph(packed, space, field_pairs=[("user", "item"), ("item", "city")])
+    pairs = {(0, 1), (1, 9)}
+    expected = [(a, b) for a, b in _brute_force_pairs(instances, space, range(10))
+                if tuple(sorted(space.field_of_array(np.array([a, b])).tolist())) in pairs]
+    np.testing.assert_array_equal(g.edges, expected)
 
 
 def test_build_graph_field_subset():
@@ -285,6 +304,7 @@ def test_graph_load_rejects(tmp_path, text, fragment):
     ("nodes 4\n0 1 # note\n1\n", ":3: expected 'i j', got '1'"),
     ("\nnodes\n0 1\n", ":2: expected 'nodes <count>' header, got 'nodes'"),
     ("nodes 4\n0 1\n2 3\n1 0\n", ": duplicate edges in file"),
+    ("nodes 0\n", ": graph needs at least one node, got 0"),
 ])
 def test_graph_load_errors_name_the_line(tmp_path, text, message):
     # the bulk tokenizer rejects these, and the line-by-line reader names them
