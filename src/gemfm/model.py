@@ -8,15 +8,16 @@ adjacency. The pairwise sum is evaluated through the squared-sum identity
 one number per node, so scoring stays linear in the number of active features.
 predict_batch takes each distinct node's embedding, squared norm and weight once per call.
 The forward sparse-by-dense products (adj @ weights[0] and adj @ out in gcn_embed, x @ rows
-in scores_from_design) run one kernel, whose rows split across two threads once large; no
-bit depends on the split, and a process that may use only one CPU runs them on one thread.
+in scores_from_design) run one kernel; they and train's row updates _split across two threads
+once large. No bit depends on a split, and with one CPU all of them run on one thread.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ CHECKPOINT_MAGIC = b"GEMFM\x00\x00\x01"
 _PREDICT_CHUNK = 8192
 # multiply-adds (stored entries x columns) from which _csr_dense splits a product's rows
 _SPLIT_WORK = 1 << 18
-# one thread for the second part of each split product and train's next step; starts on first use
+# one thread for the second part of each _split and train's next step; starts on first use
 _worker = ThreadPoolExecutor(1)
 
 
@@ -59,10 +60,9 @@ def _cpus() -> int:
 
 def _csr_dense(a: sparse.csr_array, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a float64 CSR ``a`` and a 2-d float64 ``b`` of matching shape (gcn_embed
-    checks the adjacency where it enters), by scipy's own kernel, into one zeroed output. From
-    _SPLIT_WORK multiply-adds on, with more than one CPU, the worker thread takes the rows past
-    half the stored entries (the kernel releases the GIL). Each output row is the kernel's sum
-    of its entries in stored order either way, so no bit depends on the split."""
+    checks the adjacency where it enters), by scipy's own kernel (it releases the GIL) into one
+    zeroed output, _split from _SPLIT_WORK multiply-adds where half the stored entries fall. Each
+    output row is the kernel's sum of its entries in stored order, so no bit depends on a split."""
     (rows, cols), width = a.shape, b.shape[1]
     out, flat, indptr = np.zeros((rows, width)), b.ravel(), a.indptr
 
@@ -70,16 +70,22 @@ def _csr_dense(a: sparse.csr_array, b: np.ndarray) -> np.ndarray:
         _sparsetools.csr_matvecs(hi - lo, cols, width, indptr[lo:hi + 1], a.indices, a.data,
                                  flat, out[lo:hi].ravel())
 
-    if a.nnz * width < _SPLIT_WORK or _cpus() < 2:
-        part(0, rows)
-        return out
-    mid = int(np.searchsorted(indptr, indptr[-1] // 2))
-    second = _worker.submit(part, mid, rows)
+    _split(part, rows, int(np.searchsorted(indptr, indptr[-1] // 2)), a.nnz * width >= _SPLIT_WORK)
+    return out
+
+
+def _split(part, size: int, mid: int, large: bool) -> None:
+    """``part(0, size)`` here or, if ``large`` and the process may use 2 CPUs, ``part(0, mid)`` here
+    while the worker runs ``part(mid, size)`` in this context (numpy's errstate too). Returns with
+    both done, raising the calling thread's error if it has one, otherwise the worker's."""
+    if not large or _cpus() < 2:
+        return part(0, size)
+    second = _worker.submit(copy_context().run, part, mid, size)
     try:
         part(0, mid)
     finally:
-        second.result()
-    return out
+        wait([second])
+    second.result()
 
 
 def activate(name: str, z: np.ndarray) -> np.ndarray:

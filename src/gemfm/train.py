@@ -35,6 +35,8 @@ ADAM_BETA2 = 0.999
 EPSILON = 1e-8
 # rows per gather/update/scatter: a block's temporaries stay in cache
 _ROW_BLOCK = 512
+# entries in each half's first row block from which optimizer_step splits a block's update
+_SPLIT_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class GradientSet:
     """Gradients mirroring ModelParams, row-aligned where they are sparse.
 
     d_w has one entry per touched_features id and d_weights[0] one row per
-    touched_rows id (both sorted); entries of other rows are exactly zero
-    and not stored. Optimizers update only the touched slices.
+    touched_rows id (both sorted and distinct); entries of other rows are exactly
+    zero and not stored. Optimizers update only the touched slices.
     """
 
     d_w0: float
@@ -199,9 +201,9 @@ def _relu_masked(cache, d_out, activation):
 
 def optimizer_step(params: ModelParams, state: OptimizerState,
                    grads: GradientSet, config: TrainConfig) -> None:
-    """One in-place update; rows outside the touched sets stay untouched,
-    including their accumulators (lazy sparse updates). Raises
-    TrainingDivergedError naming a block the update would leave non-finite."""
+    """One in-place update of the touched rows only, accumulators included (lazy sparse updates).
+    They are sorted and distinct, so a large block's halves run on two threads (_split) with the
+    same bits. Raises TrainingDivergedError naming a block the update would leave non-finite."""
     blocks = [np.array([params.w0]), params.w, *params.weights]   # w0 as a one-row block
     state.step_count += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step_count    # Adam's bias corrections
@@ -212,7 +214,9 @@ def optimizer_step(params: ModelParams, state: OptimizerState,
             [np.array([0]), grads.touched_features, grads.touched_rows,
              *(np.arange(W.shape[0]) for W in params.weights[1:])],
             ["w0", "w", *(f"weights[{l}]" for l in range(len(params.weights)))]):
-        _update_rows(param, mom, accum, grad, rows, config.learning_rate, c1, c2, block)
+        half, at = rows.size // 2, (config.learning_rate, c1, c2, block)
+        _model._split(lambda lo, hi: _update_rows(param, mom, accum, grad[lo:hi], rows[lo:hi], *at),
+                      rows.size, half, min(half, _ROW_BLOCK) * param[0].size >= _SPLIT_ENTRIES)
     params.w0 = float(blocks[0][0])
 
 
@@ -286,8 +290,8 @@ def train(train_set, val_set, space, config: TrainConfig, *, dim: int,
     best epoch. Validation scores on the full graph (``norm``, if given, must be
     ``normalize(graph)``) with dropout off. Sampling is redrawn once per epoch.
 
-    The split products' worker prepares each next step's inputs (none read from the
-    parameters) during a backward and is idle before each update. Same bits.
+    The worker of model._split prepares each next step's inputs (none read from the
+    parameters) during a backward, and is idle when each update starts. Same bits.
 
     Raises TrainingDivergedError as soon as a batch loss or a validation
     metric goes non-finite.

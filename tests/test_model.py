@@ -18,8 +18,8 @@ from gemfm import (CheckpointError, ConfigError, DataFormatError, FeatureGraph, 
                    ModelParams, gcn_embed, lookup_embed, loss_and_grads, normalize,
                    predict_batch)
 from gemfm.graph import node_set
-from gemfm.model import (CHECKPOINT_MAGIC, _SPLIT_WORK, _csr_dense, batch_design, embed,
-                         scores_from_design)
+from gemfm.model import (CHECKPOINT_MAGIC, _SPLIT_WORK, _csr_dense, _split, batch_design,
+                         embed, scores_from_design)
 from gemfm.data import PackedInstances
 from oracles import dense_gcn_rows, dense_normalized_adjacency, packed_rows, pairwise_score
 
@@ -467,6 +467,28 @@ def test_small_products_and_one_cpu_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
     assert _csr_dense(small, b).tobytes() == (small @ b).tobytes()
     assert threads == [threading.get_ident()] * 2   # each ran whole on this thread
+
+
+def test_a_split_raises_the_calling_threads_error_once_the_worker_is_done(monkeypatch):
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
+    ended = []
+
+    def part(lo, hi):
+        if lo:   # the worker's half, still running when the calling thread's fails
+            time.sleep(0.2)
+            ended.append(threading.get_ident())
+            raise KeyError("the worker's half")
+        if hi == 1:
+            raise ValueError("the calling thread's half")
+
+    with pytest.raises(ValueError, match="calling thread's half") as caught:
+        _split(part, 2, 1, True)
+    # the worker's half had ended, on the worker, before the calling thread's error was raised
+    assert len(ended) == 1 and ended[0] != threading.get_ident()
+    assert caught.value.__context__ is None
+    with pytest.raises(KeyError, match="worker's half"):   # the worker's error, raised alone
+        _split(part, 3, 2, True)
+    assert len(ended) == 2
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import re
+import sys
 import threading
 import time
 import weakref
@@ -19,9 +20,9 @@ from gemfm import (DataFormatError, FeatureGraph, FeatureSpace, ModelParams, Tra
 from gemfm.data import PackedInstances
 from gemfm.datagen import ClickDataConfig, click_benchmark
 from gemfm.metrics import rmse
-from gemfm.model import gcn_embed
-from gemfm.train import (ADAM_BETA1, ADAM_BETA2, EPSILON, EpochRecord, GradientSet,
-                         OptimizerState, RunReport, _full_l2, _update_rows,
+from gemfm.model import _split, gcn_embed
+from gemfm.train import (ADAM_BETA1, ADAM_BETA2, EPSILON, OPTIMIZERS, EpochRecord,
+                         GradientSet, OptimizerState, RunReport, _full_l2, _update_rows,
                          optimizer_step)
 from oracles import (adagrad_rows_reference, adam_rows_reference, decayed_dense_gradients,
                      dense_gcn_rows, dense_gradients, dense_normalized_adjacency,
@@ -521,23 +522,30 @@ def test_train_names_the_step_whose_update_diverged(monkeypatch):
 
 
 @pytest.mark.parametrize("touched", [0, 1, 511, 512, 513, 1500])
-def test_row_updates_match_the_unfused_formulas(touched):
-    # the fused update walks the rows in blocks under either optimizer; every bit
-    # must match the whole-array formulas on either side of each block boundary
+def test_row_updates_match_the_unfused_formulas(monkeypatch, touched):
+    # the fused update walks the rows in blocks under either optimizer, whole or in the two
+    # halves optimizer_step gives the calling thread and the worker; every bit must match
+    # the whole-array formulas on either side of each block boundary and of the cut
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
+
+    def update(split, param, mom, accum, grad, rows, *at):
+        _split(lambda lo, hi: _update_rows(param, mom, accum, grad[lo:hi], rows[lo:hi], *at),
+               rows.size, rows.size // 2, split)
+
     rng = np.random.default_rng(touched)
     m = 1600
     rows = np.sort(rng.choice(m, size=touched, replace=False))
-    for shape in [(m,), (m, 5)]:
+    for shape, split in itertools.product([(m,), (m, 5)], [False, True]):
         param, mom, accum = rng.normal(size=shape), rng.normal(size=shape), rng.random(shape)
         grad = rng.normal(size=(touched, *shape[1:]))
         got, want = [param.copy(), accum.copy()], [param.copy(), accum.copy()]
-        _update_rows(got[0], None, got[1], grad, rows, 0.01, 1.0, 1.0, "w")
+        update(split, got[0], None, got[1], grad, rows, 0.01, 1.0, 1.0, "w")
         adagrad_rows_reference(*want, grad, rows, 0.01)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         c1, c2 = 1.0 - ADAM_BETA1 ** 3, 1.0 - ADAM_BETA2 ** 3
         got, want = [param.copy(), mom.copy(), accum.copy()], [param.copy(), mom.copy(), accum.copy()]
-        _update_rows(*got, grad, rows, 0.01, c1, c2, "w")
+        update(split, *got, grad, rows, 0.01, c1, c2, "w")
         adam_rows_reference(*want, grad, rows, 0.01, c1, c2)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -671,6 +679,58 @@ def test_every_update_finds_the_worker_idle(monkeypatch, every_product_split, wa
     assert watched_worker.prepared() == 2 * 4
     # the split products took the worker too, before and after each preparation
     assert len(watched_worker.futures) > watched_worker.prepared()
+
+
+@pytest.mark.parametrize("optimizer", ["adagrad", "adam"])
+def test_split_updates_change_no_bit(monkeypatch, watched_worker, optimizer):
+    # a click-sized table (3,290 x 64, 3,000 touched rows) splits its update at two CPUs;
+    # w (one entry a row) and the d x d block are too narrow to, and one CPU splits nothing
+    rng = np.random.default_rng(8)
+    m, d = 3290, 64
+    start = ModelParams.initialize(m, d, num_layers=2, seed=4, scale=0.1)
+    rows, features = (np.sort(rng.choice(m, size, replace=False)) for size in (3000, 900))
+    steps = [GradientSet(float(rng.normal()), rng.normal(size=features.size),
+                         [rng.normal(size=(rows.size, d)), rng.normal(size=(d, d))], features, rows)
+             for _ in range(3)]
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # the threads trade the GIL as often as they can
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr("gemfm.model._cpus", lambda cpus=cpus: cpus)
+            params, state = start.copy(), OptimizerState.create(start, optimizer)
+            for grads in steps:
+                optimizer_step(params, state, grads, TrainConfig(optimizer=optimizer))
+            got.append((params, state, len(watched_worker.futures)))
+    finally:
+        sys.setswitchinterval(interval)
+    (one, one_state, one_sent), (two, two_state, two_sent) = got
+    assert (one_sent, two_sent) == (0, len(steps))   # the table's update, once a step
+    assert watched_worker.pending() == []
+    assert one.w0 == two.w0 and one_state.step_count == two_state.step_count == len(steps)
+    blocks = [[p.w, *p.weights, *s.accum, *(s.momentum or [])]
+              for p, s in ((one, one_state), (two, two_state))]
+    assert len(blocks[0]) == (7 if optimizer == "adagrad" else 11)
+    for a, b in zip(*blocks):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # the caller's errstate holds there too
+def test_a_non_finite_row_in_the_workers_half_stops_the_update(monkeypatch, watched_worker):
+    monkeypatch.setattr("gemfm.model._cpus", lambda: 2)
+    m, d = 3290, 64
+    params = ModelParams.initialize(m, d, seed=4)
+    rows = np.arange(0, m, 2)
+    d_table = np.ones((rows.size, d))
+    d_table[-1, 3] = np.inf   # the last touched row is the worker's
+    grads = GradientSet(0.0, np.ones(2), [d_table], np.array([0, 1]), rows)
+    for kind in OPTIMIZERS:
+        with pytest.raises(TrainingDivergedError,
+                           match=re.escape("non-finite weights[0] after the optimizer step")):
+            with np.errstate(invalid="ignore"):
+                optimizer_step(params.copy(), OptimizerState.create(params, kind), grads,
+                               TrainConfig(optimizer=kind))
+        assert watched_worker.pending() == []
+    assert len(watched_worker.futures) == len(OPTIMIZERS)
 
 
 @pytest.mark.parametrize("where", ["update", "backward", "preparation", "both"])
